@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitVector
-from .simstate import BasisPredicate, StateVector
+from .simstate import BasisPredicate, StateVector, zx_projector
 
 DENSE_DIM_CAP = 2**12
 EIG_GROUP_TOL = 1e-9
@@ -42,22 +42,8 @@ class ProjectorComponent:
             return np.asarray(self.matrix, dtype=np.complex128)
         if self.predicate is None:
             raise ValueError("component needs a matrix or a predicate")
-        dim = 2**num_qubits
-        diag = self.predicate.table().astype(np.complex128)
-        mat = np.diag(diag)
-        if self.theta is not None and any(self.theta.bits):
-            h = _hadamard_matrix(self.theta)
-            mat = h @ mat @ h
-        return mat
-
-
-def _hadamard_matrix(theta: BitVector) -> np.ndarray:
-    h1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-    eye = np.eye(2, dtype=np.complex128)
-    out = np.array([[1.0 + 0.0j]])
-    for bit in theta.bits:
-        out = np.kron(out, h1 if bit else eye)
-    return out
+        theta = self.theta if self.theta is not None else BitVector.zeros(num_qubits)
+        return zx_projector(theta, self.predicate)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from . import ati, csa, obfstack, permver, protocol, zxham
-from .gf2 import BitVector
+from .gf2 import BitVector, index_to_bits
 from .obfstack import QPrOSim
 from .simstate import StateVector, predicate_from_table
 from .zxham import HamiltonianInstance
@@ -287,7 +287,7 @@ def scenario_e2e_extract(cfg: RunConfig) -> dict:
             min_quality = min(min_quality, quality)
             if quality < 1 - cfg.gamma - 1e-9:
                 violations += 1
-        except Exception:
+        except (ValueError, obfstack.IntegrityError):
             violations += 1
     return {
         "accept_rate": metric(accepted / trials, ">= 0.9", accepted / trials >= 0.9),
@@ -365,7 +365,7 @@ def scenario_jllw_correctness(cfg: RunConfig) -> dict:
         c = obfstack.table_circuit(table)
         o = obfstack.jllw_obfuscate(c, qpro, 1, rng)
         for x in range(2**d):
-            bits = tuple((x >> (d - 1 - i)) & 1 for i in range(d))
+            bits = index_to_bits(x, d)
             if obfstack.jllw_eval(o, qpro, bits) != c.eval_bits(bits):
                 mismatches += 1
         probe = tuple(int(b) for b in rng.integers(0, 2, size=d))

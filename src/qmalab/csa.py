@@ -20,7 +20,10 @@ from .simstate import (
     BasisPredicate,
     StateVector,
     apply_hadamard,
+    basis_indices,
+    hadamard_layer,
     project_predicate,
+    zx_projector,
 )
 
 CODESPACE_CHECK_CAP = 12
@@ -221,36 +224,15 @@ def dec_predicate(spec: DecSpec) -> BasisPredicate:
     block forces output 0, otherwise f is applied to the decoded logical word.
     """
     key = spec.key
-    w = key.block_width
-    arity = key.physical_qubits
     theta = spec.theta.bits
-    f_table = spec.f.table()
-
-    def _table() -> np.ndarray:
-        idxs = np.arange(2**arity)
-        blocks = _block_views(key, idxs)
-        bot = np.zeros(len(idxs), dtype=bool)
-        word = np.zeros(len(idxs), dtype=np.int64)
-        for i, rec in enumerate(key.records):
-            cls = rec.dec_tables[theta[i]][blocks[i]]
-            bot |= cls == BOT
-            word = (word << 1) | (cls & 1)
-        return f_table[word] & ~bot
-
-    def _eval(bits: tuple[int, ...]) -> int:
-        word = []
-        for i, rec in enumerate(key.records):
-            block = bits[i * w : (i + 1) * w]
-            v = 0
-            for b in block:
-                v = (v << 1) | b
-            cls = int(rec.dec_tables[theta[i]][v])
-            if cls == BOT:
-                return 0
-            word.append(cls)
-        return int(spec.f.eval(tuple(word)))
-
-    return BasisPredicate(eval=_eval, arity=arity, table_fn=_table)
+    blocks = _block_views(key, basis_indices(key.physical_qubits))
+    bot = np.zeros(len(blocks[0]), dtype=bool)
+    word = np.zeros(len(blocks[0]), dtype=np.int64)
+    for i, rec in enumerate(key.records):
+        cls = rec.dec_tables[theta[i]][blocks[i]]
+        bot |= cls == BOT
+        word = (word << 1) | (cls & 1)
+    return BasisPredicate(spec.f.table()[word] & ~bot)
 
 
 def ver_predicate(key: CSAKey, theta: BitVector) -> BasisPredicate:
@@ -258,30 +240,11 @@ def ver_predicate(key: CSAKey, theta: BitVector) -> BasisPredicate:
     in S_delta + x and theta_i = 1 membership in the shifted dual union."""
     if len(theta) != key.n:
         raise ValueError("theta length must equal n")
-    w = key.block_width
-    arity = key.physical_qubits
-    theta_bits = theta.bits
-
-    def _table() -> np.ndarray:
-        idxs = np.arange(2**arity)
-        blocks = _block_views(key, idxs)
-        ok = np.ones(len(idxs), dtype=bool)
-        for i, rec in enumerate(key.records):
-            cls = rec.dec_tables[theta_bits[i]][blocks[i]]
-            ok &= cls != BOT
-        return ok
-
-    def _eval(bits: tuple[int, ...]) -> int:
-        for i, rec in enumerate(key.records):
-            block = bits[i * w : (i + 1) * w]
-            v = 0
-            for b in block:
-                v = (v << 1) | b
-            if int(rec.dec_tables[theta_bits[i]][v]) == BOT:
-                return 0
-        return 1
-
-    return BasisPredicate(eval=_eval, arity=arity, table_fn=_table)
+    blocks = _block_views(key, basis_indices(key.physical_qubits))
+    ok = np.ones(len(blocks[0]), dtype=bool)
+    for i, rec in enumerate(key.records):
+        ok &= rec.dec_tables[theta.bits[i]][blocks[i]] != BOT
+    return BasisPredicate(ok)
 
 
 def physical_theta(key: CSAKey, theta: BitVector) -> BitVector:
@@ -312,54 +275,17 @@ def logical_measure(
 
 def conjugated_dec_operator(spec: DecSpec) -> np.ndarray:
     """Dense blockwise-Hadamard conjugation of the decode projector."""
-    key = spec.key
-    total = key.physical_qubits
-    if total > CODESPACE_CHECK_CAP:
+    if spec.key.physical_qubits > CODESPACE_CHECK_CAP:
         raise ValueError(f"dense operator capped at {CODESPACE_CHECK_CAP} qubits")
-    diag = dec_predicate(spec).table().astype(np.complex128)
-    mat = np.diag(diag)
-    mask = physical_theta(key, spec.theta)
-    if any(mask.bits):
-        out = mat.copy()
-        for q, bit in enumerate(mask.bits):
-            if not bit:
-                continue
-            out = _single_hadamard_columns(out, q)
-            out = _single_hadamard_columns(out.conj().T, q).conj().T
-        return out
-    return mat
-
-
-def _single_hadamard_columns(mat: np.ndarray, qubit: int) -> np.ndarray:
-    out = mat.astype(np.complex128, order="C", copy=True)
-    shaped = out.reshape(2**qubit, 2, -1)
-    lo = shaped[:, 0, :].copy()
-    hi = shaped[:, 1, :].copy()
-    shaped[:, 0, :] = (lo + hi) / np.sqrt(2.0)
-    shaped[:, 1, :] = (lo - hi) / np.sqrt(2.0)
-    return out.reshape(mat.shape)
+    return zx_projector(physical_theta(spec.key, spec.theta), dec_predicate(spec))
 
 
 def correctness_deviation(key: CSAKey, theta: BitVector, f: BasisPredicate) -> float:
     """Max entrywise deviation between the logical ZX projector and the
     encoded-and-conjugated decode measurement (the correctness identity)."""
-    from .simstate import zx_projector
-
     e = enc_isometry(key)
     lifted = e.conj().T @ conjugated_dec_operator(DecSpec(key, theta, f)) @ e
     return float(np.max(np.abs(lifted - zx_projector(theta, f))))
-
-
-def _hadamard_all_columns(mat: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply H^{tensor num_qubits} to every column of mat, in place-free form."""
-    out = mat.astype(np.complex128, order="C", copy=True)
-    for q in range(num_qubits):
-        shaped = out.reshape(2**q, 2, -1)
-        lo = shaped[:, 0, :].copy()
-        hi = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = (lo + hi) / np.sqrt(2.0)
-        shaped[:, 1, :] = (lo - hi) / np.sqrt(2.0)
-    return out.reshape(mat.shape)
 
 
 def codespace_projector_check(key: CSAKey) -> float:
@@ -374,8 +300,9 @@ def codespace_projector_check(key: CSAKey) -> float:
 
     ver0 = ver_predicate(key, BitVector.zeros(key.n)).table()
     ver1 = ver_predicate(key, BitVector((1,) * key.n)).table()
+    ones = (1,) * total
     rhs = np.eye(dim, dtype=np.complex128) * ver0[:, None]
-    rhs = _hadamard_all_columns(rhs, total)
+    rhs = hadamard_layer(rhs, ones)
     rhs = rhs * ver1[:, None]
-    rhs = _hadamard_all_columns(rhs, total)
+    rhs = hadamard_layer(rhs, ones)
     return float(np.max(np.abs(pi_k - rhs)))

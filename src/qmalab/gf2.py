@@ -24,6 +24,20 @@ def _as_bit_array(bits) -> np.ndarray:
     return a
 
 
+def bits_to_index(bits) -> int:
+    """Basis-state index of a bit sequence, coordinate 0 as the most
+    significant bit."""
+    v = 0
+    for b in bits:
+        v = (v << 1) | (int(b) & 1)
+    return v
+
+
+def index_to_bits(idx: int, n: int) -> tuple[int, ...]:
+    """Inverse of bits_to_index for n-bit labels."""
+    return tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
+
+
 def rref_array(m: np.ndarray) -> np.ndarray:
     """Unique row-reduced echelon form over GF(2); zero rows dropped."""
     a = (np.asarray(m, dtype=np.uint8) & 1).copy()
@@ -120,14 +134,11 @@ class BitVector:
 
     def to_index(self) -> int:
         """Basis-state index with coordinate 0 as the most significant bit."""
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
+        return bits_to_index(self.bits)
 
     @classmethod
     def from_index(cls, idx: int, n: int) -> BitVector:
-        return cls(tuple((idx >> (n - 1 - j)) & 1 for j in range(n)))
+        return cls(index_to_bits(idx, n))
 
 
 @dataclass(frozen=True)

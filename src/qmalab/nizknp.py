@@ -130,11 +130,7 @@ def np_prove_simulated(
 
 
 def np_verify(crs: NpCrs, stmt: NpStatement, p: NpProof) -> bool:
-    try:
-        expected = _statement_tag(crs.base, stmt.relation_id, stmt.instance, p.ct)
-    except Exception:
-        return False
-    return expected == p.inner
+    return _statement_tag(crs.base, stmt.relation_id, stmt.instance, p.ct) == p.inner
 
 
 def np_ext1(crs: NpCrs, td: bytes, stmt: NpStatement, p: NpProof) -> bytes:

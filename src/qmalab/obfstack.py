@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import nizknp, toycrypto
+from .gf2 import bits_to_index, index_to_bits
 from .nizknp import NpCrs, NpProof, NpStatement
 from .toycrypto import IntegrityError
 
@@ -81,8 +82,7 @@ class CircuitDesc:
             return t
         out = np.zeros(2**suffix_arity, dtype=bool)
         for idx in range(2**suffix_arity):
-            suffix = tuple((idx >> (suffix_arity - 1 - j)) & 1 for j in range(suffix_arity))
-            out[idx] = bool(self.eval_bits(prefix + suffix))
+            out[idx] = bool(self.eval_bits(prefix + index_to_bits(idx, suffix_arity)))
         return out
 
     @classmethod
@@ -108,15 +108,9 @@ def table_circuit(table) -> CircuitDesc:
     if 2**arity != tab.size:
         raise ValueError("table length must be a power of two")
 
-    def _sem(bits: tuple[int, ...]) -> int:
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        return int(tab[idx])
-
     return CircuitDesc(
         input_arity=arity,
-        semantics=_sem,
+        semantics=lambda bits: int(tab[bits_to_index(bits)]),
         canonical={"kind": "table", "arity": arity, "table": [int(v) for v in tab]},
         size_hint=int(tab.size),
     )
@@ -125,7 +119,7 @@ def table_circuit(table) -> CircuitDesc:
 def point_circuit(arity: int, x: int | None) -> CircuitDesc:
     return CircuitDesc(
         input_arity=arity,
-        semantics=lambda bits: int(x is not None and _bits_to_int(bits) == x),
+        semantics=lambda bits: int(x is not None and bits_to_index(bits) == x),
         canonical={"kind": "point", "arity": arity, "x": x},
     )
 
@@ -137,7 +131,7 @@ def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
         raise ValueError("subcircuits must share an input arity")
 
     def _sem(bits: tuple[int, ...]) -> int:
-        i = _bits_to_int(bits[:index_bits])
+        i = bits_to_index(bits[:index_bits])
         if i >= len(subs):
             return 0
         return subs[i].eval_bits(bits[index_bits:])
@@ -151,17 +145,6 @@ def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
             "subs": [c.canonical for c in subs],
         },
     )
-
-
-def _bits_to_int(bits) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | (int(b) & 1)
-    return v
-
-
-def _int_to_bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
 
 
 register_circuit_kind("null", lambda c: null_circuit(int(c["arity"])))
@@ -956,6 +939,26 @@ def pc_verify(
     return not diagnostics, diagnostics
 
 
+_FAILED = -1  # vote label of an evaluation that failed its integrity checks
+
+
+def _majority(outputs: np.ndarray) -> np.ndarray:
+    """Most frequent label down axis 0, whose rows are the unopened
+    instances in increasing index order; ties break toward the label whose
+    first vote comes from the smallest instance index."""
+    rows = outputs.shape[0]
+    best = np.full(outputs.shape[1:], -1, dtype=np.int64)
+    winner = np.zeros(outputs.shape[1:], dtype=outputs.dtype)
+    for label in np.unique(outputs):
+        hits = outputs == label
+        count = hits.sum(axis=0)
+        # more votes win; among equal counts an earlier first vote wins
+        score = np.where(count > 0, count * (rows + 1) + rows - hits.argmax(axis=0), -1)
+        winner = np.where(score > best, label, winner)
+        best = np.maximum(best, score)
+    return winner
+
+
 def pc_eval(o: PCObfuscation, qpro: QPrOSim, z_bits: tuple[int, ...]):
     """Evaluate every unopened instance and return the most frequent output;
     ties break toward the smallest instance index.  Integrity failures count
@@ -967,19 +970,13 @@ def pc_eval(o: PCObfuscation, qpro: QPrOSim, z_bits: tuple[int, ...]):
         blob = o.unopened[t]
         try:
             if o.backend == "ideal":
-                outputs.append((t, ideal_eval(blob, tuple(z_bits))))
+                outputs.append(ideal_eval(blob, tuple(z_bits)))
             else:
-                outputs.append((t, jllw_eval(JLLWObfuscation.deserialize(blob), qpro, tuple(z_bits))))
+                outputs.append(jllw_eval(JLLWObfuscation.deserialize(blob), qpro, tuple(z_bits)))
         except (IntegrityError, NotImplementedError):
-            outputs.append((t, None))
-    counts: dict = {}
-    first_t: dict = {}
-    for t, y in outputs:
-        counts[y] = counts.get(y, 0) + 1
-        first_t.setdefault(y, t)
-    best = max(counts.values())
-    winners = [y for y, n in counts.items() if n == best]
-    return min(winners, key=lambda y: first_t[y])
+            outputs.append(_FAILED)
+    y = int(_majority(np.array(outputs)))
+    return None if y == _FAILED else y
 
 
 def pc_eval_table(
@@ -992,11 +989,10 @@ def pc_eval_table(
         tables = [
             ideal_eval_table(o.unopened[t], prefix, suffix_arity) for t in sorted(o.unopened)
         ]
-        votes = np.sum(np.stack(tables).astype(int), axis=0)
-        return votes * 2 >= len(tables)
+        return _majority(np.stack(tables).astype(np.uint8)).astype(bool)
     out = np.zeros(2**suffix_arity, dtype=bool)
     for idx in range(2**suffix_arity):
-        suffix = _int_to_bits(idx, suffix_arity)
+        suffix = index_to_bits(idx, suffix_arity)
         out[idx] = bool(pc_eval(o, qpro, prefix + suffix))
     return out
 

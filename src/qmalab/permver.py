@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .gf2 import BitVector
-from .simstate import BasisPredicate, StateVector, measure_zx, measure_zx_both
+from .simstate import BasisPredicate, StateVector, basis_indices, measure_zx, measure_zx_both
 from .zxham import HamiltonianInstance, ZXMeasurementSpec, acceptance_operator, term_to_zx
 
 ENTANGLED_QUBIT_CAP = 14
@@ -186,27 +186,13 @@ def permuted_spec(
     ell = v.ell
     arity = ell * v.list_len
     theta_big = BitVector(tuple(b for spec in ordered for b in spec.theta.bits))
-    threshold = v.threshold
-    tables = [spec.f.table() for spec in ordered]
-
-    def _eval(bits: tuple[int, ...]) -> int:
-        count = 0
-        for t, spec in enumerate(ordered):
-            block = bits[t * ell : (t + 1) * ell]
-            count += int(spec.f.eval(block))
-        return int(count >= threshold)
-
-    def _table() -> np.ndarray:
-        idxs = np.arange(2**arity)
-        count = np.zeros(len(idxs), dtype=np.int64)
-        block_mask = (1 << ell) - 1
-        for t, table in enumerate(tables):
-            shift = arity - (t + 1) * ell
-            count += table[(idxs >> shift) & block_mask]
-        return count >= threshold
-
-    f_big = BasisPredicate(eval=_eval, arity=arity, table_fn=_table if arity <= 20 else None)
-    return theta_big, f_big
+    idxs = basis_indices(arity)
+    count = np.zeros(len(idxs), dtype=np.int64)
+    block_mask = (1 << ell) - 1
+    for t, spec in enumerate(ordered):
+        shift = arity - (t + 1) * ell
+        count += spec.f.table()[(idxs >> shift) & block_mask]
+    return theta_big, BasisPredicate(count >= v.threshold)
 
 
 def samp_perm(
@@ -247,6 +233,7 @@ def verify_entangled(
     if total > ENTANGLED_QUBIT_CAP:
         raise ValueError(f"entangled check capped at {ENTANGLED_QUBIT_CAP} qubits")
     perm = sample_permutation(v.list_len, rng)
+    idxs = basis_indices(total)
     state = full_state
     count = 0
     for t, p in enumerate(perm):
@@ -257,19 +244,8 @@ def verify_entangled(
                 for q in range(total)
             )
         )
-        ell = v.ell
-        lo = t * ell
-        block_table = spec.f.table()
-
-        def _table(shift=total - (lo + ell), table=block_table) -> np.ndarray:
-            idxs = np.arange(2**total)
-            return table[(idxs >> shift) & ((1 << ell) - 1)]
-
-        f_full = BasisPredicate(
-            eval=lambda bits, lo=lo, ell=ell, f=spec.f: f.eval(bits[lo : lo + ell]),
-            arity=total,
-            table_fn=_table,
-        )
+        shift = total - (t + 1) * v.ell
+        f_full = BasisPredicate(spec.f.table()[(idxs >> shift) & ((1 << v.ell) - 1)])
         prob, post_acc, post_rej = measure_zx_both(state, theta_full, f_full)
         if rng.random() < prob:
             count += 1

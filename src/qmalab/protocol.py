@@ -22,12 +22,13 @@ import numpy as np
 
 from . import ati, csa, obfstack, permver, toycrypto
 from .csa import CSAKey, DecSpec
-from .gf2 import BitVector
+from .gf2 import BitVector, bits_to_index, index_to_bits
 from .obfstack import CircuitDesc, PCObfuscation, PcParams, PhiSpec, QPrOSim
 from .permver import PermutingVerifier
 from .simstate import (
     StateVector,
     apply_hadamard,
+    hadamard_layer,
     project_predicate,
     tensor_many,
 )
@@ -125,7 +126,7 @@ def permutation_weights(prg_bits: int, list_len: int) -> tuple[tuple[tuple[int, 
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     total = 2**prg_bits
     for r in range(total):
-        seed = tuple((r >> (prg_bits - 1 - i)) & 1 for i in range(prg_bits))
+        seed = index_to_bits(r, prg_bits)
         perm = _perm_for_seed(seed, list_len)
         counts[perm] = counts.get(perm, 0) + 1
         reps.setdefault(perm, seed)
@@ -168,18 +169,6 @@ def combined_circuit(
             dec_cache[perm] = csa.dec_predicate(DecSpec(key, theta_big, f_big.complement()))
         return dec_cache[perm]
 
-    def _sem(bits: tuple[int, ...]) -> int:
-        sel = bits[0]
-        control = bits[1 : 1 + ctrl]
-        v = bits[1 + ctrl :]
-        if sel == 0:
-            theta = BitVector(control[:m])
-            return csa.ver_predicate(key, theta).eval(v)
-        if null_m:
-            return 0
-        perm = _perm_for_seed(control[:prg_bits], verifier.list_len)
-        return _mdec(perm).eval(v)
-
     def _prefix_table(prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
         if suffix_arity != phys or len(prefix) != 1 + ctrl:
             raise ValueError("table split must expose exactly the physical register")
@@ -190,6 +179,10 @@ def combined_circuit(
             return np.zeros(2**phys, dtype=bool)
         perm = _perm_for_seed(tuple(control[:prg_bits]), verifier.list_len)
         return _mdec(perm).table()
+
+    def _sem(bits: tuple[int, ...]) -> int:
+        split = 1 + ctrl
+        return int(_prefix_table(bits[:split], phys)[bits_to_index(bits[split:])])
 
     return CircuitDesc(
         input_arity=1 + ctrl + phys,
@@ -241,7 +234,7 @@ def _phi_check(c: CircuitDesc) -> bool:
     try:
         CSAKey.from_json(canon["key"])
         HamiltonianInstance.from_json(canon["ham"])
-    except Exception:
+    except (KeyError, TypeError, ValueError):
         return False
     return True
 
@@ -287,31 +280,6 @@ def prove(
 # -- verifier --------------------------------------------------------------------
 
 
-def _had_all(vec: np.ndarray, num_qubits: int) -> np.ndarray:
-    out = vec.astype(np.complex128, order="C", copy=True)
-    for q in range(num_qubits):
-        shaped = out.reshape(2**q, 2, -1)
-        lo = shaped[:, 0, :].copy()
-        hi = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = (lo + hi) / np.sqrt(2.0)
-        shaped[:, 1, :] = (lo - hi) / np.sqrt(2.0)
-    return out.reshape(vec.shape)
-
-
-def _had_mask(vec: np.ndarray, mask_bits: tuple[int, ...]) -> np.ndarray:
-    out = vec.astype(np.complex128, order="C", copy=True)
-    n = len(mask_bits)
-    for q, bit in enumerate(mask_bits):
-        if not bit:
-            continue
-        shaped = out.reshape(2**q, 2, -1)
-        lo = shaped[:, 0, :].copy()
-        hi = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = (lo + hi) / np.sqrt(2.0)
-        shaped[:, 1, :] = (lo - hi) / np.sqrt(2.0)
-    return out.reshape(vec.shape)
-
-
 @dataclass(frozen=True)
 class VerifierPovm:
     """Structured mixture over the three-step checks P_r.
@@ -345,12 +313,11 @@ def assemble_verifier_povm(
     pad = (0,) * (ctrl - m)
     ver0 = obfstack.pc_eval_table(obf, qpro, (0,) + (0,) * m + pad, phys)
     ver1 = obfstack.pc_eval_table(obf, qpro, (0,) + (1,) * m + pad, phys)
+    ones = (1,) * phys
 
     def _pi_k(mat: np.ndarray) -> np.ndarray:
-        out = mat * ver0[:, None]
-        out = _had_all(out, phys)
-        out = out * ver1[:, None]
-        return _had_all(out, phys)
+        out = hadamard_layer(mat * ver0[:, None], ones)
+        return hadamard_layer(out * ver1[:, None], ones)
 
     dim = 2**phys
     probes = 2**m + 4
@@ -371,9 +338,8 @@ def assemble_verifier_povm(
         mask = tuple(b for bit in theta_big.bits for b in (bit,) * width)
         mdec = obfstack.pc_eval_table(obf, qpro, (1,) + rep_seed + seed_pad, phys)
         accept3 = ~mdec
-        p3v = _had_mask(isometry, mask)
-        p3v = p3v * accept3[:, None]
-        p3v = _had_mask(p3v, mask)
+        p3v = hadamard_layer(isometry, mask)
+        p3v = hadamard_layer(p3v * accept3[:, None], mask)
         block += weight * (isometry.conj().T @ p3v)
     block = (block + block.conj().T) / 2.0
     spectral = ati.SpectralMixture.from_isometry_block(isometry, block)

@@ -9,11 +9,9 @@ normalized state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .gf2 import BitVector, CosetPair
+from .gf2 import BitVector, CosetPair, bits_to_index
 
 QUBIT_CAP = 22
 NORM_TOL = 1e-9
@@ -65,59 +63,56 @@ class StateVector:
         return [[float(z.real), float(z.imag)] for z in self.amplitudes]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisPredicate:
-    """Pure boolean function on computational-basis labels of fixed arity."""
+    """Pure boolean function on computational-basis labels of fixed arity,
+    held as its read-only truth table over all 2**arity basis indices."""
 
-    eval: Callable[[tuple[int, ...]], int]
-    arity: int
-    table_fn: Callable[[], np.ndarray] | None = None
+    truth_table: np.ndarray
+
+    def __post_init__(self):
+        t = np.array(self.truth_table, dtype=bool)
+        if t.ndim != 1 or t.size == 0 or t.size & (t.size - 1):
+            raise ValueError("table length must be a power of two")
+        _check_arity(t.size.bit_length() - 1)
+        t.flags.writeable = False
+        object.__setattr__(self, "truth_table", t)
+
+    @property
+    def arity(self) -> int:
+        return self.truth_table.size.bit_length() - 1
 
     def table(self) -> np.ndarray:
         """Boolean acceptance mask over all 2**arity basis indices."""
-        if self.table_fn is not None:
-            t = np.asarray(self.table_fn(), dtype=bool)
-            if t.shape != (2**self.arity,):
-                raise ValueError("predicate table has the wrong length")
-            return t
-        out = np.zeros(2**self.arity, dtype=bool)
-        for idx in range(2**self.arity):
-            bits = tuple((idx >> (self.arity - 1 - j)) & 1 for j in range(self.arity))
-            out[idx] = bool(self.eval(bits))
-        return out
+        return self.truth_table
+
+    def eval(self, bits: tuple[int, ...]) -> int:
+        if len(bits) != self.arity:
+            raise ValueError("label length must equal the predicate arity")
+        return int(self.truth_table[bits_to_index(bits)])
 
     def complement(self) -> BasisPredicate:
-        f = self.eval
-        tf = self.table_fn
-        return BasisPredicate(
-            eval=lambda bits: 1 - int(f(bits)),
-            arity=self.arity,
-            table_fn=(lambda: ~np.asarray(tf(), dtype=bool)) if tf is not None else None,
-        )
+        return BasisPredicate(~self.truth_table)
+
+
+def _check_arity(arity: int) -> None:
+    if arity > QUBIT_CAP:
+        raise ValueError(f"predicate arity {arity} exceeds the {QUBIT_CAP}-qubit cap")
+
+
+def basis_indices(arity: int) -> np.ndarray:
+    """All 2**arity basis indices, for building a predicate's table; refuses
+    arities above the simulator cap before allocating."""
+    _check_arity(arity)
+    return np.arange(2**arity)
 
 
 def predicate_from_table(table: np.ndarray) -> BasisPredicate:
-    table = np.asarray(table, dtype=bool)
-    arity = int(np.log2(table.size))
-    if 2**arity != table.size:
-        raise ValueError("table length must be a power of two")
-
-    def _eval(bits: tuple[int, ...]) -> int:
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (int(b) & 1)
-        return int(table[idx])
-
-    return BasisPredicate(eval=_eval, arity=arity, table_fn=lambda: table)
+    return BasisPredicate(table)
 
 
 def constant_predicate(arity: int, value: int) -> BasisPredicate:
-    v = bool(value)
-    return BasisPredicate(
-        eval=lambda bits: int(v),
-        arity=arity,
-        table_fn=lambda: np.full(2**arity, v, dtype=bool),
-    )
+    return BasisPredicate(np.full(2**arity, bool(value)))
 
 
 def _mask_int(mask: BitVector, num_qubits: int) -> int:
@@ -145,20 +140,32 @@ def _popcount_parity(a: np.ndarray) -> np.ndarray:
     return (v & 1).astype(bool)
 
 
+def hadamard_layer(a: np.ndarray, mask) -> np.ndarray:
+    """H on every qubit q with mask[q] = 1, along axis 0 of a.
+
+    a is one amplitude vector of length 2**len(mask) or a batch of such
+    columns; the result is a fresh array and a is left unchanged.
+    """
+    m = len(mask)
+    if a.shape[0] != 2**m:
+        raise ValueError("axis 0 must have length 2**len(mask)")
+    out = np.array(a, dtype=np.complex128, order="C")
+    for q, bit in enumerate(mask):
+        if not bit:
+            continue
+        shaped = out.reshape(2**q, 2, -1)
+        lo = shaped[:, 0, :].copy()
+        hi = shaped[:, 1, :]
+        shaped[:, 0, :] = (lo + hi) * _SQRT2_INV
+        shaped[:, 1, :] = (lo - hi) * _SQRT2_INV
+    return out
+
+
 def apply_hadamard(s: StateVector, theta_mask: BitVector) -> StateVector:
     """Hadamard on every qubit i with theta_i = 1."""
     m = s.num_qubits
     _mask_int(theta_mask, m)
-    amps = s.amplitudes.copy()
-    for q, bit in enumerate(theta_mask.bits):
-        if not bit:
-            continue
-        shaped = amps.reshape(2**q, 2, 2 ** (m - q - 1))
-        lo = shaped[:, 0, :].copy()
-        hi = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = (lo + hi) * _SQRT2_INV
-        shaped[:, 1, :] = (lo - hi) * _SQRT2_INV
-    return StateVector(amps, m)
+    return StateVector(hadamard_layer(s.amplitudes, theta_mask.bits), m)
 
 
 def coset_superposition(c: CosetPair, bit: int) -> StateVector:
@@ -244,19 +251,10 @@ def trace_distance_pure(a: StateVector, b: StateVector) -> float:
     return float(np.sqrt(max(0.0, 1.0 - a.fidelity(b))))
 
 
-def hadamard_matrix(theta: BitVector) -> np.ndarray:
-    """Dense H^theta (Hadamard on the selected qubits, identity elsewhere)."""
-    h1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-    eye = np.eye(2, dtype=np.complex128)
-    out = np.array([[1.0 + 0.0j]])
-    for bit in theta.bits:
-        out = np.kron(out, h1 if bit else eye)
-    return out
-
-
 def zx_projector(theta: BitVector, f: BasisPredicate) -> np.ndarray:
-    """Dense M[theta, f] = H^theta diag(f) H^theta (small registers only)."""
+    """Dense M[theta, f] = H^theta diag(f) H^theta (small registers only):
+    the Hadamard layer applied to the columns of diag(f), then to the rows."""
     if f.arity != len(theta):
         raise ValueError("arity mismatch")
-    h = hadamard_matrix(theta)
-    return h @ np.diag(f.table().astype(np.complex128)) @ h
+    left = hadamard_layer(np.diag(f.table().astype(np.complex128)), theta.bits)
+    return hadamard_layer(left.T, theta.bits).T

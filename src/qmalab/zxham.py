@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitVector
-from .simstate import BasisPredicate, StateVector, measure_zx
+from .simstate import BasisPredicate, StateVector, basis_indices, measure_zx
 
 SPECTRAL_QUBIT_CAP = 10
 
@@ -127,18 +127,10 @@ def term_to_zx(i: int, j: int, basis: str, beta: int, num_qubits: int) -> ZXMeas
         raise ValueError("need 0 <= i < j < num_qubits")
     theta_bit = 0 if basis == "Z" else 1
     theta = BitVector((theta_bit,) * num_qubits)
-
-    def _table() -> np.ndarray:
-        idxs = np.arange(2**num_qubits)
-        bi = (idxs >> (num_qubits - 1 - i)) & 1
-        bj = (idxs >> (num_qubits - 1 - j)) & 1
-        return (bi ^ bj ^ beta).astype(bool)
-
-    f = BasisPredicate(
-        eval=lambda bits: (bits[i] ^ bits[j] ^ beta) & 1,
-        arity=num_qubits,
-        table_fn=_table,
-    )
+    idxs = basis_indices(num_qubits)
+    bi = (idxs >> (num_qubits - 1 - i)) & 1
+    bj = (idxs >> (num_qubits - 1 - j)) & 1
+    f = BasisPredicate((bi ^ bj ^ beta).astype(bool))
     return ZXMeasurementSpec(theta, f)
 
 

@@ -28,6 +28,7 @@ from qmalab.obfstack import (
     null_circuit,
     pc_ext_setup,
     pc_eval,
+    pc_eval_table,
     pc_extract,
     pc_obfuscate,
     pc_setup,
@@ -306,8 +307,9 @@ def test_pc_eval_majority_with_faults():
     corrupted = dict(o.unopened)
     corrupted[t] = ideal_obf(flipped, rng)
     faulty = dataclasses.replace(o, unopened=corrupted)
-    for x in range(4):
-        assert pc_eval(faulty, qpro, bits(x, 2)) == c.eval_bits(bits(x, 2))
+    pointwise = [pc_eval(faulty, qpro, bits(x, 2)) for x in range(4)]
+    assert pointwise == [c.eval_bits(bits(x, 2)) for x in range(4)]
+    assert pc_eval_table(faulty, qpro, (), 2).tolist() == [bool(y) for y in pointwise]
 
 
 def test_pc_eval_tie_break_smallest_index():
@@ -329,6 +331,16 @@ def test_pc_eval_tie_break_smallest_index():
     )
     # one vote each; the smallest instance index wins the tie
     assert pc_eval(o, qpro, (0,)) == 1
+    assert pc_eval_table(o, qpro, (), 1).tolist() == [True, True]
+    # disagreeing two-bit handles: pointwise and batched votes side with instance 1
+    c = ideal_obf(table_circuit([0, 1, 1, 0]), rng)
+    d = ideal_obf(table_circuit([1, 1, 1, 1]), rng)
+    o2 = dataclasses.replace(o, arity=2, unopened={1: c, 2: d})
+    pointwise = [pc_eval(o2, qpro, bits(x, 2)) for x in range(4)]
+    assert pointwise == [0, 1, 1, 0]
+    assert pc_eval_table(o2, qpro, (), 2).tolist() == [bool(y) for y in pointwise]
+    o3 = dataclasses.replace(o2, unopened={1: d, 2: c})
+    assert pc_eval_table(o3, qpro, (), 2).tolist() == [True] * 4
 
 
 def test_pc_extract_contract():

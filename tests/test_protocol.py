@@ -11,7 +11,7 @@ from qmalab import csa, obfstack, permver, protocol, zxham
 from qmalab.gf2 import BitVector
 from qmalab.obfstack import QPrOSim
 from qmalab.protocol import GammaParams, ProtocolConfig
-from qmalab.simstate import StateVector, tensor_many
+from qmalab.simstate import StateVector, hadamard_layer, tensor_many
 from qmalab.zxham import HamTerm, HamiltonianInstance
 
 REFERENCE = HamiltonianInstance(
@@ -126,6 +126,7 @@ def test_structured_povm_matches_raw_three_step_checks():
     pad = (0,) * (ctrl - m)
     ver0 = obfstack.pc_eval_table(proof.obf, qpro, (0,) + (0,) * m + pad, phys)
     ver1 = obfstack.pc_eval_table(proof.obf, qpro, (0,) + (1,) * m + pad, phys)
+    ones = (1,) * phys
 
     def raw_mixture_apply(vec: np.ndarray) -> np.ndarray:
         out = np.zeros_like(vec)
@@ -135,13 +136,10 @@ def test_structured_povm_matches_raw_three_step_checks():
             mdec = obfstack.pc_eval_table(
                 proof.obf, qpro, (1,) + rep + (0,) * (ctrl - CFG.prg_bits), phys
             )
-            stage = vec * ver0
-            stage = protocol._had_all(stage.reshape(-1, 1), phys).ravel()
-            stage = stage * ver1
-            stage = protocol._had_all(stage.reshape(-1, 1), phys).ravel()
-            stage = protocol._had_mask(stage.reshape(-1, 1), mask).ravel()
-            stage = stage * (~mdec)
-            stage = protocol._had_mask(stage.reshape(-1, 1), mask).ravel()
+            stage = hadamard_layer(vec * ver0, ones)
+            stage = hadamard_layer(stage * ver1, ones)
+            stage = hadamard_layer(stage, mask)
+            stage = hadamard_layer(stage * (~mdec), mask)
             out += weight * stage
         return out
 

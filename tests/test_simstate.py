@@ -12,9 +12,11 @@ from qmalab.simstate import (
     BasisPredicate,
     StateVector,
     apply_hadamard,
+    QUBIT_CAP,
     apply_pauli,
     coset_superposition,
     constant_predicate,
+    hadamard_layer,
     measure_zx,
     predicate_from_table,
     project_predicate,
@@ -67,6 +69,58 @@ def test_pauli_hadamard_preserve_norm_and_involutions(seed, m):
     assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-12
 
 
+def dense_hadamard(mask) -> np.ndarray:
+    h1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    out = np.ones((1, 1), dtype=np.complex128)
+    for bit in mask:
+        out = np.kron(out, h1 if bit else np.eye(2))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["random", "zeros", "ones"])
+def test_hadamard_layer_matches_dense_kron_reference(seed, kind):
+    rng = np.random.default_rng(seed)
+    m = 1 + seed
+    mask = {
+        "random": tuple(int(b) for b in rng.integers(0, 2, size=m)),
+        "zeros": (0,) * m,
+        "ones": (1,) * m,
+    }[kind]
+    h = dense_hadamard(mask)
+    vec = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    cols = rng.normal(size=(2**m, 3)) + 1j * rng.normal(size=(2**m, 3))
+    vec_before = vec.copy()
+    out_vec = hadamard_layer(vec, mask)
+    out_cols = hadamard_layer(cols, mask)
+    assert out_vec.shape == vec.shape and out_cols.shape == cols.shape
+    assert np.max(np.abs(out_vec - h @ vec)) < 1e-12
+    assert np.max(np.abs(out_cols - h @ cols)) < 1e-12
+    assert np.array_equal(vec, vec_before)  # the input is left unchanged
+    with pytest.raises(ValueError):
+        hadamard_layer(vec, mask + (1,))
+
+
+def test_basis_predicate_table_checks():
+    with pytest.raises(ValueError, match="power of two"):
+        predicate_from_table([0, 1, 1])
+    with pytest.raises(ValueError, match="power of two"):
+        predicate_from_table([])
+    with pytest.raises(ValueError, match="cap"):
+        BasisPredicate(np.zeros(2 ** (QUBIT_CAP + 1), dtype=bool))
+    p = predicate_from_table([0, 1, 1, 0])
+    assert p.arity == 2
+    assert [p.eval(bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="label length"):
+        p.eval((1,))
+    with pytest.raises(ValueError, match="label length"):
+        p.eval((0, 1, 1))
+    # the table is read-only and the complement is its negation
+    with pytest.raises(ValueError):
+        p.table()[0] = True
+    assert np.array_equal(p.complement().table(), ~p.table())
+
+
 def test_coset_superposition_examples():
     s = Subspace.from_rows([[1, 0, 0]], 3)
     pair = CosetPair(s, BitVector((0, 1, 0)))
@@ -95,7 +149,7 @@ def test_project_predicate_constants_and_bell():
     assert prob0 == pytest.approx(0.0, abs=1e-12)
 
     bell = StateVector.from_amplitudes([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
-    first_bit = BasisPredicate(eval=lambda bits: bits[0], arity=2)
+    first_bit = BasisPredicate(np.array([0, 0, 1, 1], dtype=bool))
     prob, post, _ = project_predicate(bell, first_bit)
     assert prob == pytest.approx(0.5)
     assert np.allclose(post.amplitudes, StateVector.basis(2, 3).amplitudes)

@@ -75,6 +75,8 @@ def test_term_to_zx_tables():
     spec = term_to_zx(0, 1, "Z", 0, 2)
     assert spec.theta.bits == (0, 0)
     assert [spec.f.eval((a, b)) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="label length"):
+        spec.f.eval((0, 1, 0, 1))
     spec1 = term_to_zx(0, 1, "Z", 1, 2)
     assert spec1.f.eval((0, 0)) == 1
     spec_x = term_to_zx(0, 1, "X", 0, 3)
