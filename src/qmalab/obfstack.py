@@ -2,9 +2,10 @@
 obfuscator, and the cut-and-choose provably-correct obfuscator.
 
 Two obfuscation backends sit behind one interface: ``ideal`` registers the
-circuit with an in-process oracle registry and hands out an opaque handle
-(evaluation-only access), while ``jllw`` builds the functional tree
-construction from toy one-key functional encryption and the QPrO's PRF.
+circuit with the run's oracle (the ``QPrOSim`` every caller passes) and hands
+out an opaque handle (evaluation-only access), while ``jllw`` builds the
+functional tree construction from toy one-key functional encryption and the
+QPrO's PRF.
 Protocol runs use the ideal backend; the JLLW path is exercised for
 functional correctness on its own.
 
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -87,6 +87,8 @@ class CircuitDesc:
 
     @classmethod
     def from_canonical(cls, canonical: dict) -> CircuitDesc:
+        if not isinstance(canonical, dict):
+            raise ValueError("circuit canonical form must be a dict")
         kind = canonical.get("kind")
         if kind not in _KIND_BUILDERS:
             raise ValueError(f"unknown circuit kind {kind!r}")
@@ -104,6 +106,8 @@ def null_circuit(arity: int) -> CircuitDesc:
 
 def table_circuit(table) -> CircuitDesc:
     tab = np.asarray(table, dtype=np.uint8) & 1
+    if tab.size == 0:
+        raise ValueError("table must not be empty")
     arity = int(np.log2(tab.size))
     if 2**arity != tab.size:
         raise ValueError("table length must be a power of two")
@@ -158,7 +162,7 @@ register_circuit_kind(
 )
 
 
-# -- ideal obfuscation registry ----------------------------------------------
+# -- ideal obfuscation --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -174,11 +178,7 @@ class ObfHandle:
         return cls(data["uid"], int(data["arity"]))
 
 
-_REGISTRY: dict[str, CircuitDesc] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def ideal_obf(c: CircuitDesc, rng: np.random.Generator) -> ObfHandle:
+def ideal_obf(qpro: QPrOSim, c: CircuitDesc, rng: np.random.Generator) -> ObfHandle:
     """Register the circuit with the ideal oracle; the handle reveals only
     the input arity.
 
@@ -187,38 +187,32 @@ def ideal_obf(c: CircuitDesc, rng: np.random.Generator) -> ObfHandle:
     handles, and a seed replay re-registers the same circuit under the same
     handle (a 128-bit collision between different circuits is an error)."""
     uid = rng.bytes(16).hex()
-    with _REGISTRY_LOCK:
-        existing = _REGISTRY.get(uid)
-        if existing is not None and existing.canonical_bytes() != c.canonical_bytes():
-            raise RuntimeError("ideal-oracle handle collision between distinct circuits")
-        _REGISTRY[uid] = c
+    existing = qpro.circuits.get(uid)
+    if existing is not None and existing != c:
+        raise RuntimeError("ideal-oracle handle collision between distinct circuits")
+    qpro.circuits[uid] = c
     return ObfHandle(uid, c.input_arity)
 
 
-def _lookup(h: ObfHandle) -> CircuitDesc:
-    with _REGISTRY_LOCK:
-        c = _REGISTRY.get(h.uid)
+def _lookup(qpro: QPrOSim, h: ObfHandle) -> CircuitDesc:
+    """Trusted-oracle view of a registered circuit; a handle resolves only
+    through the oracle that issued it."""
+    c = qpro.circuits.get(h.uid)
     if c is None:
         raise KeyError("unknown obfuscation handle")
     return c
 
 
-def ideal_eval(h: ObfHandle, bits: tuple[int, ...]) -> int:
-    return _lookup(h).eval_bits(bits)
+def ideal_eval(qpro: QPrOSim, h: ObfHandle, bits: tuple[int, ...]) -> int:
+    return _lookup(qpro, h).eval_bits(bits)
 
 
-def ideal_eval_table(h: ObfHandle, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
+def ideal_eval_table(qpro: QPrOSim, h: ObfHandle, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
     """Truth table of the handle over its last suffix_arity inputs.
 
     Pure batched evaluation -- reveals exactly what 2**suffix_arity oracle
     queries would."""
-    return _lookup(h).table_for_prefix(prefix, suffix_arity)
-
-
-def _registered_canonical(h: ObfHandle) -> bytes:
-    """Trusted-oracle view of a registered circuit, used only inside the
-    idealized NP relation and the knowledge extractor."""
-    return _lookup(h).canonical_bytes()
+    return _lookup(qpro, h).table_for_prefix(prefix, suffix_arity)
 
 
 # -- QPrO simulation ----------------------------------------------------------
@@ -239,11 +233,16 @@ class QPrOSim:
     Each instance wraps a keyed Feistel permutation over lam_bits-bit keys;
     Gen maps a key to its handle and Eval inverts the handle and applies the
     public PRF.  Every handle inverts to some key, so Eval is total.
+
+    One object is the whole oracle of a run: ``circuits`` is the ideal
+    obfuscator's handle -> circuit table (JLLW builds that obfuscator from
+    the QPrO), shared by prover, verifier, extractor and simulator.
     """
 
     master: bytes
     lam_bits: int = 16
     instance_count: int = DEFAULT_LAMBDA_CC + 1
+    circuits: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lam_bits % 2 or self.lam_bits < 8:
@@ -587,15 +586,7 @@ class PhiSpec:
     check: Callable[[CircuitDesc], bool]
 
 
-_PHI_REGISTRY: dict[str, Callable[[CircuitDesc], bool]] = {}
-
-
-def register_phi(spec: PhiSpec) -> PhiSpec:
-    _PHI_REGISTRY[spec.phi_id] = spec.check
-    return spec
-
-
-PHI_ANY = register_phi(PhiSpec("any", lambda c: True))
+PHI_ANY = PhiSpec("any", lambda c: True)
 
 
 @dataclass(frozen=True)
@@ -723,19 +714,21 @@ def _pc_instance(phi_id: str, chal: int, lam_cc: int, commitments, handle_bundle
     return _dumps(body).encode()
 
 
-def _pc_relation(qpro: QPrOSim, backend: str) -> Callable[[bytes, bytes], bool]:
+def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, bytes], bool]:
     """The cut-and-choose NP relation, checked by the trusted oracle.
 
     The witness must open every unopened commitment and re-derive the posted
     obfuscation of a phi-satisfying circuit (literal re-execution for the
-    JLLW backend; a registry identity check in the ideal model)."""
+    JLLW backend; an identity check against the oracle's table in the ideal
+    model).  A malformed witness is a rejection; any other error, such as
+    one raised inside phi, propagates."""
 
     def _relation(instance: bytes, witness: bytes) -> bool:
         try:
             inst = json.loads(instance.decode())
             wit = json.loads(witness.decode())
             circuit = CircuitDesc.from_canonical(wit["circuit"])
-            if not _PHI_REGISTRY[inst["phi"]](circuit):
+            if not (inst["phi"] == phi.phi_id and phi.check(circuit)):
                 return False
             for t_str, entry in inst["unopened"].items():
                 opening = wit["openings"][t_str]
@@ -746,7 +739,7 @@ def _pc_relation(qpro: QPrOSim, backend: str) -> Callable[[bytes, bytes], bool]:
                     return False
                 handles = tuple(int(h) for h in inst["handles"][int(t_str) - 1])
                 if backend == "ideal":
-                    if _registered_canonical(ObfHandle.from_json(entry)) != circuit.canonical_bytes():
+                    if _lookup(qpro, ObfHandle.from_json(entry)) != circuit:
                         return False
                 else:
                     pairs = {
@@ -765,7 +758,7 @@ def _pc_relation(qpro: QPrOSim, backend: str) -> Callable[[bytes, bytes], bool]:
                     if toycrypto.digest(b"blob", redo.serialize()).hex() != entry:
                         return False
             return True
-        except Exception:
+        except (KeyError, IndexError, TypeError, ValueError, IntegrityError):
             return False
 
     return _relation
@@ -807,7 +800,7 @@ def _pc_build(
         if t in open_set:
             continue
         if backend == "ideal":
-            unopened[t] = ideal_obf(c, rng)
+            unopened[t] = ideal_obf(qpro, c, rng)
         else:
             seed = rng.bytes(32)
             seeds[t] = seed
@@ -838,7 +831,7 @@ def _pc_build(
             },
         }
     ).encode()
-    stmt = NpStatement("pc-obfuscation", instance, _pc_relation(qpro, backend))
+    stmt = NpStatement("pc-obfuscation", instance, _pc_relation(qpro, backend, phi))
     transcript = PCObfuscation(
         backend=backend,
         arity=c.input_arity,
@@ -902,6 +895,15 @@ def _with_proof(transcript: PCObfuscation, proof: NpProof) -> PCObfuscation:
     return dataclasses.replace(transcript, proof=proof)
 
 
+def _pc_statement(qpro: QPrOSim, phi: PhiSpec, o: PCObfuscation) -> NpStatement:
+    """The NP statement a posted transcript claims, as verifier and extractor
+    rebuild it."""
+    instance = _pc_instance(
+        o.phi_id, o.chal, o.lam_cc, o.commitments, o.handle_bundles, o.unopened, o.backend
+    )
+    return NpStatement("pc-obfuscation", instance, _pc_relation(qpro, o.backend, phi))
+
+
 def pc_verify(
     pp: PcParams, phi: PhiSpec, o: PCObfuscation, qpro: QPrOSim
 ) -> tuple[bool, list[str]]:
@@ -930,11 +932,7 @@ def pc_verify(
             if qpro.gen(t, keys[idx]) != o.handle_bundles[t - 1][idx]:
                 diagnostics.append(f"handle_mismatch:{t}")
                 break
-    instance = _pc_instance(
-        o.phi_id, o.chal, o.lam_cc, o.commitments, o.handle_bundles, o.unopened, o.backend
-    )
-    stmt = NpStatement("pc-obfuscation", instance, _pc_relation(qpro, o.backend))
-    if not nizknp.np_verify(pp.crs, stmt, o.proof):
+    if not nizknp.np_verify(pp.crs, _pc_statement(qpro, phi, o), o.proof):
         diagnostics.append("nizk_invalid")
     return not diagnostics, diagnostics
 
@@ -970,7 +968,7 @@ def pc_eval(o: PCObfuscation, qpro: QPrOSim, z_bits: tuple[int, ...]):
         blob = o.unopened[t]
         try:
             if o.backend == "ideal":
-                outputs.append(ideal_eval(blob, tuple(z_bits)))
+                outputs.append(ideal_eval(qpro, blob, tuple(z_bits)))
             else:
                 outputs.append(jllw_eval(JLLWObfuscation.deserialize(blob), qpro, tuple(z_bits)))
         except (IntegrityError, NotImplementedError):
@@ -987,7 +985,7 @@ def pc_eval_table(
         raise ValueError("no unopened instances to evaluate")
     if o.backend == "ideal":
         tables = [
-            ideal_eval_table(o.unopened[t], prefix, suffix_arity) for t in sorted(o.unopened)
+            ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity) for t in sorted(o.unopened)
         ]
         return _majority(np.stack(tables).astype(np.uint8)).astype(bool)
     out = np.zeros(2**suffix_arity, dtype=bool)
@@ -1005,9 +1003,5 @@ def pc_extract(
     ok, diagnostics = pc_verify(pp, phi, o, qpro)
     if not ok:
         raise ValueError(f"extraction attempted on a rejecting transcript: {diagnostics}")
-    instance = _pc_instance(
-        o.phi_id, o.chal, o.lam_cc, o.commitments, o.handle_bundles, o.unopened, o.backend
-    )
-    stmt = NpStatement("pc-obfuscation", instance, _pc_relation(qpro, o.backend))
-    witness = nizknp.np_ext1(pp.crs, td, stmt, o.proof)
+    witness = nizknp.np_ext1(pp.crs, td, _pc_statement(qpro, phi, o), o.proof)
     return CircuitDesc.from_canonical(json.loads(witness.decode())["circuit"])

@@ -239,7 +239,7 @@ def _phi_check(c: CircuitDesc) -> bool:
     return True
 
 
-PROTOCOL_PHI = obfstack.register_phi(PhiSpec("csa-ver-mcirc", _phi_check))
+PROTOCOL_PHI = PhiSpec("csa-ver-mcirc", _phi_check)
 
 
 # -- prover ---------------------------------------------------------------------

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
+import pkgutil
+import sys
 
+import numpy as np
 import pytest
 
-from qmalab import cli
+import qmalab
+from qmalab import cli, obfstack
 from qmalab.cli import RunConfig, run_scenario
 
 
@@ -135,3 +140,37 @@ def test_main_permver_bench_subcommand(tmp_path, capsys):
         "accept_freq_no",
         "hoeffding_bound",
     }
+
+
+def test_runs_in_one_process_do_not_share_oracle_state():
+    # e2e-simulate's generator [3, 7, 0] replays e2e-extract's trial 7
+    # ([3, 7]: SeedSequence drops trailing zero words), so the two runs
+    # draw the same ideal-oracle handles for different circuits
+    run_scenario(RunConfig.from_json({"scenario": "e2e-extract", "seed": 3, "trials": 8}))
+    run_scenario(RunConfig.from_json({"scenario": "e2e-simulate", "seed": 3, "trials": 2}))
+
+
+def _module_container_sizes() -> dict:
+    for info in pkgutil.iter_modules(qmalab.__path__):
+        importlib.import_module(f"qmalab.{info.name}")
+    return {
+        (mod_name, name): len(value)
+        for mod_name, mod in sorted(sys.modules.items())
+        if mod_name == "qmalab" or mod_name.startswith("qmalab.")
+        for name, value in vars(mod).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_runs_leave_module_globals_unchanged():
+    before = _module_container_sizes()
+    assert ("qmalab.obfstack", "_KIND_BUILDERS") in before
+    run_scenario(small("e2e-extract", trials=2))
+    run_scenario(small("cutchoose-detect", trials=5))
+    rng = np.random.default_rng(9)
+    qpro = obfstack.QPrOSim.from_seed(rng)
+    pp, td = obfstack.pc_sim_setup(rng)
+    phi = obfstack.PhiSpec("fresh", lambda c: True)
+    o = obfstack.pc_sim_obfuscate(pp, td, phi, obfstack.table_circuit([0, 1]), qpro, rng)
+    assert obfstack.pc_verify(pp, phi, o, qpro)[0]
+    assert _module_container_sizes() == before

@@ -4,7 +4,9 @@ provably-correct obfuscator."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def bits(x: int, n: int) -> tuple[int, ...]:
     return tuple((x >> (n - 1 - i)) & 1 for i in range(n))
 
 
-# -- circuits and the ideal registry ------------------------------------------
+# -- circuits and the ideal oracle --------------------------------------------
 
 
 def test_circuit_canonical_round_trips():
@@ -58,19 +60,31 @@ def test_circuit_canonical_round_trips():
 
 def test_ideal_obf_eval_examples():
     rng = np.random.default_rng(0)
+    qpro = QPrOSim.from_seed(rng)
     ident = table_circuit([0, 1])
-    h = ideal_obf(ident, rng)
-    assert ideal_eval(h, (0,)) == 0 and ideal_eval(h, (1,)) == 1
-    hn = ideal_obf(null_circuit(2), rng)
-    assert all(ideal_eval(hn, bits(x, 2)) == 0 for x in range(4))
-    h2 = ideal_obf(ident, rng)
+    h = ideal_obf(qpro, ident, rng)
+    assert ideal_eval(qpro, h, (0,)) == 0 and ideal_eval(qpro, h, (1,)) == 1
+    hn = ideal_obf(qpro, null_circuit(2), rng)
+    assert all(ideal_eval(qpro, hn, bits(x, 2)) == 0 for x in range(4))
+    h2 = ideal_obf(qpro, ident, rng)
     assert h2.uid != h.uid
-    assert all(ideal_eval(h2, (b,)) == ideal_eval(h, (b,)) for b in (0, 1))
+    assert all(ideal_eval(qpro, h2, (b,)) == ideal_eval(qpro, h, (b,)) for b in (0, 1))
 
 
 def test_unknown_handle_rejected():
+    rng = np.random.default_rng(0)
+    issuer = QPrOSim.from_seed(rng)
     with pytest.raises(KeyError):
-        ideal_eval(obfstack.ObfHandle("ff" * 16, 1), (0,))
+        ideal_eval(issuer, obfstack.ObfHandle("ff" * 16, 1), (0,))
+    # a handle resolves only through the oracle that issued it
+    other = QPrOSim(issuer.master)
+    assert other.circuits == {} and other == issuer
+    h = ideal_obf(issuer, table_circuit([0, 1]), rng)
+    assert ideal_eval(issuer, h, (1,)) == 1
+    with pytest.raises(KeyError):
+        ideal_eval(other, h, (1,))
+    with pytest.raises(KeyError):
+        obfstack.ideal_eval_table(other, h, (), 1)
 
 
 # -- QPrO ----------------------------------------------------------------------
@@ -305,7 +319,7 @@ def test_pc_eval_majority_with_faults():
     t = sorted(o.unopened)[0]
     flipped = table_circuit([0, 1, 1, 0])
     corrupted = dict(o.unopened)
-    corrupted[t] = ideal_obf(flipped, rng)
+    corrupted[t] = ideal_obf(qpro, flipped, rng)
     faulty = dataclasses.replace(o, unopened=corrupted)
     pointwise = [pc_eval(faulty, qpro, bits(x, 2)) for x in range(4)]
     assert pointwise == [c.eval_bits(bits(x, 2)) for x in range(4)]
@@ -315,8 +329,8 @@ def test_pc_eval_majority_with_faults():
 def test_pc_eval_tie_break_smallest_index():
     rng = np.random.default_rng(26)
     qpro = QPrOSim.from_seed(rng)
-    a = ideal_obf(table_circuit([1, 1]), rng)
-    b = ideal_obf(table_circuit([0, 0]), rng)
+    a = ideal_obf(qpro, table_circuit([1, 1]), rng)
+    b = ideal_obf(qpro, table_circuit([0, 0]), rng)
     o = PCObfuscation(
         backend="ideal",
         arity=1,
@@ -333,8 +347,8 @@ def test_pc_eval_tie_break_smallest_index():
     assert pc_eval(o, qpro, (0,)) == 1
     assert pc_eval_table(o, qpro, (), 1).tolist() == [True, True]
     # disagreeing two-bit handles: pointwise and batched votes side with instance 1
-    c = ideal_obf(table_circuit([0, 1, 1, 0]), rng)
-    d = ideal_obf(table_circuit([1, 1, 1, 1]), rng)
+    c = ideal_obf(qpro, table_circuit([0, 1, 1, 0]), rng)
+    d = ideal_obf(qpro, table_circuit([1, 1, 1, 1]), rng)
     o2 = dataclasses.replace(o, arity=2, unopened={1: c, 2: d})
     pointwise = [pc_eval(o2, qpro, bits(x, 2)) for x in range(4)]
     assert pointwise == [0, 1, 1, 0]
@@ -383,7 +397,6 @@ def test_pc_sim_obfuscate_verifies_without_phi():
     qpro = QPrOSim.from_seed(rng)
     pp, td = pc_sim_setup(rng)
     never = obfstack.PhiSpec("never2", lambda c: False)
-    obfstack.register_phi(never)
     c = table_circuit([0, 1])
     o = pc_sim_obfuscate(pp, td, never, c, qpro, rng)
     ok, diags = pc_verify(pp, never, o, qpro)
@@ -421,3 +434,92 @@ def test_combine_circuit_dispatch():
     c = combine_circuits([table_circuit([0, 1]), table_circuit([1, 0])], index_bits=1)
     assert c.eval_bits((0, 1)) == 1
     assert c.eval_bits((1, 1)) == 0
+
+
+# -- bounded memory ------------------------------------------------------------
+
+
+def test_cut_and_choose_trials_retain_bounded_memory():
+    c = table_circuit([0, 1, 1, 0])
+
+    def trial(i: int) -> None:
+        # as in cli.scenario_cutchoose_detect
+        rng = np.random.default_rng([60, i])
+        qpro = QPrOSim.from_seed(rng)
+        pp = pc_setup(rng)
+        o = pc_obfuscate(pp, PHI_ANY, c, qpro, rng, corrupt_bundles=(1, 2, 3))
+        pc_verify(pp, PHI_ANY, o, qpro)
+
+    trials = 300
+    for i in range(5):
+        trial(i)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(trials):
+            trial(5 + i)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / trials < 100, f"{retained / trials:.0f} bytes retained per trial"
+
+
+# -- the cut-and-choose relation on malformed witnesses ------------------------
+
+
+def _ideal_statement(phi=PHI_ANY):
+    rng = np.random.default_rng(70)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    c = table_circuit([0, 1, 1, 0])
+    transcript, stmt, witness = obfstack._pc_build(pp, phi, c, qpro, rng, "ideal", ())
+    assert transcript.unopened
+    return qpro, stmt, witness
+
+
+def test_pc_relation_rejects_malformed_witnesses():
+    qpro, stmt, witness = _ideal_statement()
+    assert stmt.relation(stmt.instance, witness)
+    honest = json.loads(witness.decode())
+    t = sorted(honest["openings"])[0]
+
+    def with_circuit(circuit) -> bytes:
+        return json.dumps({**honest, "circuit": circuit}).encode()
+
+    no_opening = {**honest, "openings": {k: v for k, v in honest["openings"].items() if k != t}}
+    bad_r = dict(honest["openings"][t], r="00" * 16)
+    wrong_commitment = {**honest, "openings": {**honest["openings"], t: bad_r}}
+    witnesses = {
+        "non-utf8": b"\xff\xfe",
+        "non-json": b"{not json",
+        "json list": b"[1, 2]",
+        "circuit not a dict": with_circuit(5),
+        "unknown kind": with_circuit({"kind": "nope"}),
+        "empty table": with_circuit({"kind": "table", "arity": 0, "table": []}),
+        "combine without subs": with_circuit({"kind": "combine", "index_bits": 1, "subs": []}),
+        "missing opening": json.dumps(no_opening).encode(),
+        "wrong commitment": json.dumps(wrong_commitment).encode(),
+    }
+    for name, w in witnesses.items():
+        assert stmt.relation(stmt.instance, w) is False, name
+    # unknown handle: the same relation checked by an oracle that issued nothing
+    foreign = obfstack._pc_relation(QPrOSim(qpro.master), "ideal", PHI_ANY)
+    assert foreign(stmt.instance, witness) is False
+
+
+def test_canonical_boundary_raises_value_error():
+    with pytest.raises(ValueError):
+        CircuitDesc.from_canonical(5)
+    with pytest.raises(ValueError):
+        table_circuit([])
+
+
+def test_pc_relation_propagates_phi_errors():
+    def boom(c):
+        raise RuntimeError("phi bug")
+
+    _, stmt, witness = _ideal_statement(obfstack.PhiSpec("boom", boom))
+    with pytest.raises(RuntimeError, match="phi bug"):
+        stmt.relation(stmt.instance, witness)

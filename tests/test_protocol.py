@@ -201,7 +201,7 @@ def test_extraction_recovers_key_and_quality():
     )
     prover_key = None
     for t in sorted(residual.obf.unopened):
-        prover_key = obfstack._lookup(residual.obf.unopened[t]).canonical["key"]
+        prover_key = obfstack._lookup(qpro, residual.obf.unopened[t]).canonical["key"]
         break
     assert extracted_circuit.canonical["key"] == prover_key
     state = protocol.ext1(GAMMAS, crs, td, REFERENCE, residual, CFG, qpro)
