@@ -19,10 +19,9 @@ from .gf2 import BitVector, CosetPair, Subspace
 from .simstate import (
     BasisPredicate,
     StateVector,
-    apply_hadamard,
     basis_indices,
     hadamard_layer,
-    project_predicate,
+    measure_zx,
     zx_projector,
 )
 
@@ -264,13 +263,7 @@ def logical_measure(
     """
     if encoded.num_qubits != key.physical_qubits:
         raise ValueError("encoded state has the wrong qubit count")
-    mask = physical_theta(key, theta)
-    pred = dec_predicate(DecSpec(key, theta, f))
-    rotated = apply_hadamard(encoded, mask)
-    prob, post_one, _ = project_predicate(rotated, pred)
-    if post_one is None:
-        return prob, None
-    return prob, apply_hadamard(post_one, mask)
+    return measure_zx(encoded, physical_theta(key, theta), dec_predicate(DecSpec(key, theta, f)))
 
 
 def conjugated_dec_operator(spec: DecSpec) -> np.ndarray:

@@ -1,27 +1,21 @@
-"""GF(2) linear algebra: bit vectors, matrices, subspaces, duals, cosets.
+"""GF(2) linear algebra: bit vectors, subspaces, duals, cosets.
 
-Bit vectors are stored little-endian: index 0 is the first coordinate, and
-lexicographic comparisons read coordinate 0 first.  Subspaces are kept in
-canonical row-reduced echelon form so that equality of subspaces is
-structural equality of their bases.  All values are immutable after
-construction.
+A bit vector is a tuple of bits; index 0 is the first coordinate, and
+lexicographic comparisons read coordinate 0 first.  A subspace is a tuple of
+packed ints, coordinate 0 as the most significant bit (as in bits_to_index),
+so lexicographic order is integer order.  Its basis is kept in canonical
+row-reduced echelon form (rows in decreasing order, each pivot the row's
+highest set bit), so that equality of subspaces is structural equality of
+their bases.  All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 AMBIENT_CAP = 64
-
-
-def _as_bit_array(bits) -> np.ndarray:
-    a = np.asarray(bits, dtype=np.uint8) & 1
-    if a.ndim != 1:
-        raise ValueError("expected a 1-d bit sequence")
-    return a
 
 
 def bits_to_index(bits) -> int:
@@ -38,52 +32,21 @@ def index_to_bits(idx: int, n: int) -> tuple[int, ...]:
     return tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def rref_array(m: np.ndarray) -> np.ndarray:
-    """Unique row-reduced echelon form over GF(2); zero rows dropped."""
-    a = (np.asarray(m, dtype=np.uint8) & 1).copy()
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d bit matrix")
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        for o in others:
-            if o != r:
-                a[o] ^= a[r]
-        r += 1
-    return a[:r].copy()
+def _reduce(x: int, rows) -> int:
+    """Clear the pivot of every row (taken in decreasing order) from x."""
+    for r in rows:
+        x = min(x, x ^ r)
+    return x
 
 
-def rank_array(m: np.ndarray) -> int:
-    return rref_array(m).shape[0]
-
-
-def nullspace_array(m: np.ndarray) -> np.ndarray:
-    """RREF basis of {v : m @ v = 0 over GF(2)}."""
-    a = rref_array(m)
-    rows, cols = (a.shape[0], a.shape[1]) if a.size else (0, m.shape[1])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r < rows and a[r, c] == 1:
-            pivots.append(c)
-            r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            if a[r, fc] == 1:
-                basis[k, pc] = 1
-    return rref_array(basis) if basis.size else basis
+def rref(rows) -> tuple[int, ...]:
+    """Unique RREF of packed-int rows: zero rows dropped, span preserved."""
+    basis: list[int] = []
+    for x in rows:
+        x = _reduce(x, basis)
+        if x:
+            basis = sorted([min(r, r ^ x) for r in basis] + [x], reverse=True)
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -108,10 +71,6 @@ class BitVector:
     @classmethod
     def zeros(cls, n: int) -> BitVector:
         return cls((0,) * n)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.uint8)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -142,114 +101,78 @@ class BitVector:
 
 
 @dataclass(frozen=True)
-class BitMatrix:
-    """Stack of equal-length rows over GF(2)."""
-
-    rows: tuple[BitVector, ...]
-    num_cols: int
-
-    @classmethod
-    def from_rows(cls, rows, num_cols: int | None = None) -> BitMatrix:
-        rows = tuple(r if isinstance(r, BitVector) else BitVector(tuple(r)) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if num_cols is not None and num_cols != width:
-                raise ValueError("num_cols disagrees with row width")
-            num_cols = width
-        elif num_cols is None:
-            raise ValueError("empty matrix needs an explicit num_cols")
-        return cls(rows, num_cols)
-
-    @classmethod
-    def from_array(cls, a, num_cols: int | None = None) -> BitMatrix:
-        a = np.asarray(a, dtype=np.uint8) & 1
-        if a.size == 0:
-            return cls((), num_cols if num_cols is not None else a.shape[-1])
-        return cls.from_rows([BitVector.from_array(r) for r in a])
-
-    @property
-    def array(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.num_cols), dtype=np.uint8)
-        return np.stack([r.array for r in self.rows])
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return rank_array(self.array)
-
-
-def rref(m: BitMatrix) -> BitMatrix:
-    """Unique RREF with zero rows dropped; row span preserved."""
-    return BitMatrix.from_array(rref_array(m.array), num_cols=m.num_cols)
-
-
-@dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of F2^ambient_dim held as a canonical RREF basis."""
+    """Linear subspace of F2^ambient_dim held as its canonical RREF basis of
+    packed-int rows."""
 
-    basis: BitMatrix
+    rows: tuple[int, ...]
     ambient_dim: int
 
     def __post_init__(self):
-        if self.basis.num_cols != self.ambient_dim:
-            raise ValueError("basis width disagrees with ambient dimension")
-        canon = rref_array(self.basis.array)
-        if canon.shape[0] != self.basis.num_rows or not np.array_equal(canon, self.basis.array):
+        n, rows = self.ambient_dim, self.rows
+        if not 0 <= n <= AMBIENT_CAP:
+            raise ValueError(f"ambient dimension outside 0..{AMBIENT_CAP}")
+        # Canonical: nonzero rows of width n, pivots (highest set bits)
+        # strictly decreasing, and no row has a bit at another row's pivot.
+        pivots = [1 << (r.bit_length() - 1) for r in rows if isinstance(r, int) and 0 < r < 1 << n]
+        mask = sum(pivots)
+        if not (
+            isinstance(rows, tuple)
+            and len(pivots) == len(rows)
+            and all(a > b for a, b in zip(pivots, pivots[1:]))
+            and all(r & mask == p for r, p in zip(rows, pivots))
+        ):
             raise ValueError("basis is not in canonical RREF; use Subspace.from_rows")
 
     @classmethod
     def from_rows(cls, rows, ambient_dim: int) -> Subspace:
-        m = BitMatrix.from_rows(rows, num_cols=ambient_dim) if rows else BitMatrix((), ambient_dim)
-        return cls(rref(m), ambient_dim)
+        """Span of bit rows (BitVectors or bit sequences) of width ambient_dim."""
+        rows = list(rows)
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("row width disagrees with the ambient dimension")
+        ints = (r.to_index() if isinstance(r, BitVector) else bits_to_index(r) for r in rows)
+        return cls(rref(ints), ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls.from_rows([], ambient_dim)
+        return cls((), ambient_dim)
 
     @property
     def dim(self) -> int:
-        return self.basis.num_rows
+        return len(self.rows)
+
+    def _index(self, v: BitVector) -> int:
+        if len(v) != self.ambient_dim:
+            raise ValueError("length mismatch")
+        return v.to_index()
 
     def contains(self, v: BitVector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("length mismatch")
-        # Reduce v against the RREF basis; membership iff it reduces to zero.
-        return self.reduce(v).is_zero()
+        return _reduce(self._index(v), self.rows) == 0
 
     def reduce(self, v: BitVector) -> BitVector:
-        """Canonical coset representative of v + self (zeros at all pivots)."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("length mismatch")
-        rv = v.array.copy()
-        for row in self.basis.rows:
-            pivot = row.bits.index(1)
-            if rv[pivot]:
-                rv ^= row.array
-        return BitVector.from_array(rv)
+        """Canonical coset representative of v + self (zeros at all pivots),
+        the lexicographically smallest member of the coset."""
+        return BitVector.from_index(_reduce(self._index(v), self.rows), self.ambient_dim)
 
     def elements(self) -> list[BitVector]:
-        """Enumerate all 2^dim members (intended for small dim)."""
-        out = []
-        rows = [r.array for r in self.basis.rows]
-        for combo in product((0, 1), repeat=self.dim):
-            v = np.zeros(self.ambient_dim, dtype=np.uint8)
-            for c, row in zip(combo, rows):
-                if c:
-                    v ^= row
-            out.append(BitVector.from_array(v))
-        return out
+        """Enumerate all 2^dim members (intended for small dim); the first
+        row is the most significant coefficient."""
+        span = [0]
+        for r in self.rows:
+            span = [x for e in span for x in (e, e ^ r)]
+        return [BitVector.from_index(e, self.ambient_dim) for e in span]
 
     def dual(self) -> Subspace:
-        ns = nullspace_array(self.basis.array) if self.dim else np.eye(self.ambient_dim, dtype=np.uint8)
-        return Subspace.from_rows([BitVector.from_array(r) for r in ns], self.ambient_dim)
+        """{v : v . s = 0 for all s}: one vector per free column."""
+        pivots = {r.bit_length() - 1: r for r in self.rows}
+        vecs = []
+        for f in range(self.ambient_dim - 1, -1, -1):
+            if f not in pivots:
+                vecs.append((1 << f) | sum(1 << p for p, r in pivots.items() if r >> f & 1))
+        return Subspace(rref(vecs), self.ambient_dim)
 
     def to_json(self) -> list[str]:
-        return [r.to_string() for r in self.basis.rows]
+        return [format(r, f"0{self.ambient_dim}b") for r in self.rows]
 
     @classmethod
     def from_json(cls, data: list[str], ambient_dim: int) -> Subspace:
@@ -275,7 +198,7 @@ class CosetPair:
 
     def extended(self) -> Subspace:
         """S ∪ (S + delta) as a subspace of dimension dim(S) + 1."""
-        return Subspace.from_rows(list(self.s.basis.rows) + [self.delta], self.ambient_dim)
+        return Subspace(rref(self.s.rows + (self.delta.to_index(),)), self.ambient_dim)
 
 
 def sample_subspace(dim: int, ambient: int, rng: np.random.Generator) -> Subspace:
@@ -288,8 +211,9 @@ def sample_subspace(dim: int, ambient: int, rng: np.random.Generator) -> Subspac
         return Subspace.zero(ambient)
     while True:
         m = rng.integers(0, 2, size=(dim, ambient), dtype=np.uint8)
-        if rank_array(m) == dim:
-            return Subspace.from_rows([BitVector.from_array(r) for r in m], ambient)
+        rows = rref(bits_to_index(r) for r in m.tolist())
+        if len(rows) == dim:
+            return Subspace(rows, ambient)
 
 
 def sample_vector_outside(s: Subspace, rng: np.random.Generator) -> BitVector:
@@ -317,15 +241,10 @@ def dual_decomposition(c: CosetPair) -> tuple[Subspace, BitVector]:
     so the decomposition is deterministic.
     """
     s_hat = c.extended().dual()
-    s_perp = c.s.dual()
     # Any w in S^perp \ s_hat works; the canonical reduction against s_hat's
     # RREF basis yields the lexicographically smallest member of its coset.
-    candidate = None
-    for row in s_perp.basis.rows:
-        if not s_hat.contains(row):
-            candidate = row
-            break
-    if candidate is None:
-        raise ValueError("degenerate coset pair: dual shift does not exist")
-    delta_hat = s_hat.reduce(candidate)
-    return s_hat, delta_hat
+    for w in c.s.dual().rows:
+        delta_hat = _reduce(w, s_hat.rows)
+        if delta_hat:
+            return s_hat, BitVector.from_index(delta_hat, c.ambient_dim)
+    raise ValueError("degenerate coset pair: dual shift does not exist")

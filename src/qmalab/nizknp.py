@@ -98,9 +98,8 @@ def _statement_tag(crs_base: bytes, relation_id: str, instance: bytes, ct: bytes
 
 
 def np_setup(rng: np.random.Generator) -> NpCrs:
-    base = rng.bytes(CRS_BASE_LEN)
-    pk, _ = pke_gen(rng)
-    return NpCrs(base, pk)
+    """Extraction-mode setup with the trapdoor dropped."""
+    return np_ext0(rng)[0]
 
 
 def np_ext0(rng: np.random.Generator) -> tuple[NpCrs, bytes]:

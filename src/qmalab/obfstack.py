@@ -55,7 +55,6 @@ class CircuitDesc:
     input_arity: int
     semantics: Callable[[tuple[int, ...]], int]
     canonical: dict
-    size_hint: int = 0
     prefix_table: Callable[[tuple[int, ...], int], np.ndarray] | None = None
 
     def canonical_bytes(self) -> bytes:
@@ -116,7 +115,6 @@ def table_circuit(table) -> CircuitDesc:
         input_arity=arity,
         semantics=lambda bits: int(tab[bits_to_index(bits)]),
         canonical={"kind": "table", "arity": arity, "table": [int(v) for v in tab]},
-        size_hint=int(tab.size),
     )
 
 
@@ -467,19 +465,6 @@ class JLLWObfuscation:
         )
 
 
-def _jllw_ptlen(c: CircuitDesc, keys: dict, big_d: int) -> int:
-    root = {
-        "flag": "normal",
-        "chi": "",
-        "info": {
-            "circuit": c.canonical,
-            "keys": {k: f"{v:08x}" for k, v in keys.items()},
-            "seed": "00" * 16,
-        },
-    }
-    return len(_dumps(root).encode()) + big_d + PLAINTEXT_MARGIN
-
-
 def jllw_obfuscate(
     c: CircuitDesc,
     qpro: QPrOSim,
@@ -508,7 +493,17 @@ def jllw_obfuscate(
     keys = {f"{i},{j}": kh[0] for (i, j), kh in key_handle_pairs.items()}
     handles = {f"{i},{j}": kh[1] for (i, j), kh in key_handle_pairs.items()}
 
-    ptlen = _jllw_ptlen(c, {k: v for k, v in keys.items()}, big_d)
+    # The seed's hex width is fixed, so the zero-seed root sizes the plaintext.
+    root = {
+        "flag": "normal",
+        "chi": "",
+        "info": {
+            "circuit": c.canonical,
+            "keys": {k: f"{v:08x}" for k, v in keys.items()},
+            "seed": "00" * 16,
+        },
+    }
+    ptlen = len(_dumps(root).encode()) + big_d + PLAINTEXT_MARGIN
     ct_len = ptlen + toycrypto.CIPHERTEXT_OVERHEAD
     seg = ct_len  # block length: B segments cover the two child ciphertexts
 
@@ -531,15 +526,7 @@ def jllw_obfuscate(
 
     s_eps = rng.bytes(16)
     r_eps = rng.bytes(16)
-    root = {
-        "flag": "normal",
-        "chi": "",
-        "info": {
-            "circuit": c.canonical,
-            "keys": {k: f"{v:08x}" for k, v in keys.items()},
-            "seed": s_eps.hex(),
-        },
-    }
+    root["info"]["seed"] = s_eps.hex()
     ct_root = fe_enc(pks[0], _dumps(root).encode(), r_eps)
     return JLLWObfuscation(
         instance=instance,
@@ -677,9 +664,8 @@ def _derive_chal(qpro: QPrOSim, pp: PcParams, commitments, handle_bundles) -> in
 
 
 def pc_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> PcParams:
-    crs = nizknp.np_setup(rng)
-    h_star = int(rng.integers(0, 1 << 16))
-    return PcParams(crs, h_star, lam_cc)
+    """Extraction-mode setup with the trapdoor dropped."""
+    return pc_ext_setup(rng, lam_cc)[0]
 
 
 def pc_ext_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> tuple[PcParams, bytes]:

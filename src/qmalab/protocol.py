@@ -85,7 +85,8 @@ class QmaProof:
 
 
 def setup(rng: np.random.Generator, cfg: ProtocolConfig) -> QmaCrs:
-    return QmaCrs(obfstack.pc_setup(rng, cfg.lambda_cc))
+    """Extraction-mode setup with the trapdoor dropped."""
+    return ext0(rng, cfg)[0]
 
 
 def ext0(rng: np.random.Generator, cfg: ProtocolConfig) -> tuple[QmaCrs, bytes]:
@@ -134,16 +135,6 @@ def permutation_weights(prg_bits: int, list_len: int) -> tuple[tuple[tuple[int, 
 
 
 # -- the obfuscated circuits ---------------------------------------------------
-
-
-def _payload_width(m: int, prg_bits: int, phys: int) -> int:
-    return max(m, prg_bits) + phys
-
-
-def m_circuit(key: CSAKey, verifier: PermutingVerifier, prg_bits: int) -> CircuitDesc:
-    """Decoder circuit M_k(r, s): the seed r selects a permuted measurement
-    (theta, f) and the output is Dec_{k, theta, 1-f}(s)."""
-    return m_circuit_from_combined(combined_circuit(key, verifier, prg_bits))
 
 
 def combined_circuit(
@@ -197,7 +188,6 @@ def combined_circuit(
             "prg_bits": prg_bits,
             "null_m": bool(null_m),
         },
-        size_hint=2**key.block_width * key.n,
         prefix_table=_prefix_table,
     )
 
@@ -212,19 +202,6 @@ def _build_combined_from_canonical(canonical: dict) -> CircuitDesc:
 
 
 obfstack.register_circuit_kind("csa-ver-mcirc", _build_combined_from_canonical)
-obfstack.register_circuit_kind(
-    "csa-mcirc",
-    lambda c: m_circuit_from_combined(_build_combined_from_canonical(c["inner"])),
-)
-
-
-def m_circuit_from_combined(base: CircuitDesc) -> CircuitDesc:
-    return CircuitDesc(
-        input_arity=base.input_arity - 1,
-        semantics=lambda bits: base.eval_bits((1,) + bits),
-        canonical={"kind": "csa-mcirc", "inner": base.canonical},
-        prefix_table=lambda prefix, sa: base.table_for_prefix((1,) + prefix, sa),
-    )
 
 
 def _phi_check(c: CircuitDesc) -> bool:
@@ -246,9 +223,17 @@ PROTOCOL_PHI = PhiSpec("csa-ver-mcirc", _phi_check)
 
 
 def witness_registers(h: HamiltonianInstance, cfg: ProtocolConfig) -> tuple[PermutingVerifier, int, int]:
+    """(verifier, logical qubits m, physical qubits); rejects a configuration
+    above PHYSICAL_QUBIT_CAP before any work."""
     pv = permver.build(h, cfg.k)
     m = pv.list_len * pv.ell
     phys = m * (2 * cfg.lambda_code + 1)
+    if phys > PHYSICAL_QUBIT_CAP:
+        raise ValueError(
+            f"configuration needs {phys} physical qubits "
+            f"({pv.list_len} registers x {pv.ell} x {2 * cfg.lambda_code + 1}), "
+            f"cap is {PHYSICAL_QUBIT_CAP}"
+        )
     return pv, m, phys
 
 
@@ -260,15 +245,9 @@ def prove(
     qpro: QPrOSim,
     rng: np.random.Generator,
 ) -> QmaProof:
-    pv, m, phys = witness_registers(h, cfg)
+    pv, m, _ = witness_registers(h, cfg)
     if witness_copy.num_qubits != pv.ell:
         raise ValueError("witness copy must span the instance's qubit count")
-    if phys > PHYSICAL_QUBIT_CAP:
-        raise ValueError(
-            f"configuration needs {phys} physical qubits "
-            f"({pv.list_len} registers x {pv.ell} x {2 * cfg.lambda_code + 1}), "
-            f"cap is {PHYSICAL_QUBIT_CAP}"
-        )
     full = tensor_many([witness_copy] * pv.list_len)
     key = csa.keygen(cfg.lambda_code, m, rng)
     encoded = csa.enc(key, full)
@@ -435,10 +414,8 @@ def simulate(
 ) -> tuple[QmaCrs, bytes, QmaProof]:
     """Zero-knowledge simulator: simulation-mode setup, then a proof built
     from an encoded zero state and a null decoder branch (no witness input)."""
+    pv, m, _ = witness_registers(h, cfg)
     pp, td = obfstack.pc_sim_setup(rng, cfg.lambda_cc)
-    pv, m, phys = witness_registers(h, cfg)
-    if phys > PHYSICAL_QUBIT_CAP:
-        raise ValueError("configuration exceeds the physical qubit cap")
     key = csa.keygen(cfg.lambda_code, m, rng)
     encoded = csa.enc(key, StateVector.basis(m, 0))
     circuit = combined_circuit(key, pv, cfg.prg_bits, null_m=True)

@@ -2,36 +2,40 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalab import gf2
-from qmalab.gf2 import BitMatrix, BitVector, CosetPair, Subspace
+from qmalab import csa, gf2
+from qmalab.gf2 import BitVector, CosetPair, Subspace
 
 
 def test_rref_hand_example():
-    m = BitMatrix.from_rows([[1, 1], [0, 1]])
-    assert gf2.rref(m).array.tolist() == [[1, 0], [0, 1]]
+    assert gf2.rref([0b11, 0b01]) == (0b10, 0b01)
+    assert Subspace.from_rows([[1, 1], [0, 1]], 2).to_json() == ["10", "01"]
 
 
 def test_rref_drops_zero_rows():
-    m = BitMatrix.from_rows([[0, 0]])
-    assert gf2.rref(m).array.tolist() == []
+    assert gf2.rref([0b00]) == ()
+    assert Subspace.from_rows([[0, 0]], 2).to_json() == []
 
 
 def test_rref_duplicate_row():
-    m = BitMatrix.from_rows([[1, 0, 1], [1, 0, 1]])
-    assert gf2.rref(m).array.tolist() == [[1, 0, 1]]
+    assert gf2.rref([0b101, 0b101]) == (0b101,)
+    assert Subspace.from_rows([[1, 0, 1], [1, 0, 1]], 3).to_json() == ["101"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 1), min_size=5, max_size=5), min_size=1, max_size=6))
+@given(st.lists(st.integers(0, 2**5 - 1), min_size=1, max_size=6))
 def test_rref_idempotent(rows):
-    m = BitMatrix.from_rows(rows)
-    once = gf2.rref(m)
-    assert gf2.rref(once).array.tolist() == once.array.tolist()
+    once = gf2.rref(rows)
+    assert gf2.rref(once) == once
+    Subspace(once, 5)  # canonical by construction
 
 
 def test_sample_subspace_edges():
@@ -49,7 +53,7 @@ def test_sample_subspace_uniform_over_lines_of_f2_squared():
     trials = 100_000
     for _ in range(trials):
         s = gf2.sample_subspace(1, 2, rng)
-        counts[s.basis.rows[0].to_string()] += 1
+        counts[s.to_json()[0]] += 1
     for key in counts:
         assert abs(counts[key] / trials - 1 / 3) < 0.02
 
@@ -63,7 +67,7 @@ def test_dual_decomposition_hand_examples():
     zero = Subspace.zero(3)
     s_hat0, d_hat0 = gf2.dual_decomposition(CosetPair(zero, BitVector((1, 0, 0))))
     assert s_hat0.dim == 2
-    assert all(v.bits[0] == 0 for v in s_hat0.basis.rows)
+    assert all(row[0] == "0" for row in s_hat0.to_json())
     assert d_hat0.to_string() == "100"
 
 
@@ -115,8 +119,8 @@ def test_membership_invariant_under_basis_row_addition():
     shift = BitVector.from_array(rng.integers(0, 2, size=5))
     v = BitVector.from_array(rng.integers(0, 2, size=5))
     base = gf2.coset_member(v, s, shift)
-    for row in s.basis.rows:
-        assert gf2.coset_member(v ^ row, s, shift) == base
+    for row in s.to_json():
+        assert gf2.coset_member(v ^ BitVector.from_string(row), s, shift) == base
 
 
 def test_coset_pair_rejects_inside_delta():
@@ -134,4 +138,79 @@ def test_subspace_json_round_trip():
 
 def test_subspace_requires_canonical_basis():
     with pytest.raises(ValueError):
-        Subspace(BitMatrix.from_rows([[1, 1], [0, 1]]), 2)
+        Subspace((0b11, 0b01), 2)
+
+
+def test_subspace_rejects_malformed_bases():
+    for rows in ((0b01, 0b10), (0b11, 0b10), (0b10, 0b10), (0,), (0b100,), [0b10]):
+        with pytest.raises(ValueError):
+            Subspace(rows, 2)
+    with pytest.raises(ValueError):
+        Subspace((), gf2.AMBIENT_CAP + 1)
+    with pytest.raises(ValueError):
+        Subspace.from_rows([[1, 0, 1]], 2)  # row wider than the ambient space
+    with pytest.raises(ValueError):
+        Subspace.from_rows([BitVector((1, 0))], 3)
+
+
+# -- packed-int kernels against brute force ------------------------------------
+
+
+def _span(rows: tuple[int, ...]) -> set[int]:
+    out = {0}
+    for r in rows:
+        out |= {x ^ r for x in out}
+    return out
+
+
+def _span_combo(rows: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+    out = 0
+    for c, r in zip(coeffs, rows):
+        if c:
+            out ^= r
+    return out
+
+
+def _check_against_brute_force(rows: tuple[int, ...], n: int) -> Subspace:
+    s = Subspace.from_rows([gf2.index_to_bits(r, n) for r in rows], n)
+    span = _span(rows)
+    elems = [v.to_index() for v in s.elements()]
+    assert sorted(elems) == sorted(span)
+    # elements() order: the first basis row is the most significant coefficient
+    assert elems == [_span_combo(s.rows, gf2.index_to_bits(k, s.dim)) for k in range(2**s.dim)]
+    perp = {v for v in range(2**n) if all(bin(v & w).count("1") % 2 == 0 for w in span)}
+    assert {v.to_index() for v in s.dual().elements()} == perp
+    for v in range(2**n):
+        bv = BitVector.from_index(v, n)
+        assert s.contains(bv) == (v in span)
+        assert s.reduce(bv).to_index() == min(v ^ w for w in span)
+    return s
+
+
+def test_int_kernels_exhaustive_small_ambient():
+    for n in range(1, 5):
+        for length in range(4):
+            for rows in product(range(2**n), repeat=length):
+                first = _check_against_brute_force(rows, n)
+                for perm in permutations(rows):
+                    again = Subspace.from_rows([gf2.index_to_bits(r, n) for r in perm], n)
+                    assert again == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=5))
+))
+def test_int_kernels_match_brute_force_up_to_ambient_9(case):
+    n, rows = case
+    _check_against_brute_force(tuple(rows), n)
+
+
+def test_seeded_keygen_and_duals_pinned():
+    """Keys and their dual pairs are byte-identical to the reference digest."""
+    h = hashlib.sha256()
+    for lam in (1, 2, 3):
+        key = csa.keygen(lam, 8, np.random.default_rng([lam, 2024]))
+        duals = [[r.dual[0].to_json(), r.dual[1].to_string()] for r in key.records]
+        h.update(json.dumps({"key": key.to_json(), "duals": duals}, sort_keys=True).encode())
+    assert h.hexdigest() == "28e7b1d3e4a540bf456d9a78936bab1d463039f41a3f610c6241ce278b198828"

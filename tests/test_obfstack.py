@@ -233,9 +233,10 @@ def test_pc_setup_properties():
     assert a.to_bytes() == b.to_bytes()
     c = pc_setup(np.random.default_rng(21))
     assert c.to_bytes() != a.to_bytes()
-    # extraction-mode pp matches the plain setup distribution under one seed
-    pe, _ = pc_ext_setup(np.random.default_rng(20))
-    assert pe.to_bytes() == a.to_bytes()
+    # setup is the extraction-mode setup with the trapdoor dropped: same pp, same draws
+    rng_s, rng_e = np.random.default_rng(20), np.random.default_rng(20)
+    assert pc_setup(rng_s) == pc_ext_setup(rng_e)[0] == a
+    assert rng_s.bit_generator.state == rng_e.bit_generator.state
 
 
 def test_pc_honest_verifies_both_backends():

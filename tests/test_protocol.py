@@ -74,7 +74,7 @@ def test_m_circuit_selects_complemented_decoder():
     pv = permver.build(REFERENCE, CFG.k)
     m = pv.list_len * pv.ell
     key = csa.keygen(1, m, rng)
-    mc = protocol.m_circuit(key, pv, CFG.prg_bits)
+    mc = protocol.combined_circuit(key, pv, CFG.prg_bits)
     seed = tuple(int(b) for b in rng.integers(0, 2, size=CFG.prg_bits))
     perm = protocol._perm_for_seed(seed, pv.list_len)
     theta_big, f_big = permver.permuted_spec(pv, perm)
@@ -82,7 +82,7 @@ def test_m_circuit_selects_complemented_decoder():
     ctrl = max(m, CFG.prg_bits)
     for _ in range(40):
         v = tuple(int(b) for b in rng.integers(0, 2, size=key.physical_qubits))
-        padded = seed + (0,) * (ctrl - CFG.prg_bits) + v
+        padded = (1,) + seed + (0,) * (ctrl - CFG.prg_bits) + v  # selector 1: the M branch
         assert mc.eval_bits(padded) == dec.eval(v)
     # deterministic in the seed
     assert protocol._perm_for_seed(seed, pv.list_len) == perm
@@ -109,6 +109,19 @@ def test_prove_rejects_oversized_configuration():
     big_cfg = ProtocolConfig(k=4)  # 4 registers x 2 qubits x 3 = 24 physical
     with pytest.raises(ValueError, match="physical"):
         protocol.prove(crs, REFERENCE, ground(REFERENCE), big_cfg, qpro, rng)
+
+
+def test_simulate_and_verify_reject_oversized_configuration_before_work():
+    rng, qpro = fresh(2)
+    big_cfg = ProtocolConfig(k=4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="physical"):
+        protocol.simulate(REFERENCE, big_cfg, qpro, rng)
+    assert rng.bit_generator.state == before  # no setup draw was spent
+    crs = protocol.setup(rng, CFG)
+    proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
+    with pytest.raises(ValueError, match="physical"):
+        protocol.verify(crs, GAMMAS, REFERENCE, proof, big_cfg, qpro, rng)
 
 
 def test_structured_povm_matches_raw_three_step_checks():
@@ -285,6 +298,10 @@ def test_setup_determinism_and_distinctness():
     b = protocol.setup(np.random.default_rng(50), CFG)
     c = protocol.setup(np.random.default_rng(51), CFG)
     assert a.pp.to_bytes() == b.pp.to_bytes() != c.pp.to_bytes()
+    # setup is ext0 with the trapdoor dropped: same crs, same draws
+    rng_s, rng_e = np.random.default_rng(50), np.random.default_rng(50)
+    assert protocol.setup(rng_s, CFG) == protocol.ext0(rng_e, CFG)[0]
+    assert rng_s.bit_generator.state == rng_e.bit_generator.state
 
 
 def test_m_branch_outputs_zero_on_undecodable_blocks():
@@ -292,7 +309,7 @@ def test_m_branch_outputs_zero_on_undecodable_blocks():
     pv = permver.build(REFERENCE, CFG.k)
     m = pv.list_len * pv.ell
     key = csa.keygen(1, m, rng)
-    mc = protocol.m_circuit(key, pv, CFG.prg_bits)
+    mc = protocol.combined_circuit(key, pv, CFG.prg_bits)
     ctrl = max(m, CFG.prg_bits)
     seed = tuple(int(b) for b in rng.integers(0, 2, size=CFG.prg_bits))
     rec = key.records[0]
@@ -306,7 +323,7 @@ def test_m_branch_outputs_zero_on_undecodable_blocks():
     if junk_block is None:
         pytest.skip("key has no doubly-undecodable block value")
     rest = tuple(int(b) for b in rng.integers(0, 2, size=key.physical_qubits - 3))
-    payload = seed + (0,) * (ctrl - CFG.prg_bits) + junk_block.bits + rest
+    payload = (1,) + seed + (0,) * (ctrl - CFG.prg_bits) + junk_block.bits + rest
     assert mc.eval_bits(payload) == 0
 
 
