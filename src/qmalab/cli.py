@@ -67,7 +67,6 @@ class RunConfig:
     lambda_code: int = 1
     lambda_cc: int = 8
     prg_bits: int = 12
-    backend: str = "ideal"
     instance: dict | None = None
     instance_b: dict | None = None
     game: str = "key-swap"
@@ -103,7 +102,6 @@ class RunConfig:
             lambda_code=self.lambda_code,
             lambda_cc=self.lambda_cc,
             prg_bits=self.prg_bits,
-            backend=self.backend,
         )
 
     def gamma_params(self) -> protocol.GammaParams:
@@ -243,14 +241,11 @@ def scenario_ati_check(cfg: RunConfig) -> dict:
     }
 
 
-def _e2e_run(cfg: RunConfig, h: HamiltonianInstance, i: int, extract: bool, g, pcfg):
+def _e2e_run(cfg: RunConfig, h: HamiltonianInstance, i: int, g, pcfg):
     rng = np.random.default_rng([cfg.seed, i])
     qpro = QPrOSim.from_seed(rng, instance_count=cfg.lambda_cc + 1)
     _, gs = zxham.ground_state(h)
-    if extract:
-        crs, td = protocol.ext0(rng, pcfg)
-    else:
-        crs, td = protocol.setup(rng, pcfg), None
+    crs, td = protocol.ext0(rng, pcfg)  # setup is ext0 with the trapdoor dropped
     proof = protocol.prove(crs, h, gs, pcfg, qpro, rng)
     accept, residual, info = protocol.verify(crs, g, h, proof, pcfg, qpro, rng)
     return accept, residual, info, crs, td, qpro
@@ -260,7 +255,7 @@ def scenario_e2e_complete(cfg: RunConfig) -> dict:
     h = cfg.load_instance(REFERENCE_YES)
     g, pcfg = cfg.gamma_params(), cfg.protocol_config()
     trials = cfg.trials_or(200)
-    hits = sum(_e2e_run(cfg, h, i, False, g, pcfg)[0] for i in range(trials))
+    hits = sum(_e2e_run(cfg, h, i, g, pcfg)[0] for i in range(trials))
     rate = hits / trials
     return {
         "accept_rate": metric(rate, ">= 0.9", rate >= 0.9),
@@ -277,7 +272,7 @@ def scenario_e2e_extract(cfg: RunConfig) -> dict:
     min_quality = 1.0
     pv = permver.build(h, pcfg.k)
     for i in range(trials):
-        accept, residual, _, crs, td, qpro = _e2e_run(cfg, h, i, True, g, pcfg)
+        accept, residual, _, crs, td, qpro = _e2e_run(cfg, h, i, g, pcfg)
         if not accept:
             continue
         accepted += 1
@@ -585,28 +580,18 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": f"config unreadable: {exc}"}), file=sys.stderr)
         return 2
 
-    if args.command == "permver":
-        data["scenario"] = "permver-bench"
-        try:
-            cfg = RunConfig.from_json(data)
-            report = run_scenario(cfg)
-        except ValueError as exc:
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
-            return 2
-        report["bench"] = {
-            name: report["metrics"][name]["value"]
-            for name in ("k", "threshold", "accept_freq_yes", "accept_freq_no", "hoeffding_bound")
-        }
-        _emit(report, args.out or cfg.out)
-        return 0 if report["passed"] else 1
-
-    data["scenario"] = args.scenario
+    data["scenario"] = "permver-bench" if args.command == "permver" else args.scenario
     try:
         cfg = RunConfig.from_json(data)
         report = run_scenario(cfg)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    if args.command == "permver":
+        report["bench"] = {
+            name: report["metrics"][name]["value"]
+            for name in ("k", "threshold", "accept_freq_yes", "accept_freq_no", "hoeffding_bound")
+        }
     _emit(report, args.out or cfg.out)
     return 0 if report["passed"] else 1
 

@@ -185,12 +185,6 @@ def enc(key: CSAKey, logical: StateVector) -> StateVector:
     return StateVector(enc_isometry(key) @ logical.amplitudes, key.physical_qubits)
 
 
-def codespace_weight(key: CSAKey, encoded: StateVector) -> float:
-    """Squared norm of the projection onto the image of the encoding isometry."""
-    e = enc_isometry(key)
-    return float(np.linalg.norm(e.conj().T @ encoded.amplitudes) ** 2)
-
-
 def enc_adjoint(key: CSAKey, encoded: StateVector) -> StateVector:
     """Invert the encoding isometry on (near-)codespace states."""
     if encoded.num_qubits != key.physical_qubits:

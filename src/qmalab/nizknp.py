@@ -13,7 +13,6 @@ doubles as the secret (uniform bytes, perfect correctness, no hiding claimed).
 from __future__ import annotations
 
 import base64
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,9 +45,6 @@ class NpProof:
     @classmethod
     def from_json(cls, data: dict) -> NpProof:
         return cls(base64.b64decode(data["ct"]), base64.b64decode(data["inner"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,13 @@ circuit with the run's oracle (the ``QPrOSim`` every caller passes) and hands
 out an opaque handle (evaluation-only access), while ``jllw`` builds the
 functional tree construction from toy one-key functional encryption and the
 QPrO's PRF.
-Protocol runs use the ideal backend; the JLLW path is exercised for
-functional correctness on its own.
+Protocol runs use the ideal backend (their circuits are wider than the
+tree's arity cap); the JLLW path is exercised for functional correctness on
+its own.
+
+A circuit is evaluated one way, through its truth table over a suffix of its
+inputs, and a cut-and-choose transcript one way, through one majority vote
+over its unopened instances' tables.
 
 Oracle queries are classical throughout; the QPrO is a lazy keyed permutation
 (Feistel) over a toy key space plus a public PRF family.
@@ -47,15 +52,15 @@ class CircuitDesc:
     """Deterministic classical circuit with a serializable canonical form.
 
     The canonical form round-trips through from_canonical and is the unit of
-    comparison for commitments and extraction checks.  prefix_table, when
-    set, returns the truth table over the last suffix_arity input bits with
-    the leading bits fixed (a pure evaluation fast path).
+    comparison for commitments and extraction checks.  table(prefix,
+    suffix_arity) is the circuit's one evaluation: the truth table over the
+    last suffix_arity input bits with the leading bits fixed to prefix;
+    eval_bits is its zero-width case.
     """
 
     input_arity: int
-    semantics: Callable[[tuple[int, ...]], int]
+    table: Callable[[tuple[int, ...], int], np.ndarray]
     canonical: dict
-    prefix_table: Callable[[tuple[int, ...], int], np.ndarray] | None = None
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.canonical, sort_keys=True, separators=(",", ":")).encode()
@@ -67,22 +72,15 @@ class CircuitDesc:
         return hash(self.canonical_bytes())
 
     def eval_bits(self, bits: tuple[int, ...]) -> int:
-        if len(bits) != self.input_arity:
-            raise ValueError("input width mismatch")
-        return int(self.semantics(tuple(int(b) & 1 for b in bits)))
+        return int(self.table_for_prefix(bits, 0)[0])
 
     def table_for_prefix(self, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
         if len(prefix) + suffix_arity != self.input_arity:
             raise ValueError("prefix/suffix split disagrees with the arity")
-        if self.prefix_table is not None:
-            t = np.asarray(self.prefix_table(prefix, suffix_arity), dtype=bool)
-            if t.shape != (2**suffix_arity,):
-                raise ValueError("prefix table has the wrong length")
-            return t
-        out = np.zeros(2**suffix_arity, dtype=bool)
-        for idx in range(2**suffix_arity):
-            out[idx] = bool(self.eval_bits(prefix + index_to_bits(idx, suffix_arity)))
-        return out
+        t = np.asarray(self.table(tuple(int(b) & 1 for b in prefix), suffix_arity), dtype=bool)
+        if t.shape != (2**suffix_arity,):
+            raise ValueError("prefix table has the wrong length")
+        return t
 
     @classmethod
     def from_canonical(cls, canonical: dict) -> CircuitDesc:
@@ -94,12 +92,17 @@ class CircuitDesc:
         return _KIND_BUILDERS[kind](canonical)
 
 
+def table_slice(full: np.ndarray, rest: tuple[int, ...], suffix_arity: int) -> np.ndarray:
+    """The block of a truth table whose leading input bits are rest."""
+    start = bits_to_index(rest) << suffix_arity
+    return full[start : start + (1 << suffix_arity)]
+
+
 def null_circuit(arity: int) -> CircuitDesc:
     return CircuitDesc(
         input_arity=arity,
-        semantics=lambda bits: 0,
+        table=lambda prefix, sa: np.zeros(2**sa, dtype=bool),
         canonical={"kind": "null", "arity": arity},
-        prefix_table=lambda prefix, sa: np.zeros(2**sa, dtype=bool),
     )
 
 
@@ -110,18 +113,30 @@ def table_circuit(table) -> CircuitDesc:
     arity = int(np.log2(tab.size))
     if 2**arity != tab.size:
         raise ValueError("table length must be a power of two")
+    full = tab.astype(bool)
 
     return CircuitDesc(
         input_arity=arity,
-        semantics=lambda bits: int(tab[bits_to_index(bits)]),
+        table=lambda prefix, sa: table_slice(full, prefix, sa),
         canonical={"kind": "table", "arity": arity, "table": [int(v) for v in tab]},
     )
 
 
 def point_circuit(arity: int, x: int | None) -> CircuitDesc:
+    """x -> [x == point]; the point None accepts nothing."""
+    if x is not None and not isinstance(x, int):
+        raise ValueError("the point must be an int or None")
+
+    def _table(prefix: tuple[int, ...], sa: int) -> np.ndarray:
+        out = np.zeros(2**sa, dtype=bool)
+        lo = bits_to_index(prefix) << sa
+        if x is not None and lo <= x < lo + (1 << sa):
+            out[x - lo] = True
+        return out
+
     return CircuitDesc(
         input_arity=arity,
-        semantics=lambda bits: int(x is not None and bits_to_index(bits) == x),
+        table=_table,
         canonical={"kind": "point", "arity": arity, "x": x},
     )
 
@@ -132,15 +147,19 @@ def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
     if any(c.input_arity != arity for c in subs):
         raise ValueError("subcircuits must share an input arity")
 
-    def _sem(bits: tuple[int, ...]) -> int:
-        i = bits_to_index(bits[:index_bits])
-        if i >= len(subs):
-            return 0
-        return subs[i].eval_bits(bits[index_bits:])
+    def _table(prefix: tuple[int, ...], sa: int) -> np.ndarray:
+        # a split inside the selector spans every selector it leaves free
+        free = max(index_bits - len(prefix), 0)
+        first = bits_to_index(prefix[:index_bits]) << free
+        rest, width = prefix[index_bits:], sa - free
+        return np.concatenate([
+            subs[i].table_for_prefix(rest, width) if i < len(subs) else np.zeros(2**width, dtype=bool)
+            for i in range(first, first + (1 << free))
+        ])
 
     return CircuitDesc(
         input_arity=index_bits + arity,
-        semantics=_sem,
+        table=_table,
         canonical={
             "kind": "combine",
             "index_bits": index_bits,
@@ -684,20 +703,13 @@ def _bundle_shape(arity: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(arity) for j in range(1, JLLW_BLOCKS + 1)]
 
 
-def _pc_instance(phi_id: str, chal: int, lam_cc: int, commitments, handle_bundles, unopened, backend) -> bytes:
-    body = {
-        "phi": phi_id,
-        "chal": chal,
-        "lam_cc": lam_cc,
-        "commitments": [c.hex() for c in commitments],
-        "handles": [list(b) for b in handle_bundles],
-        "unopened": {
-            str(t): (blob.to_json() if backend == "ideal" else toycrypto.digest(b"blob", blob).hex())
-            for t, blob in unopened.items()
-        },
-        "backend": backend,
-    }
-    return _dumps(body).encode()
+def _jllw_blob(c: CircuitDesc, qpro: QPrOSim, t: int, keys, handles, seed: bytes) -> bytes:
+    """Serialized JLLW instance t of c over bundle t's keys and posted
+    handles; the prover derives it and the relation re-derives it from the
+    same seed, so the two agree byte for byte."""
+    pairs = {ij: (keys[idx], handles[idx]) for idx, ij in enumerate(_bundle_shape(c.input_arity))}
+    rng = np.random.default_rng(np.frombuffer(seed, dtype=np.uint8))
+    return jllw_obfuscate(c, qpro, t, rng, key_handle_pairs=pairs).serialize()
 
 
 def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, bytes], bool]:
@@ -717,37 +729,43 @@ def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, 
             if not (inst["phi"] == phi.phi_id and phi.check(circuit)):
                 return False
             for t_str, entry in inst["unopened"].items():
+                t = int(t_str)
                 opening = wit["openings"][t_str]
                 keys = tuple(int(k) for k in opening["keys"])
                 r = bytes.fromhex(opening["r"])
-                commitment = bytes.fromhex(inst["commitments"][int(t_str) - 1])
-                if toycrypto.commit(_bundle_bytes(keys), r) != commitment:
+                if toycrypto.commit(_bundle_bytes(keys), r) != bytes.fromhex(inst["commitments"][t - 1]):
                     return False
-                handles = tuple(int(h) for h in inst["handles"][int(t_str) - 1])
+                handles = tuple(int(h) for h in inst["handles"][t - 1])
                 if backend == "ideal":
                     if _lookup(qpro, ObfHandle.from_json(entry)) != circuit:
                         return False
                 else:
-                    pairs = {
-                        (i, j): (keys[idx], handles[idx])
-                        for idx, (i, j) in enumerate(_bundle_shape(circuit.input_arity))
-                    }
-                    redo = jllw_obfuscate(
-                        circuit,
-                        qpro,
-                        int(t_str),
-                        np.random.default_rng(
-                            np.frombuffer(bytes.fromhex(opening["seed"]), dtype=np.uint8)
-                        ),
-                        key_handle_pairs=pairs,
-                    )
-                    if toycrypto.digest(b"blob", redo.serialize()).hex() != entry:
+                    blob = _jllw_blob(circuit, qpro, t, keys, handles, bytes.fromhex(opening["seed"]))
+                    if toycrypto.digest(b"blob", blob).hex() != entry:
                         return False
             return True
         except (KeyError, IndexError, TypeError, ValueError, IntegrityError):
             return False
 
     return _relation
+
+
+def _pc_statement(qpro: QPrOSim, phi: PhiSpec, o: PCObfuscation) -> NpStatement:
+    """The NP statement a transcript claims; the prover, the verifier and the
+    extractor all build it here."""
+    instance = {
+        "phi": o.phi_id,
+        "chal": o.chal,
+        "lam_cc": o.lam_cc,
+        "commitments": [c.hex() for c in o.commitments],
+        "handles": [list(b) for b in o.handle_bundles],
+        "unopened": {
+            str(t): (blob.to_json() if o.backend == "ideal" else toycrypto.digest(b"blob", blob).hex())
+            for t, blob in o.unopened.items()
+        },
+        "backend": o.backend,
+    }
+    return NpStatement("pc-obfuscation", _dumps(instance).encode(), _pc_relation(qpro, o.backend, phi))
 
 
 def _pc_build(
@@ -788,22 +806,9 @@ def _pc_build(
         if backend == "ideal":
             unopened[t] = ideal_obf(qpro, c, rng)
         else:
-            seed = rng.bytes(32)
-            seeds[t] = seed
-            pairs = {
-                (i, j): (key_bundles[t - 1][idx], handle_bundles[t - 1][idx])
-                for idx, (i, j) in enumerate(shape)
-            }
-            blob = jllw_obfuscate(
-                c,
-                qpro,
-                t,
-                np.random.default_rng(np.frombuffer(seed, dtype=np.uint8)),
-                key_handle_pairs=pairs,
-            ).serialize()
-            unopened[t] = blob
+            seeds[t] = rng.bytes(32)
+            unopened[t] = _jllw_blob(c, qpro, t, key_bundles[t - 1], handle_bundles[t - 1], seeds[t])
 
-    instance = _pc_instance(phi.phi_id, chal, lam_cc, commitments, handle_bundles, unopened, backend)
     witness = _dumps(
         {
             "circuit": c.canonical,
@@ -817,7 +822,6 @@ def _pc_build(
             },
         }
     ).encode()
-    stmt = NpStatement("pc-obfuscation", instance, _pc_relation(qpro, backend, phi))
     transcript = PCObfuscation(
         backend=backend,
         arity=c.input_arity,
@@ -830,7 +834,7 @@ def _pc_build(
         proof=NpProof(b"", b""),
         phi_id=phi.phi_id,
     )
-    return transcript, stmt, witness
+    return transcript, _pc_statement(qpro, phi, transcript), witness
 
 
 def pc_obfuscate(
@@ -879,15 +883,6 @@ def pc_sim_obfuscate(
 
 def _with_proof(transcript: PCObfuscation, proof: NpProof) -> PCObfuscation:
     return dataclasses.replace(transcript, proof=proof)
-
-
-def _pc_statement(qpro: QPrOSim, phi: PhiSpec, o: PCObfuscation) -> NpStatement:
-    """The NP statement a posted transcript claims, as verifier and extractor
-    rebuild it."""
-    instance = _pc_instance(
-        o.phi_id, o.chal, o.lam_cc, o.commitments, o.handle_bundles, o.unopened, o.backend
-    )
-    return NpStatement("pc-obfuscation", instance, _pc_relation(qpro, o.backend, phi))
 
 
 def pc_verify(
@@ -943,42 +938,48 @@ def _majority(outputs: np.ndarray) -> np.ndarray:
     return winner
 
 
+def _instance_table(
+    o: PCObfuscation, qpro: QPrOSim, t: int, prefix: tuple[int, ...], suffix_arity: int
+) -> np.ndarray:
+    """Output labels of unopened instance t over the trailing suffix_arity
+    input bits; a JLLW walk that fails its integrity checks votes _FAILED.
+    Labels are output bytes or _FAILED: int16 holds both and keeps the
+    vote's sort cheap."""
+    if o.backend == "ideal":
+        return ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity).astype(np.int16)
+    jo = JLLWObfuscation.deserialize(o.unopened[t])
+    out = np.empty(2**suffix_arity, dtype=np.int16)
+    for idx in range(2**suffix_arity):
+        try:
+            out[idx] = jllw_eval(jo, qpro, prefix + index_to_bits(idx, suffix_arity))
+        except (IntegrityError, NotImplementedError):
+            out[idx] = _FAILED
+    return out
+
+
+def _votes(o: PCObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
+    """Majority label at every suffix over the unopened instances' tables."""
+    if not o.unopened:
+        raise ValueError("no unopened instances to evaluate")
+    prefix = tuple(prefix)
+    tables = [_instance_table(o, qpro, t, prefix, suffix_arity) for t in sorted(o.unopened)]
+    return _majority(np.stack(tables))
+
+
 def pc_eval(o: PCObfuscation, qpro: QPrOSim, z_bits: tuple[int, ...]):
     """Evaluate every unopened instance and return the most frequent output;
     ties break toward the smallest instance index.  Integrity failures count
     as a distinct outcome (None)."""
-    if not o.unopened:
-        raise ValueError("no unopened instances to evaluate")
-    outputs = []
-    for t in sorted(o.unopened):
-        blob = o.unopened[t]
-        try:
-            if o.backend == "ideal":
-                outputs.append(ideal_eval(qpro, blob, tuple(z_bits)))
-            else:
-                outputs.append(jllw_eval(JLLWObfuscation.deserialize(blob), qpro, tuple(z_bits)))
-        except (IntegrityError, NotImplementedError):
-            outputs.append(_FAILED)
-    y = int(_majority(np.array(outputs)))
+    y = int(_votes(o, qpro, z_bits, 0)[0])
     return None if y == _FAILED else y
 
 
 def pc_eval_table(
     o: PCObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int
 ) -> np.ndarray:
-    """Majority truth table over the trailing suffix_arity input bits."""
-    if not o.unopened:
-        raise ValueError("no unopened instances to evaluate")
-    if o.backend == "ideal":
-        tables = [
-            ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity) for t in sorted(o.unopened)
-        ]
-        return _majority(np.stack(tables).astype(np.uint8)).astype(bool)
-    out = np.zeros(2**suffix_arity, dtype=bool)
-    for idx in range(2**suffix_arity):
-        suffix = index_to_bits(idx, suffix_arity)
-        out[idx] = bool(pc_eval(o, qpro, prefix + suffix))
-    return out
+    """Majority truth table over the trailing suffix_arity input bits; a
+    failed majority reads as 0, as in bool(pc_eval)."""
+    return _votes(o, qpro, prefix, suffix_arity) > 0
 
 
 def pc_extract(

@@ -108,10 +108,6 @@ class PermutingVerifier:
         """Accept when at least k*(a+b)/2 sub-measurements accept."""
         return self.k * (self.a + self.b) / 2.0
 
-    def fingerprint(self) -> tuple:
-        return (self.base.fingerprint(), self.k, self.a, self.b)
-
-
 def spectral_thresholds(h: HamiltonianInstance) -> tuple[float, float]:
     """Desk-scale (a, b) from the exact acceptance spectrum: a is the best
     acceptance probability, b the next distinct eigenvalue below it."""

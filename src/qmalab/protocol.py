@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ati, csa, obfstack, permver, toycrypto
 from .csa import CSAKey, DecSpec
-from .gf2 import BitVector, bits_to_index, index_to_bits
+from .gf2 import BitVector, index_to_bits
 from .obfstack import CircuitDesc, PCObfuscation, PcParams, PhiSpec, QPrOSim
 from .permver import PermutingVerifier
 from .simstate import (
@@ -62,7 +62,6 @@ class ProtocolConfig:
     lambda_code: int = 1
     lambda_cc: int = 8
     prg_bits: int = 12
-    backend: str = "ideal"
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,10 @@ def combined_circuit(
 
     Input layout: selector bit, then a control field of width
     max(m, prg_bits) (bases theta for the Ver branch, the PRG seed for the M
-    branch, zero-padded), then the physical measurement outcome.  The
-    simulator's variant replaces the M branch by the null circuit.
+    branch, zero-padded), then the physical measurement outcome.  A table
+    split fixes the selector and the control field and may fall anywhere in
+    the physical register.  The simulator's variant replaces the M branch by
+    the null circuit.
     """
     m = verifier.list_len * verifier.ell
     if key.n != m:
@@ -160,24 +161,22 @@ def combined_circuit(
             dec_cache[perm] = csa.dec_predicate(DecSpec(key, theta_big, f_big.complement()))
         return dec_cache[perm]
 
-    def _prefix_table(prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
-        if suffix_arity != phys or len(prefix) != 1 + ctrl:
-            raise ValueError("table split must expose exactly the physical register")
-        sel, control = prefix[0], prefix[1:]
-        if sel == 0:
-            return csa.ver_predicate(key, BitVector(control[:m])).table()
-        if null_m:
-            return np.zeros(2**phys, dtype=bool)
-        perm = _perm_for_seed(tuple(control[:prg_bits]), verifier.list_len)
-        return _mdec(perm).table()
-
-    def _sem(bits: tuple[int, ...]) -> int:
+    def _table(prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
         split = 1 + ctrl
-        return int(_prefix_table(bits[:split], phys)[bits_to_index(bits[split:])])
+        if len(prefix) < split:
+            raise ValueError("table split must not reach into the control field")
+        sel, control = prefix[0], prefix[1:split]
+        if sel == 0:
+            full = csa.ver_predicate(key, BitVector(control[:m])).table()
+        elif null_m:
+            full = np.zeros(2**phys, dtype=bool)
+        else:
+            full = _mdec(_perm_for_seed(tuple(control[:prg_bits]), verifier.list_len)).table()
+        return obfstack.table_slice(full, prefix[split:], suffix_arity)
 
     return CircuitDesc(
         input_arity=1 + ctrl + phys,
-        semantics=_sem,
+        table=_table,
         canonical={
             "kind": "csa-ver-mcirc",
             "key": key.to_json(),
@@ -188,7 +187,6 @@ def combined_circuit(
             "prg_bits": prg_bits,
             "null_m": bool(null_m),
         },
-        prefix_table=_prefix_table,
     )
 
 
@@ -252,7 +250,7 @@ def prove(
     key = csa.keygen(cfg.lambda_code, m, rng)
     encoded = csa.enc(key, full)
     circuit = combined_circuit(key, pv, cfg.prg_bits)
-    obf = obfstack.pc_obfuscate(crs.pp, PROTOCOL_PHI, circuit, qpro, rng, backend=cfg.backend)
+    obf = obfstack.pc_obfuscate(crs.pp, PROTOCOL_PHI, circuit, qpro, rng)
     return QmaProof(encoded, obf)
 
 
@@ -270,9 +268,6 @@ class VerifierPovm:
     isometry: np.ndarray
     block: np.ndarray
     spectral: ati.SpectralMixture
-    control_width: int
-    m: int
-    phys: int
 
 
 def assemble_verifier_povm(
@@ -322,7 +317,7 @@ def assemble_verifier_povm(
         block += weight * (isometry.conj().T @ p3v)
     block = (block + block.conj().T) / 2.0
     spectral = ati.SpectralMixture.from_isometry_block(isometry, block)
-    return VerifierPovm(isometry, block, spectral, ctrl, m, phys)
+    return VerifierPovm(isometry, block, spectral)
 
 
 def verify(
@@ -419,5 +414,5 @@ def simulate(
     key = csa.keygen(cfg.lambda_code, m, rng)
     encoded = csa.enc(key, StateVector.basis(m, 0))
     circuit = combined_circuit(key, pv, cfg.prg_bits, null_m=True)
-    obf = obfstack.pc_sim_obfuscate(pp, td, PROTOCOL_PHI, circuit, qpro, rng, backend=cfg.backend)
+    obf = obfstack.pc_sim_obfuscate(pp, td, PROTOCOL_PHI, circuit, qpro, rng)
     return QmaCrs(pp), td, QmaProof(encoded, obf)

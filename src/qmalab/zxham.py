@@ -81,10 +81,6 @@ class HamiltonianInstance:
         """Sum of listed term weights (1 when every pair lists Z and X)."""
         return float(sum(t.p for t in self.terms))
 
-    @property
-    def pair_weight_sum(self) -> float:
-        return float(sum({(t.i, t.j): t.p for t in self.terms}.values()))
-
     def to_json(self) -> dict:
         return {
             "qubits": self.num_qubits,
@@ -107,10 +103,6 @@ class HamiltonianInstance:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
-
-    def fingerprint(self) -> tuple:
-        return (self.num_qubits, tuple((t.i, t.j, t.basis, t.beta, t.p) for t in self.terms))
-
 
 def samp(h: HamiltonianInstance, rng: np.random.Generator) -> tuple[int, int, str]:
     """Draw a term (i, j, basis) in proportion to its listed weight."""
@@ -190,8 +182,3 @@ def acceptance_operator(h: HamiltonianInstance) -> np.ndarray:
     for t in h.terms:
         out += (t.p / w) * (np.eye(dim) - _term_projector(t, h.num_qubits))
     return out
-
-
-def best_acceptance(h: HamiltonianInstance) -> float:
-    """Maximum of Tr[E rho] over all states."""
-    return float(np.linalg.eigvalsh(acceptance_operator(h))[-1])

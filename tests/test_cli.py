@@ -32,6 +32,22 @@ def test_config_rejects_unknown_fields():
         RunConfig.from_json({"scenario": "ati-check", "seed": 1, "bogus": True})
 
 
+def test_config_naming_backend_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # protocol circuits are wider than the JLLW tree's arity cap, so protocol
+    # runs obfuscate with the ideal backend only and no config selects one
+    def never(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(cli.SCENARIOS, "e2e-complete", never)
+    cfg_path = tmp_path / "cfg.json"
+    for backend in ("ideal", "jllw"):
+        with pytest.raises(ValueError, match=r"unknown config fields: \['backend'\]"):
+            RunConfig.from_json({"scenario": "e2e-complete", "seed": 1, "backend": backend})
+        cfg_path.write_text(json.dumps({"seed": 1, "backend": backend}))
+        assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
+        assert "backend" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_config_rejects_missing_instance_file():
     with pytest.raises(ValueError, match="does not exist"):
         RunConfig.from_json(

@@ -431,6 +431,86 @@ def test_evasive_composability_oracle_game():
     assert report["advantage"]["value"] <= 4 * cfg.budget * np.sqrt(eps)
 
 
+def test_every_split_matches_pointwise_eval():
+    tab = [0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1]
+    # selector 0: XOR table, 1: point 01, 2: point None, 3: out of range
+    combined = combine_circuits(
+        [table_circuit([0, 1, 1, 0]), point_circuit(2, 1), point_circuit(2, None)], index_bits=2
+    )
+    cases = {
+        "null": (null_circuit(3), [0] * 8),
+        "table": (table_circuit(tab), tab),
+        "point": (point_circuit(4, 11), [int(x == 11) for x in range(16)]),
+        "point None": (point_circuit(4, None), [0] * 16),
+        "combine": (combined, [0, 1, 1, 0, 0, 1, 0, 0] + [0] * 8),
+    }
+    for name, (c, reference) in cases.items():
+        n = c.input_arity
+        assert [c.eval_bits(bits(x, n)) for x in range(2**n)] == reference, name
+        # every split, including those that leave selector bits free
+        for k in range(n + 1):
+            for p in range(2 ** (n - k)):
+                prefix = bits(p, n - k)
+                pointwise = [bool(y) for y in reference[p << k : (p + 1) << k]]
+                assert c.table_for_prefix(prefix, k).tolist() == pointwise, (name, prefix, k)
+
+
+def test_point_circuit_rejects_non_int_point():
+    with pytest.raises(ValueError):
+        point_circuit(2, "1")
+    assert CircuitDesc.from_canonical({"kind": "point", "arity": 2, "x": 1}) == point_circuit(2, 1)
+
+
+def _jllw_transcript(c):
+    # the first seed whose challenge leaves at least three instances unopened
+    for seed in range(90, 200):
+        rng = np.random.default_rng(seed)
+        qpro = QPrOSim.from_seed(rng)
+        o = pc_obfuscate(pc_setup(rng), PHI_ANY, c, qpro, rng, backend="jllw")
+        if len(o.unopened) >= 3:
+            return qpro, o
+    raise AssertionError("no seed left three instances unopened")
+
+
+def test_pc_eval_table_matches_pointwise_on_jllw(monkeypatch):
+    c = table_circuit([0, 1, 1, 1, 0, 0, 1, 0])
+    qpro, o = _jllw_transcript(c)
+    t1, t2 = sorted(o.unopened)[:2]
+    tree = JLLWObfuscation.deserialize(o.unopened[t1])
+    # a wrong level-0 handle for segment 1 breaks exactly the walks whose
+    # first input bit is 0: those points fail their integrity check
+    broken = dataclasses.replace(
+        tree, handles={**tree.handles, "0,1": tree.handles["0,1"] ^ 1}
+    ).serialize()
+    cases = {
+        "honest": (o, c.canonical["table"]),
+        "one corrupted blob outvoted": (
+            dataclasses.replace(o, unopened={**o.unopened, t1: broken}),
+            c.canonical["table"],
+        ),
+        "corrupted blob wins the tie": (
+            dataclasses.replace(o, unopened={t1: broken, t2: o.unopened[t2]}),
+            [None] * 4 + c.canonical["table"][4:],
+        ),
+    }
+    for name, (tr, expected) in cases.items():
+        assert [pc_eval(tr, qpro, bits(x, 3)) for x in range(8)] == expected, name
+        for k in range(4):
+            for p in range(2 ** (3 - k)):
+                prefix = bits(p, 3 - k)
+                pointwise = [pc_eval(tr, qpro, prefix + bits(x, k)) for x in range(2**k)]
+                assert pc_eval_table(tr, qpro, prefix, k).tolist() == [bool(y) for y in pointwise]
+
+    # one deserialization per unopened instance, not one per point
+    calls = []
+    real = JLLWObfuscation.deserialize
+    monkeypatch.setattr(
+        JLLWObfuscation, "deserialize", classmethod(lambda cls, data: calls.append(1) or real(data))
+    )
+    pc_eval_table(o, qpro, (), 3)
+    assert len(calls) == len(o.unopened)
+
+
 def test_combine_circuit_dispatch():
     c = combine_circuits([table_circuit([0, 1]), table_circuit([1, 0])], index_bits=1)
     assert c.eval_bits((0, 1)) == 1

@@ -103,6 +103,34 @@ def test_combined_circuit_canonical_round_trip():
     assert not protocol.PROTOCOL_PHI.check(sim_circ)
 
 
+def test_combined_circuit_splits_inside_physical_register_match_pointwise():
+    rng, _ = fresh(5)
+    pv = permver.build(HamiltonianInstance(2, (HamTerm(0, 1, "Z", 0, 0.5),)), 2)
+    m = pv.list_len * pv.ell  # one register: 2 logical, 6 physical qubits
+    key = csa.keygen(1, m, rng)
+    prg_bits, phys = 2, key.physical_qubits
+    head_bits = 1 + max(m, prg_bits)
+    for null_m in (False, True):
+        c = protocol.combined_circuit(key, pv, prg_bits, null_m=null_m)
+        for h in range(2**head_bits):
+            head = tuple((h >> (head_bits - 1 - i)) & 1 for i in range(head_bits))
+            if head[0] == 0:
+                pred = csa.ver_predicate(key, BitVector(head[1 : 1 + m]))
+            elif not null_m:
+                perm = protocol._perm_for_seed(head[1 : 1 + prg_bits], pv.list_len)
+                theta_big, f_big = permver.permuted_spec(pv, perm)
+                pred = csa.dec_predicate(csa.DecSpec(key, theta_big, f_big.complement()))
+            physical = [tuple((v >> (phys - 1 - i)) & 1 for i in range(phys)) for v in range(2**phys)]
+            reference = [0] * 2**phys if head[0] and null_m else [int(pred.eval(v)) for v in physical]
+            assert [c.eval_bits(head + v) for v in physical] == reference
+            for k in range(phys + 1):
+                for p in range(2 ** (phys - k)):
+                    table = c.table_for_prefix(head + physical[p << k][: phys - k], k)
+                    assert table.tolist() == [bool(y) for y in reference[p << k : (p + 1) << k]]
+        with pytest.raises(ValueError, match="control field"):
+            c.table_for_prefix((0,) * (head_bits - 1), phys + 1)
+
+
 def test_prove_rejects_oversized_configuration():
     rng, qpro = fresh(2)
     crs = protocol.setup(rng, CFG)
