@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from . import ati, csa, obfstack, permver, protocol, zxham
-from .gf2 import BitVector, index_to_bits
+from .gf2 import BitVector
 from .obfstack import QPrOSim
 from .simstate import StateVector, predicate_from_table
 from .zxham import HamiltonianInstance
@@ -44,15 +44,6 @@ ALT_YES = {
 SINGLE_Z = {
     "qubits": 2,
     "terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}],
-}
-FRUSTRATED_NO = {
-    "qubits": 3,
-    "terms": [
-        {"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.25},
-        {"i": 0, "j": 1, "basis": "X", "beta": 0, "p": 0.25},
-        {"i": 1, "j": 2, "basis": "Z", "beta": 0, "p": 0.25},
-        {"i": 1, "j": 2, "basis": "X", "beta": 0, "p": 0.25},
-    ],
 }
 
 
@@ -359,10 +350,8 @@ def scenario_jllw_correctness(cfg: RunConfig) -> dict:
         table = rng.integers(0, 2, size=2**d)
         c = obfstack.table_circuit(table)
         o = obfstack.jllw_obfuscate(c, qpro, 1, rng)
-        for x in range(2**d):
-            bits = index_to_bits(x, d)
-            if obfstack.jllw_eval(o, qpro, bits) != c.eval_bits(bits):
-                mismatches += 1
+        labels = obfstack.jllw_eval_table(o, qpro, (), d)
+        mismatches += int(np.count_nonzero(labels != c.table_for_prefix((), d)))
         probe = tuple(int(b) for b in rng.integers(0, 2, size=d))
         # flip a byte of the pad segment covering the child ciphertext the
         # walk actually consumes (segment j = probe bit at that level)

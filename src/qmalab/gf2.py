@@ -85,9 +85,6 @@ class BitVector:
             raise ValueError("length mismatch")
         return int(sum(a & b for a, b in zip(self.bits, other.bits)) & 1)
 
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 

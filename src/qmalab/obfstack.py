@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import nizknp, toycrypto
-from .gf2 import bits_to_index, index_to_bits
+from .gf2 import bits_to_index
 from .nizknp import NpCrs, NpProof, NpStatement
 from .toycrypto import IntegrityError
 
@@ -36,6 +36,8 @@ JLLW_ARITY_CAP = 5
 JLLW_BLOCKS = 2
 DEFAULT_LAMBDA_CC = 8
 PLAINTEXT_MARGIN = 64
+BACKENDS = ("ideal", "jllw")  # obfuscation backends of a cut-and-choose transcript
+_FAILED = -1  # label of an evaluation that failed its integrity checks
 
 
 # -- circuit descriptions ----------------------------------------------------
@@ -347,8 +349,6 @@ class FeFunction:
                 return self._expand_normal(body)
             if flag == "sim":
                 return self._expand_sim(body)
-            if flag == "hyb":
-                raise NotImplementedError("hybrid expand mode is out of scope")
             raise IntegrityError(f"expand got unsupported flag {flag!r}")
         raise ValueError(f"unknown FE function kind {self.kind!r}")
 
@@ -559,26 +559,47 @@ def jllw_obfuscate(
     )
 
 
-def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int:
-    """Walk the prefix tree: decrypt, strip the oracle pads, descend."""
-    if len(x_bits) != o.D:
+def jllw_eval_table(
+    o: JLLWObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int
+) -> np.ndarray:
+    """Output labels (int16) over the last suffix_arity input bits with the
+    leading bits fixed to prefix: walk the prefix once, then expand the
+    subtree depth first.  Each node decrypts, then strips its B oracle pads;
+    a node whose decryption or pad check fails labels every leaf below it
+    _FAILED, which is exactly the set of pointwise walks through it."""
+    if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
-    ct = o.ct_root
     ct_len = o.ptlen + toycrypto.CIPHERTEXT_OVERHEAD
-    chi = ""
-    for d in range(o.D):
-        v = fe_dec(o.sks[d], ct)
-        pad_input = (chi + "0" * (o.D - d)).encode()
-        otp = b"".join(
-            qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
-            for j in range(1, o.B + 1)
-        )
-        pair = toycrypto.xor_bytes(v, otp)
-        bit = int(x_bits[d]) & 1
-        ct = pair[:ct_len] if bit == 0 else pair[ct_len:]
-        chi += str(bit)
-    out = fe_dec(o.sks[o.D], ct)
-    return out[0]
+    out = np.full(2**suffix_arity, _FAILED, dtype=np.int16)
+
+    def _walk(ct: bytes, chi: str) -> None:
+        d = len(chi)
+        try:
+            v = fe_dec(o.sks[d], ct)
+            if d == o.D:
+                out[int("0" + chi[len(prefix) :], 2)] = v[0]
+                return
+            pad_input = (chi + "0" * (o.D - d)).encode()
+            otp = b"".join(
+                qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
+                for j in range(1, o.B + 1)
+            )
+            pair = toycrypto.xor_bytes(v, otp)
+        except IntegrityError:
+            return
+        for bit in (int(prefix[d]) & 1,) if d < len(prefix) else (0, 1):
+            _walk(pair[:ct_len] if bit == 0 else pair[ct_len:], chi + str(bit))
+
+    _walk(o.ct_root, "")
+    return out
+
+
+def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int:
+    """The zero-width case of jllw_eval_table."""
+    y = int(jllw_eval_table(o, qpro, x_bits, 0)[0])
+    if y == _FAILED:
+        raise IntegrityError("tree walk failed its integrity checks")
+    return y
 
 
 # -- provably-correct obfuscation ---------------------------------------------
@@ -645,6 +666,8 @@ class PCObfuscation:
     @classmethod
     def from_json(cls, data: dict) -> PCObfuscation:
         backend = data["backend"]
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown obfuscation backend {backend!r}")
         return cls(
             backend=backend,
             arity=int(data["arity"]),
@@ -778,8 +801,8 @@ def _pc_build(
     corrupt_bundles: tuple[int, ...],
 ) -> tuple[PCObfuscation, NpStatement, bytes]:
     """Everything of the cut-and-choose transcript except the NP proof."""
-    if backend not in ("ideal", "jllw"):
-        raise ValueError("backend must be 'ideal' or 'jllw'")
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}")
     lam_cc = pp.lam_cc
     shape = _bundle_shape(c.input_arity)
     key_bundles, handle_bundles, commitments, rands = [], [], [], []
@@ -857,7 +880,7 @@ def pc_obfuscate(
         raise ValueError("circuit violates the predicate phi")
     transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, backend, corrupt_bundles)
     proof = nizknp.np_prove(pp.crs, stmt, witness, rng)
-    return _with_proof(transcript, proof)
+    return dataclasses.replace(transcript, proof=proof)
 
 
 def pc_sim_obfuscate(
@@ -878,10 +901,6 @@ def pc_sim_obfuscate(
     """
     transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, backend, ())
     proof = nizknp.np_prove_simulated(pp.crs, stmt, witness, rng)
-    return _with_proof(transcript, proof)
-
-
-def _with_proof(transcript: PCObfuscation, proof: NpProof) -> PCObfuscation:
     return dataclasses.replace(transcript, proof=proof)
 
 
@@ -918,9 +937,6 @@ def pc_verify(
     return not diagnostics, diagnostics
 
 
-_FAILED = -1  # vote label of an evaluation that failed its integrity checks
-
-
 def _majority(outputs: np.ndarray) -> np.ndarray:
     """Most frequent label down axis 0, whose rows are the unopened
     instances in increasing index order; ties break toward the label whose
@@ -947,14 +963,7 @@ def _instance_table(
     vote's sort cheap."""
     if o.backend == "ideal":
         return ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity).astype(np.int16)
-    jo = JLLWObfuscation.deserialize(o.unopened[t])
-    out = np.empty(2**suffix_arity, dtype=np.int16)
-    for idx in range(2**suffix_arity):
-        try:
-            out[idx] = jllw_eval(jo, qpro, prefix + index_to_bits(idx, suffix_arity))
-        except (IntegrityError, NotImplementedError):
-            out[idx] = _FAILED
-    return out
+    return jllw_eval_table(JLLWObfuscation.deserialize(o.unopened[t]), qpro, prefix, suffix_arity)
 
 
 def _votes(o: PCObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:

@@ -121,7 +121,9 @@ def _perm_for_seed(seed_bits: tuple[int, ...], list_len: int) -> tuple[int, ...]
 @lru_cache(maxsize=32)
 def permutation_weights(prg_bits: int, list_len: int) -> tuple[tuple[tuple[int, ...], float, tuple[int, ...]], ...]:
     """Exact distribution over permutations induced by enumerating all
-    2**prg_bits seeds: (permutation, weight, representative seed) triples."""
+    2**prg_bits seeds: (permutation, weight, representative seed) triples.
+    Exact weights keep the seed split's bias: at prg_bits=12, list_len=2,
+    (0, 1) weighs 2050/4096 and (1, 0) 2046/4096, i.e. 1/2 +- 2**-11."""
     counts: dict[tuple[int, ...], int] = {}
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     total = 2**prg_bits

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -74,6 +75,30 @@ def test_report_schema_and_reproducibility():
     assert json.dumps(a2, sort_keys=True, default=str) == json.dumps(
         b2, sort_keys=True, default=str
     )
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        ({"scenario": "jllw-correctness", "seed": 1, "trials": 50},
+         "4ff176ee5242c9d922a0184694d6a25fea2180b3eacdaa6e8e2173e4d3106697"),
+        ({"scenario": "jllw-correctness", "seed": 108, "trials": 50},
+         "aa450eb7db6e5f8e15f9858203dd417d0394fe56b83e5f70dfaa3b10fed5846b"),
+        ({"scenario": "cutchoose-detect", "seed": 1, "trials": 200},
+         "78c8a59920b1df67b51948b6a8b3d03db47e2999d271888ea23d77a607b2857d"),
+        ({"scenario": "distinguish-game", "seed": 1, "trials": 200, "game": "evasive-comb"},
+         "1fc5666b060716c22b8946ee3e064cf28fa9bb52ec51779f0e5655763e3ce580"),
+    ],
+    ids=["jllw-1", "jllw-108", "cutchoose-1", "evasive-comb-1"],
+)
+def test_seeded_report_bytes_pinned(config, digest):
+    """Seeded reports without wall_clock_s are byte-identical to the
+    reference digests.  Only reports computed without eigensolver or QR
+    output are pinned, so the digests do not depend on the BLAS build."""
+    report = run_scenario(RunConfig.from_json(config))
+    report.pop("wall_clock_s")
+    text = json.dumps(report, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_instance_file_loading(tmp_path):

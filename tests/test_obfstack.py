@@ -210,7 +210,7 @@ def test_jllw_hybrid_mode_rejected():
     pk, sk = fe_gen(fn, 256, rng)
     pt = json.dumps({"flag": "hyb", "chi": "", "info": {}}).encode()
     ct = fe_enc(pk, pt, rng.bytes(16))
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(IntegrityError, match="unsupported flag"):
         fe_dec(sk, ct)
 
 
@@ -222,6 +222,97 @@ def test_jllw_serialization_round_trip():
     again = JLLWObfuscation.deserialize(o.serialize())
     assert again.serialize() == o.serialize()
     assert jllw_eval(again, qpro, (1, 0)) == 1
+
+
+class _LoggedQPrO:
+    """Eval proxy that records every (instance, handle, input) query."""
+
+    def __init__(self, inner: QPrOSim, log: list):
+        self.inner, self.log = inner, log
+
+    def eval(self, instance: int, handle: int, x: bytes, out_len: int) -> bytes:
+        self.log.append(("eval", instance, handle, x))
+        return self.inner.eval(instance, handle, x, out_len)
+
+
+def _log_decryptions(monkeypatch, o: JLLWObfuscation, log: list) -> None:
+    """Record the tree level of every fe_dec the walk makes."""
+    real = obfstack.fe_dec
+    monkeypatch.setattr(
+        obfstack, "fe_dec", lambda sk, ct: log.append(("dec", o.sks.index(sk))) or real(sk, ct)
+    )
+
+
+def test_jllw_eval_table_matches_circuit_at_every_split():
+    rng = np.random.default_rng(14)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    for d in (1, 2, 3, 4, 1, 2, 3, 4):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        for k in range(d + 1):
+            for p in range(2 ** (d - k)):
+                prefix = bits(p, d - k)
+                table = obfstack.jllw_eval_table(o, qpro, prefix, k)
+                assert table.dtype == np.int16
+                assert table.tolist() == c.table_for_prefix(prefix, k).astype(int).tolist(), (d, prefix)
+    with pytest.raises(ValueError):
+        obfstack.jllw_eval_table(o, qpro, (0,), d)
+
+
+def test_jllw_broken_node_fails_exactly_its_subtree():
+    rng = np.random.default_rng(15)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    tab = [0, 1, 1, 0, 1, 1, 1, 0]
+    o = jllw_obfuscate(table_circuit(tab), qpro, 1, rng)
+    # a wrong level-1 handle for segment 2 garbles every level-2 node whose
+    # second input bit is 1, so exactly the walks through them fail
+    broken = dataclasses.replace(o, handles={**o.handles, "1,2": o.handles["1,2"] ^ 1})
+    expected = [obfstack._FAILED if bits(x, 3)[1] else tab[x] for x in range(8)]
+    for k in range(4):
+        for p in range(2 ** (3 - k)):
+            prefix = bits(p, 3 - k)
+            assert obfstack.jllw_eval_table(broken, qpro, prefix, k).tolist() == expected[
+                p << k : (p + 1) << k
+            ], (prefix, k)
+    for x in range(8):
+        if bits(x, 3)[1]:
+            with pytest.raises(IntegrityError):
+                jllw_eval(broken, qpro, bits(x, 3))
+        else:
+            assert jllw_eval(broken, qpro, bits(x, 3)) == tab[x]
+
+
+def test_jllw_full_table_decrypts_each_node_once(monkeypatch):
+    rng = np.random.default_rng(16)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=16))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    log: list = []
+    _log_decryptions(monkeypatch, o, log)
+    table = obfstack.jllw_eval_table(o, _LoggedQPrO(qpro, log), (), 4)
+    assert table.tolist() == c.table_for_prefix((), 4).astype(int).tolist()
+    # 15 expand nodes and 16 leaves; two pad queries per expand node
+    assert sum(e[0] == "dec" for e in log) == 31
+    assert sum(e[0] == "eval" for e in log) == 30
+
+
+def test_jllw_zero_width_walk_query_order(monkeypatch):
+    rng = np.random.default_rng(17)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=16))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    x = (1, 0, 1, 1)
+    expected = []
+    for d in range(o.D):
+        # decrypt the level-d node, then query its B pads
+        pad_input = ("".join(map(str, x[:d])) + "0" * (o.D - d)).encode()
+        expected.append(("dec", d))
+        expected += [("eval", o.instance, o.handles[f"{d},{j}"], pad_input) for j in range(1, o.B + 1)]
+    expected.append(("dec", o.D))
+    log: list = []
+    _log_decryptions(monkeypatch, o, log)
+    assert jllw_eval(o, _LoggedQPrO(qpro, log), x) == c.eval_bits(x)
+    assert log == expected
 
 
 # -- provably-correct obfuscation -------------------------------------------------
@@ -391,6 +482,25 @@ def test_pc_transcript_replay():
         ok, diags = pc_verify(pp, PHI_ANY, again, qpro)
         assert ok, diags
         assert pc_eval(again, qpro, (1, 0)) == 1
+
+
+def test_pc_transcript_with_unknown_backend_is_refused():
+    rng = np.random.default_rng(29)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    c = table_circuit([0, 1, 1, 0])
+    pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend="ideal")
+    data = pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend="jllw").to_json()
+    relabelled = {**data, "backend": "bogus"}
+    with pytest.raises(ValueError, match="backend"):
+        PCObfuscation.from_json(relabelled)
+    # the backend is checked before the unopened instances are read
+    del relabelled["unopened"]
+    with pytest.raises(ValueError, match="backend"):
+        PCObfuscation.from_json(relabelled)
+    with pytest.raises(ValueError, match="backend"):
+        pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend="bogus")
+    assert obfstack.BACKENDS == ("ideal", "jllw")
 
 
 def test_pc_sim_obfuscate_verifies_without_phi():
