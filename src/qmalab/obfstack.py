@@ -564,21 +564,24 @@ def jllw_eval_table(
 ) -> np.ndarray:
     """Output labels (int16) over the last suffix_arity input bits with the
     leading bits fixed to prefix: walk the prefix once, then expand the
-    subtree depth first.  Each node decrypts, then strips its B oracle pads;
-    a node whose decryption or pad check fails labels every leaf below it
-    _FAILED, which is exactly the set of pointwise walks through it."""
+    subtree depth first, child 0 before child 1.  Each node decrypts, then
+    strips its B oracle pads; a node whose decryption or pad check fails
+    labels every leaf below it _FAILED, which is exactly the set of pointwise
+    walks through it.  The walk keeps its own stack rather than recursing
+    through a closure, so a call leaves no reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
     ct_len = o.ptlen + toycrypto.CIPHERTEXT_OVERHEAD
     out = np.full(2**suffix_arity, _FAILED, dtype=np.int16)
-
-    def _walk(ct: bytes, chi: str) -> None:
+    stack = [(o.ct_root, "")]
+    while stack:
+        ct, chi = stack.pop()
         d = len(chi)
         try:
             v = fe_dec(o.sks[d], ct)
             if d == o.D:
                 out[int("0" + chi[len(prefix) :], 2)] = v[0]
-                return
+                continue
             pad_input = (chi + "0" * (o.D - d)).encode()
             otp = b"".join(
                 qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
@@ -586,11 +589,10 @@ def jllw_eval_table(
             )
             pair = toycrypto.xor_bytes(v, otp)
         except IntegrityError:
-            return
-        for bit in (int(prefix[d]) & 1,) if d < len(prefix) else (0, 1):
-            _walk(pair[:ct_len] if bit == 0 else pair[ct_len:], chi + str(bit))
-
-    _walk(o.ct_root, "")
+            continue
+        # pushed child 1 first, so that child 0's subtree is walked first
+        for bit in (int(prefix[d]) & 1,) if d < len(prefix) else (1, 0):
+            stack.append((pair[:ct_len] if bit == 0 else pair[ct_len:], chi + str(bit)))
     return out
 
 
