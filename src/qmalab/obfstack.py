@@ -256,12 +256,16 @@ class QPrOSim:
     One object is the whole oracle of a run: ``circuits`` is the ideal
     obfuscator's handle -> circuit table (JLLW builds that obfuscator from
     the QPrO), shared by prover, verifier, extractor and simulator.
+    ``rounds`` memoizes the Feistel round function for gen and inv, keyed
+    (instance, round, half); it holds at most
+    instance_count * 4 * 2**(lam_bits / 2) entries.
     """
 
     master: bytes
     lam_bits: int = 16
     instance_count: int = DEFAULT_LAMBDA_CC + 1
     circuits: dict = field(default_factory=dict, compare=False, repr=False)
+    rounds: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lam_bits % 2 or self.lam_bits < 8:
@@ -272,15 +276,20 @@ class QPrOSim:
         return cls(rng.bytes(32), lam_bits, instance_count)
 
     def _round(self, instance: int, rnd: int, half: int) -> int:
-        d = toycrypto.digest(
-            b"qmalab-qpro-perm",
-            self.master,
-            instance.to_bytes(4, "big"),
-            rnd.to_bytes(1, "big"),
-            half.to_bytes(4, "big"),
-            out_len=4,
-        )
-        return int.from_bytes(d, "big") & ((1 << (self.lam_bits // 2)) - 1)
+        memo_key = (instance, rnd, half)
+        value = self.rounds.get(memo_key)
+        if value is None:
+            d = toycrypto.digest(
+                b"qmalab-qpro-perm",
+                self.master,
+                instance.to_bytes(4, "big"),
+                rnd.to_bytes(1, "big"),
+                half.to_bytes(4, "big"),
+                out_len=4,
+            )
+            value = int.from_bytes(d, "big") & ((1 << (self.lam_bits // 2)) - 1)
+            self.rounds[memo_key] = value
+        return value
 
     def _check_instance(self, instance: int) -> None:
         if not 0 <= instance < self.instance_count:
@@ -943,6 +952,8 @@ def _majority(outputs: np.ndarray) -> np.ndarray:
     """Most frequent label down axis 0, whose rows are the unopened
     instances in increasing index order; ties break toward the label whose
     first vote comes from the smallest instance index."""
+    if (outputs == outputs[0]).all():
+        return outputs[0]  # unanimous, as in every honest transcript
     rows = outputs.shape[0]
     best = np.full(outputs.shape[1:], -1, dtype=np.int64)
     winner = np.zeros(outputs.shape[1:], dtype=outputs.dtype)

@@ -155,25 +155,35 @@ def combined_circuit(
         raise ValueError("key must cover list_len * ell logical qubits")
     phys = key.physical_qubits
     ctrl = max(m, prg_bits)
-    dec_cache: dict[tuple[int, ...], object] = {}
+    # read-only physical-register table per branch: Ver by theta, Dec by
+    # permutation, and the null branch; at most 2**m + list_len! entries
+    branch_tables: dict[tuple, np.ndarray] = {}
 
-    def _mdec(perm: tuple[int, ...]):
-        if perm not in dec_cache:
-            theta_big, f_big = permver.permuted_spec(verifier, perm)
-            dec_cache[perm] = csa.dec_predicate(DecSpec(key, theta_big, f_big.complement()))
-        return dec_cache[perm]
+    def _branch_table(sel: int, control: tuple[int, ...]) -> np.ndarray:
+        if sel == 0:
+            branch = (0, control[:m])
+        elif null_m:
+            branch = (1,)
+        else:
+            branch = (1, _perm_for_seed(tuple(control[:prg_bits]), verifier.list_len))
+        full = branch_tables.get(branch)
+        if full is None:
+            if sel == 0:
+                full = csa.ver_predicate(key, BitVector(control[:m])).table()
+            elif null_m:
+                full = np.zeros(2**phys, dtype=bool)
+            else:
+                theta_big, f_big = permver.permuted_spec(verifier, branch[1])
+                full = csa.dec_predicate(DecSpec(key, theta_big, f_big.complement())).table()
+            full.flags.writeable = False
+            branch_tables[branch] = full
+        return full
 
     def _table(prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
         split = 1 + ctrl
         if len(prefix) < split:
             raise ValueError("table split must not reach into the control field")
-        sel, control = prefix[0], prefix[1:split]
-        if sel == 0:
-            full = csa.ver_predicate(key, BitVector(control[:m])).table()
-        elif null_m:
-            full = np.zeros(2**phys, dtype=bool)
-        else:
-            full = _mdec(_perm_for_seed(tuple(control[:prg_bits]), verifier.list_len)).table()
+        full = _branch_table(prefix[0], prefix[1:split])
         return obfstack.table_slice(full, prefix[split:], suffix_arity)
 
     return CircuitDesc(
@@ -307,6 +317,7 @@ def assemble_verifier_povm(
     isometry = np.ascontiguousarray(q[:, keep])
 
     block = np.zeros((isometry.shape[1], isometry.shape[1]), dtype=np.complex128)
+    adjoint = isometry.conj().T
     width = 2 * cfg.lambda_code + 1
     seed_pad = (0,) * (ctrl - cfg.prg_bits)
     for perm, weight, rep_seed in permutation_weights(cfg.prg_bits, pv.list_len):
@@ -316,7 +327,7 @@ def assemble_verifier_povm(
         accept3 = ~mdec
         p3v = hadamard_layer(isometry, mask)
         p3v = hadamard_layer(p3v * accept3[:, None], mask)
-        block += weight * (isometry.conj().T @ p3v)
+        block += weight * (adjoint @ p3v)
     block = (block + block.conj().T) / 2.0
     spectral = ati.SpectralMixture.from_isometry_block(isometry, block)
     return VerifierPovm(isometry, block, spectral)

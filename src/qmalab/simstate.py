@@ -145,20 +145,53 @@ def hadamard_layer(a: np.ndarray, mask) -> np.ndarray:
 
     a is one amplitude vector of length 2**len(mask) or a batch of such
     columns; the result is a fresh array and a is left unchanged.
+
+    The result has the same bytes as the plain butterfly: for each masked
+    qubit in order q = 0 ... m-1, the pair (lo, hi) becomes
+    ((lo + hi) * _SQRT2_INV, (lo - hi) * _SQRT2_INV).  Each pass writes
+    into the other of two buffers (the result and one scratch buffer), and
+    the passes of the low-order half of the qubits run on a transposed copy,
+    so that they read long contiguous rows instead of short strided ones.
     """
     m = len(mask)
     if a.shape[0] != 2**m:
         raise ValueError("axis 0 must have length 2**len(mask)")
-    out = np.array(a, dtype=np.complex128, order="C")
-    for q, bit in enumerate(mask):
-        if not bit:
-            continue
-        shaped = out.reshape(2**q, 2, -1)
-        lo = shaped[:, 0, :].copy()
-        hi = shaped[:, 1, :]
-        shaped[:, 0, :] = (lo + hi) * _SQRT2_INV
-        shaped[:, 1, :] = (lo - hi) * _SQRT2_INV
-    return out
+    src = np.asarray(a, dtype=np.complex128)
+    qubits = [q for q, bit in enumerate(mask) if bit]
+    if not qubits:
+        return np.array(src, order="C")
+    cols = src.size >> m
+    low = m // 2
+    high = m - low
+    rows = 2**m
+    bufs = [np.empty((rows, cols), dtype=np.complex128) for _ in range(2)]
+    cur = src.reshape(rows, cols)
+    turn = 0  # index of the buffer the next pass writes; never the one it reads
+    transposed = False
+    for q in qubits:
+        if q >= high and not transposed:
+            dst = bufs[turn]
+            np.copyto(
+                dst.reshape(2**low, 2**high, cols),
+                cur.reshape(2**high, 2**low, cols).transpose(1, 0, 2),
+            )
+            cur, turn, transposed = dst, 1 - turn, True
+        k = q - high if transposed else q
+        dst = bufs[turn]
+        lohi = cur.reshape(2**k, 2, (rows >> (k + 1)) * cols)
+        out = dst.reshape(lohi.shape)
+        np.add(lohi[:, 0], lohi[:, 1], out=out[:, 0])
+        np.subtract(lohi[:, 0], lohi[:, 1], out=out[:, 1])
+        np.multiply(dst, _SQRT2_INV, out=dst)
+        cur, turn = dst, 1 - turn
+    if transposed:
+        dst = bufs[turn]
+        np.copyto(
+            dst.reshape(2**high, 2**low, cols),
+            cur.reshape(2**low, 2**high, cols).transpose(1, 0, 2),
+        )
+        cur = dst
+    return cur.reshape(a.shape)
 
 
 def apply_hadamard(s: StateVector, theta_mask: BitVector) -> StateVector:

@@ -41,7 +41,7 @@ def stream(seed: bytes, n: int) -> bytes:
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise IntegrityError("pad/ciphertext length mismatch")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def mac(key: bytes, message: bytes, out_len: int = 16) -> bytes:

@@ -10,8 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmalab import obfstack
+from qmalab import obfstack, toycrypto
 from qmalab.obfstack import (
     CircuitDesc,
     FeFunction,
@@ -113,6 +115,63 @@ def test_qpro_eval_total_on_malformed_handles():
     qpro = QPrOSim.from_seed(rng)
     out = qpro.eval(1, 0xBEEF, b"x", 8)
     assert len(out) == 8
+
+
+def _feistel_reference(qpro: QPrOSim, instance: int, key: int) -> int:
+    """gen recomputed from its definition, with a digest per round."""
+    half = qpro.lam_bits // 2
+    mask = (1 << half) - 1
+
+    def rnd_fn(rnd: int, x: int) -> int:
+        d = toycrypto.digest(
+            b"qmalab-qpro-perm",
+            qpro.master,
+            instance.to_bytes(4, "big"),
+            rnd.to_bytes(1, "big"),
+            x.to_bytes(4, "big"),
+            out_len=4,
+        )
+        return int.from_bytes(d, "big") & mask
+
+    left, right = (key >> half) & mask, key & mask
+    for rnd in range(4):
+        left, right = right, left ^ rnd_fn(rnd, right)
+    return (left << half) | right
+
+
+def test_qpro_round_memo_matches_definition_and_stays_bounded():
+    qpro = QPrOSim.from_seed(np.random.default_rng(30), lam_bits=8, instance_count=3)
+    for instance in range(qpro.instance_count):
+        handles = [qpro.gen(instance, k) for k in range(256)]
+        assert handles == [_feistel_reference(qpro, instance, k) for k in range(256)]
+        assert [qpro.inv(instance, h) for h in handles] == list(range(256))
+    # an exhaustive gen reaches every (instance, round, half) exactly once
+    assert len(qpro.rounds) == qpro.instance_count * 4 * 2**4
+    # a second pass is served from the memo and agrees with the first
+    assert [qpro.gen(2, k) for k in range(256)] == handles
+    assert len(qpro.rounds) == qpro.instance_count * 4 * 2**4
+
+
+def test_qpro_oracles_with_one_master_are_equal_but_share_no_memo():
+    a = QPrOSim.from_seed(np.random.default_rng(31))
+    b = QPrOSim(a.master)
+    assert a == b and a.rounds is not b.rounds
+    h = a.gen(1, 12345)
+    assert a.rounds and not b.rounds
+    assert b.gen(1, 12345) == h and b.rounds == a.rounds
+
+
+def test_qpro_round_memo_bounded_over_long_jllw_run():
+    rng = np.random.default_rng(32)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    bound = qpro.instance_count * 4 * 2 ** (qpro.lam_bits // 2)
+    for _ in range(300):
+        d = int(rng.integers(1, 5))
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        labels = obfstack.jllw_eval_table(o, qpro, (), d)
+        assert labels.tolist() == c.table_for_prefix((), d).astype(int).tolist()
+        assert len(qpro.rounds) <= bound
 
 
 def test_key_swap_game_advantage_small():
@@ -447,6 +506,36 @@ def test_pc_eval_tie_break_smallest_index():
     assert pc_eval_table(o2, qpro, (), 2).tolist() == [bool(y) for y in pointwise]
     o3 = dataclasses.replace(o2, unopened={1: d, 2: c})
     assert pc_eval_table(o3, qpro, (), 2).tolist() == [True] * 4
+
+
+def _reference_vote(column: list[int]) -> int:
+    """Most frequent label; ties go to the label voted first."""
+    counts = {label: column.count(label) for label in column}
+    top = max(counts.values())
+    return next(label for label in column if counts[label] == top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda rows: st.tuples(
+            st.lists(
+                st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=4, max_size=4),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.booleans(),
+        )
+    )
+)
+def test_majority_matches_reference_vote(case):
+    rows, unanimous = case
+    if unanimous:
+        rows = [rows[0]] * len(rows)
+    outputs = np.array(rows, dtype=np.int16)
+    winner = obfstack._majority(outputs)
+    assert winner.dtype == np.int16 and winner.shape == (4,)
+    assert winner.tolist() == [_reference_vote(list(col)) for col in outputs.T.tolist()]
 
 
 def test_pc_extract_contract():

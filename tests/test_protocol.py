@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,40 @@ def test_combined_circuit_splits_inside_physical_register_match_pointwise():
                     assert table.tolist() == [bool(y) for y in reference[p << k : (p + 1) << k]]
         with pytest.raises(ValueError, match="control field"):
             c.table_for_prefix((0,) * (head_bits - 1), phys + 1)
+
+
+def test_combined_circuit_tables_are_read_only_and_built_once_per_branch(monkeypatch):
+    rng, _ = fresh(6)
+    pv = permver.build(REFERENCE, CFG.k)
+    m = pv.list_len * pv.ell
+    key = csa.keygen(1, m, rng)
+    prg_bits, phys = 3, key.physical_qubits
+    ctrl = max(m, prg_bits)
+    builds = []
+    for name in ("ver_predicate", "dec_predicate"):
+        real = getattr(csa, name)
+        monkeypatch.setattr(csa, name, lambda *a, _real=real, _name=name: builds.append(_name) or _real(*a))
+    c = protocol.combined_circuit(key, pv, prg_bits)
+    thetas = [tuple((t >> (m - 1 - i)) & 1 for i in range(m)) for t in range(2**m)]
+    seeds = [tuple((r >> (prg_bits - 1 - i)) & 1 for i in range(prg_bits)) for r in range(2**prg_bits)]
+    heads = [(0,) + t + (0,) * (ctrl - m) for t in thetas]
+    heads += [(1,) + r + (0,) * (ctrl - prg_bits) for r in seeds]
+    for _ in range(2):
+        for head in heads:
+            table = c.table_for_prefix(head, phys)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = not table[0]
+            half = c.table_for_prefix(head + (1,), phys - 1)
+            assert half.tolist() == table[2 ** (phys - 1) :].tolist()
+        # one build per theta and per reachable permutation, none on re-reads
+        assert builds.count("ver_predicate") == 2**m
+        assert builds.count("dec_predicate") <= math.factorial(pv.list_len)
+    null = protocol.combined_circuit(key, pv, prg_bits, null_m=True)
+    zeros = null.table_for_prefix(heads[-1], phys)
+    assert not zeros.any() and not zeros.flags.writeable
+    assert np.shares_memory(zeros, null.table_for_prefix(heads[-2], phys))  # one null table
+    assert builds.count("dec_predicate") <= math.factorial(pv.list_len)
 
 
 def test_prove_rejects_oversized_configuration():

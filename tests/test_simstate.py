@@ -101,6 +101,46 @@ def test_hadamard_layer_matches_dense_kron_reference(seed, kind):
         hadamard_layer(vec, mask + (1,))
 
 
+def _butterfly_reference(a: np.ndarray, mask) -> np.ndarray:
+    """The plain in-place butterfly whose bytes hadamard_layer reproduces."""
+    out = np.array(a, dtype=np.complex128, order="C")
+    for q, bit in enumerate(mask):
+        if not bit:
+            continue
+        shaped = out.reshape(2**q, 2, -1)
+        lo = shaped[:, 0, :].copy()
+        hi = shaped[:, 1, :]
+        shaped[:, 0, :] = (lo + hi) * (1.0 / np.sqrt(2.0))
+        shaped[:, 1, :] = (lo - hi) * (1.0 / np.sqrt(2.0))
+    return out
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_hadamard_layer_bytes_equal_butterfly_reference(m):
+    rng = np.random.default_rng(100 + m)
+    high = m - m // 2
+    masks = [
+        (0,) * m,
+        (1,) * m,
+        tuple(int(b) for b in rng.integers(0, 2, size=m)),
+        tuple(int(q < high) for q in range(m)),
+        tuple(int(q >= high) for q in range(m)),
+    ]
+    support = rng.integers(0, 2, size=2**m).astype(bool)
+    for shape in ((2**m,), (2**m, 1), (2**m, 3), (2**m, 20)):
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows = support if len(shape) == 1 else support[:, None]
+        # exact-zero rows of both signs, as in the POVM's g * ver0[:, None]
+        for a in (g, g * rows, -g * rows):
+            before = a.tobytes()
+            for mask in masks:
+                out = hadamard_layer(a, mask)
+                assert out.shape == a.shape and out.dtype == np.complex128
+                assert out.tobytes() == _butterfly_reference(a, mask).tobytes(), (shape, mask)
+                assert not np.shares_memory(out, a)
+                assert a.tobytes() == before
+
+
 def test_basis_predicate_table_checks():
     with pytest.raises(ValueError, match="power of two"):
         predicate_from_table([0, 1, 1])
