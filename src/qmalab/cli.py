@@ -72,6 +72,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        data = dict(data)  # instance paths are loaded into a copy
         for key in ("instance", "instance_b"):
             ref = data.get(key)
             if isinstance(ref, str):
@@ -109,9 +110,10 @@ def metric(value, tolerance: str, ok: bool | None = None) -> dict:
     return out
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
     if n == 0:
         return 0.0, 1.0
+    z = 1.96  # 95% two-sided
     p = hits / n
     denom = 1 + z**2 / n
     center = (p + z**2 / (2 * n)) / denom

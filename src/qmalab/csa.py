@@ -17,11 +17,12 @@ import numpy as np
 from . import gf2
 from .gf2 import BitVector, CosetPair, Subspace
 from .simstate import (
+    QUBIT_CAP,
     BasisPredicate,
     StateVector,
-    basis_indices,
-    hadamard_layer,
     measure_zx,
+    register_blocks,
+    zx_apply,
     zx_projector,
 )
 
@@ -29,6 +30,15 @@ CODESPACE_CHECK_CAP = 12
 ADJOINT_LEAKAGE_TOL = 1e-6
 
 BOT = 2  # per-block decode classes: 0, 1, BOT
+
+
+def _coset_classes(s: Subspace, delta: BitVector, pad: BitVector) -> np.ndarray:
+    """Class of every vector: 0 on S + pad, 1 on S + delta + pad, BOT elsewhere."""
+    cls = np.full(2**s.ambient_dim, BOT, dtype=np.uint8)
+    for v in s.elements():
+        cls[(v ^ pad).to_index()] = 0
+        cls[(v ^ delta ^ pad).to_index()] = 1
+    return cls
 
 
 @dataclass(frozen=True)
@@ -59,17 +69,7 @@ class CSARecord:
         shifted dual cosets (S_hat+z, S_hat+delta_hat+z).  Value BOT marks a
         vector outside both cosets.
         """
-        w = self.width
-        cls_z = np.full(2**w, BOT, dtype=np.uint8)
-        for v in self.s.elements():
-            cls_z[(v ^ self.x).to_index()] = 0
-            cls_z[(v ^ self.delta ^ self.x).to_index()] = 1
-        s_hat, delta_hat = self.dual
-        cls_x = np.full(2**w, BOT, dtype=np.uint8)
-        for u in s_hat.elements():
-            cls_x[(u ^ self.z).to_index()] = 0
-            cls_x[(u ^ delta_hat ^ self.z).to_index()] = 1
-        return cls_z, cls_x
+        return _coset_classes(self.s, self.delta, self.x), _coset_classes(*self.dual, self.z)
 
     @cached_property
     def block_isometry(self) -> np.ndarray:
@@ -180,7 +180,7 @@ def enc_isometry(key: CSAKey) -> np.ndarray:
 def enc(key: CSAKey, logical: StateVector) -> StateVector:
     if logical.num_qubits != key.n:
         raise ValueError("logical state must span n qubits")
-    if key.physical_qubits > 22:
+    if key.physical_qubits > QUBIT_CAP:
         raise ValueError("encoded register exceeds the simulator cap")
     return StateVector(enc_isometry(key) @ logical.amplitudes, key.physical_qubits)
 
@@ -201,43 +201,34 @@ def enc_adjoint(key: CSAKey, encoded: StateVector) -> StateVector:
     return StateVector(logical / np.sqrt(weight), key.n)
 
 
-def _block_views(key: CSAKey, idxs: np.ndarray) -> list[np.ndarray]:
-    """Per-block physical values for every full-register basis index."""
-    w = key.block_width
-    total = key.physical_qubits
-    mask = (1 << w) - 1
-    return [(idxs >> (total - (i + 1) * w)) & mask for i in range(key.n)]
-
-
-def dec_predicate(spec: DecSpec) -> BasisPredicate:
-    """Classical decode circuit over the physical register.
-
-    Per block i the measured value is classified against the primal cosets
-    (theta_i = 0) or the shifted dual cosets (theta_i = 1); any unclassifiable
-    block forces output 0, otherwise f is applied to the decoded logical word.
-    """
-    key = spec.key
-    theta = spec.theta.bits
-    blocks = _block_views(key, basis_indices(key.physical_qubits))
+def _decode(key: CSAKey, theta: BitVector) -> tuple[np.ndarray, np.ndarray]:
+    """(word, bot) at every physical basis index: the logical word decoded
+    blockwise against the primal cosets (theta_i = 0) or the shifted dual
+    cosets (theta_i = 1), and whether some block lies outside both."""
+    if len(theta) != key.n:
+        raise ValueError("theta length must equal n")
+    blocks = register_blocks(key.physical_qubits, key.block_width)
     bot = np.zeros(len(blocks[0]), dtype=bool)
     word = np.zeros(len(blocks[0]), dtype=np.int64)
     for i, rec in enumerate(key.records):
-        cls = rec.dec_tables[theta[i]][blocks[i]]
+        cls = rec.dec_tables[theta.bits[i]][blocks[i]]
         bot |= cls == BOT
         word = (word << 1) | (cls & 1)
+    return word, bot
+
+
+def dec_predicate(spec: DecSpec) -> BasisPredicate:
+    """Classical decode circuit over the physical register: any
+    unclassifiable block forces output 0, otherwise f is applied to the
+    decoded logical word."""
+    word, bot = _decode(spec.key, spec.theta)
     return BasisPredicate(spec.f.table()[word] & ~bot)
 
 
 def ver_predicate(key: CSAKey, theta: BitVector) -> BasisPredicate:
     """Codespace membership test: per block, theta_i = 0 requires membership
     in S_delta + x and theta_i = 1 membership in the shifted dual union."""
-    if len(theta) != key.n:
-        raise ValueError("theta length must equal n")
-    blocks = _block_views(key, basis_indices(key.physical_qubits))
-    ok = np.ones(len(blocks[0]), dtype=bool)
-    for i, rec in enumerate(key.records):
-        ok &= rec.dec_tables[theta.bits[i]][blocks[i]] != BOT
-    return BasisPredicate(ok)
+    return BasisPredicate(~_decode(key, theta)[1])
 
 
 def physical_theta(key: CSAKey, theta: BitVector) -> BitVector:
@@ -260,18 +251,14 @@ def logical_measure(
     return measure_zx(encoded, physical_theta(key, theta), dec_predicate(DecSpec(key, theta, f)))
 
 
-def conjugated_dec_operator(spec: DecSpec) -> np.ndarray:
-    """Dense blockwise-Hadamard conjugation of the decode projector."""
-    if spec.key.physical_qubits > CODESPACE_CHECK_CAP:
-        raise ValueError(f"dense operator capped at {CODESPACE_CHECK_CAP} qubits")
-    return zx_projector(physical_theta(spec.key, spec.theta), dec_predicate(spec))
-
-
 def correctness_deviation(key: CSAKey, theta: BitVector, f: BasisPredicate) -> float:
     """Max entrywise deviation between the logical ZX projector and the
     encoded-and-conjugated decode measurement (the correctness identity)."""
+    if key.physical_qubits > CODESPACE_CHECK_CAP:
+        raise ValueError(f"dense operator capped at {CODESPACE_CHECK_CAP} qubits")
     e = enc_isometry(key)
-    lifted = e.conj().T @ conjugated_dec_operator(DecSpec(key, theta, f)) @ e
+    dec = zx_projector(physical_theta(key, theta), dec_predicate(DecSpec(key, theta, f)))
+    lifted = e.conj().T @ dec @ e
     return float(np.max(np.abs(lifted - zx_projector(theta, f))))
 
 
@@ -287,9 +274,5 @@ def codespace_projector_check(key: CSAKey) -> float:
 
     ver0 = ver_predicate(key, BitVector.zeros(key.n)).table()
     ver1 = ver_predicate(key, BitVector((1,) * key.n)).table()
-    ones = (1,) * total
-    rhs = np.eye(dim, dtype=np.complex128) * ver0[:, None]
-    rhs = hadamard_layer(rhs, ones)
-    rhs = rhs * ver1[:, None]
-    rhs = hadamard_layer(rhs, ones)
+    rhs = zx_apply(np.eye(dim, dtype=np.complex128) * ver0[:, None], (1,) * total, ver1)
     return float(np.max(np.abs(pi_k - rhs)))

@@ -108,14 +108,14 @@ def np_ext0(rng: np.random.Generator) -> tuple[NpCrs, bytes]:
 def np_prove(crs: NpCrs, stmt: NpStatement, w: bytes, rng: np.random.Generator) -> NpProof:
     if not stmt.relation(stmt.instance, w):
         raise ValueError("witness does not satisfy the relation")
-    ct = pke_enc(crs.pk, w, rng.bytes(16))
-    return NpProof(ct, _statement_tag(crs.base, stmt.relation_id, stmt.instance, ct))
+    return np_prove_simulated(crs, stmt, w, rng)
 
 
 def np_prove_simulated(
     crs: NpCrs, stmt: NpStatement, payload: bytes, rng: np.random.Generator
 ) -> NpProof:
-    """Simulator path: tag the statement without a relation check.
+    """Simulator path: tag the statement without a relation check (np_prove
+    is this path after its relation check).
 
     The ciphertext carries a caller-chosen payload (never a real witness);
     tags are statement-only, so this is distributed like an honest proof.

@@ -356,8 +356,6 @@ class FeFunction:
         if self.kind == "jllw-expand":
             if flag == "normal":
                 return self._expand_normal(body)
-            if flag == "sim":
-                return self._expand_sim(body)
             raise IntegrityError(f"expand got unsupported flag {flag!r}")
         raise ValueError(f"unknown FE function kind {self.kind!r}")
 
@@ -369,7 +367,7 @@ class FeFunction:
         seed = bytes.fromhex(info["seed"])
         grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", seed), 4 * 16)
         s0, r0, s1, r1 = (grow[i * 16 : (i + 1) * 16] for i in range(4))
-        pk_next = p["pk_next"]
+        pk_next = FePk.from_json(p["pk_next"])
         cts = []
         for eta, (s_child, r_child) in enumerate(((s0, r0), (s1, r1))):
             child = {
@@ -388,14 +386,6 @@ class FeFunction:
             for j in range(1, blocks + 1)
         )
         return toycrypto.xor_bytes(cts[0] + cts[1], otp)
-
-    def _expand_sim(self, body: dict) -> bytes:
-        seg = self.params["L"]
-        sigmas = body["info"]["sigma"]
-        return b"".join(
-            toycrypto.stream(toycrypto.digest(b"jllw-gv", bytes.fromhex(s)), seg)
-            for s in sigmas
-        )
 
 
 @dataclass(frozen=True)
@@ -440,9 +430,7 @@ def fe_gen(f: FeFunction, ptlen: int, rng: np.random.Generator) -> tuple[FePk, F
     return FePk(master, ptlen), FeSk(master, ptlen, f)
 
 
-def fe_enc(pk: FePk | dict, plaintext: bytes, r: bytes) -> bytes:
-    if isinstance(pk, dict):
-        pk = FePk.from_json(pk)
+def fe_enc(pk: FePk, plaintext: bytes, r: bytes) -> bytes:
     return toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
 
 
@@ -653,7 +641,7 @@ class PCObfuscation:
     phi_id: str
 
     def open_set(self) -> set[int]:
-        return {t for t in range(1, self.lam_cc + 1) if (self.chal >> (self.lam_cc - t)) & 1}
+        return _open_set(self.chal, self.lam_cc)
 
     def to_json(self) -> dict:
         return {
@@ -697,6 +685,11 @@ class PCObfuscation:
             proof=NpProof.from_json(data["proof"]),
             phi_id=data["phi_id"],
         )
+
+
+def _open_set(chal: int, lam_cc: int) -> set[int]:
+    """Opened bundles: t in 1..lam_cc with bit t of chal set, MSB first."""
+    return {t for t in range(1, lam_cc + 1) if (chal >> (lam_cc - t)) & 1}
 
 
 def _bundle_bytes(keys: tuple[int, ...]) -> bytes:
@@ -830,7 +823,7 @@ def _pc_build(
         commitments.append(toycrypto.commit(_bundle_bytes(keys), r))
 
     chal = _derive_chal(qpro, pp, commitments, handle_bundles)
-    open_set = {t for t in range(1, lam_cc + 1) if (chal >> (lam_cc - t)) & 1}
+    open_set = _open_set(chal, lam_cc)
 
     unopened: dict = {}
     seeds: dict[int, bytes] = {}
@@ -901,7 +894,6 @@ def pc_sim_obfuscate(
     c: CircuitDesc,
     qpro: QPrOSim,
     rng: np.random.Generator,
-    backend: str = "ideal",
 ) -> PCObfuscation:
     """Simulation-mode obfuscation: every component computed honestly, with
     the NP proof replaced by a simulated tag (no predicate check).
@@ -910,7 +902,7 @@ def pc_sim_obfuscate(
     which is witness-independent by construction and keeps the knowledge
     extractor functional on simulated transcripts.
     """
-    transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, backend, ())
+    transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, "ideal", ())
     proof = nizknp.np_prove_simulated(pp.crs, stmt, witness, rng)
     return dataclasses.replace(transcript, proof=proof)
 
@@ -920,7 +912,8 @@ def pc_verify(
 ) -> tuple[bool, list[str]]:
     """Recompute the challenge, audit the opened bundles, verify the proof."""
     diagnostics: list[str] = []
-    if len(o.commitments) != o.lam_cc or len(o.handle_bundles) != o.lam_cc:
+    # the challenge spans pp.lam_cc bits, so the transcript must post that many bundles
+    if not o.lam_cc == pp.lam_cc == len(o.commitments) == len(o.handle_bundles):
         diagnostics.append("structure_malformed")
         return False, diagnostics
     if o.phi_id != phi.phi_id:

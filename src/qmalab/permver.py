@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from .gf2 import BitVector
-from .simstate import BasisPredicate, StateVector, basis_indices, measure_zx, measure_zx_both
+from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
 from .zxham import HamiltonianInstance, ZXMeasurementSpec, acceptance_operator, term_to_zx
 
 ENTANGLED_QUBIT_CAP = 14
@@ -144,27 +144,32 @@ def build(
     return PermutingVerifier(h, k, a, b, tuple(specs))
 
 
-def permutation_from_bytes(data: bytes, n: int) -> tuple[int, ...]:
-    """Fisher-Yates permutation of range(n) driven by a fixed byte stream."""
-    if len(data) < 4 * max(n - 1, 0):
-        raise ValueError("byte stream too short for a length-%d shuffle" % n)
+def _fisher_yates(n: int, draw) -> tuple[int, ...]:
+    """Fisher-Yates shuffle of range(n); draw(i) picks the swap partner of
+    position i in range(i + 1), for i = n-1 down to 1."""
     perm = list(range(n))
-    pos = 0
     for i in range(n - 1, 0, -1):
-        draw = int.from_bytes(data[pos : pos + 4], "big")
-        pos += 4
-        j = draw % (i + 1)
+        j = draw(i)
         perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
+
+
+def permutation_from_bytes(data: bytes, n: int) -> tuple[int, ...]:
+    """Fisher-Yates permutation of range(n) driven by a fixed byte stream,
+    one big-endian 4-byte window per draw."""
+    if len(data) < 4 * max(n - 1, 0):
+        raise ValueError("byte stream too short for a length-%d shuffle" % n)
+
+    def draw(i: int) -> int:
+        pos = 4 * (n - 1 - i)
+        return int.from_bytes(data[pos : pos + 4], "big") % (i + 1)
+
+    return _fisher_yates(n, draw)
 
 
 def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Fisher-Yates shuffle of range(n) driven by the seeded generator."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return tuple(perm)
+    return _fisher_yates(n, lambda i: int(rng.integers(0, i + 1)))
 
 
 def permuted_spec(
@@ -179,15 +184,12 @@ def permuted_spec(
     if sorted(perm) != list(range(v.list_len)):
         raise ValueError("perm must permute the measurement list")
     ordered = [v.specs[p] for p in perm]
-    ell = v.ell
-    arity = ell * v.list_len
+    arity = v.ell * v.list_len
     theta_big = BitVector(tuple(b for spec in ordered for b in spec.theta.bits))
-    idxs = basis_indices(arity)
-    count = np.zeros(len(idxs), dtype=np.int64)
-    block_mask = (1 << ell) - 1
-    for t, spec in enumerate(ordered):
-        shift = arity - (t + 1) * ell
-        count += spec.f.table()[(idxs >> shift) & block_mask]
+    blocks = register_blocks(arity, v.ell)
+    count = np.zeros(len(blocks[0]), dtype=np.int64)
+    for spec, block in zip(ordered, blocks):
+        count += spec.f.table()[block]
     return theta_big, BasisPredicate(count >= v.threshold)
 
 
@@ -229,25 +231,20 @@ def verify_entangled(
     if total > ENTANGLED_QUBIT_CAP:
         raise ValueError(f"entangled check capped at {ENTANGLED_QUBIT_CAP} qubits")
     perm = sample_permutation(v.list_len, rng)
-    idxs = basis_indices(total)
+    blocks = register_blocks(total, v.ell)
     state = full_state
     count = 0
     for t, p in enumerate(perm):
         spec = v.specs[p]
-        theta_full = BitVector(
-            tuple(
-                spec.theta.bits[q - t * v.ell] if t * v.ell <= q < (t + 1) * v.ell else 0
-                for q in range(total)
-            )
-        )
-        shift = total - (t + 1) * v.ell
-        f_full = BasisPredicate(spec.f.table()[(idxs >> shift) & ((1 << v.ell) - 1)])
-        prob, post_acc, post_rej = measure_zx_both(state, theta_full, f_full)
+        before, after = (0,) * (t * v.ell), (0,) * (total - (t + 1) * v.ell)
+        theta_full = BitVector(before + spec.theta.bits + after)
+        f_full = BasisPredicate(spec.f.table()[blocks[t]])
+        prob, post_acc = measure_zx(state, theta_full, f_full)
         if rng.random() < prob:
             count += 1
             state = post_acc
         else:
-            state = post_rej
+            state = measure_zx(state, theta_full, f_full.complement())[1]
         if state is None:  # numerically dead branch; outcome already decided
             break
     return int(count >= v.threshold)

@@ -28,9 +28,9 @@ from .permver import PermutingVerifier
 from .simstate import (
     StateVector,
     apply_hadamard,
-    hadamard_layer,
     project_predicate,
     tensor_many,
+    zx_apply,
 )
 from .zxham import HamiltonianInstance, acceptance_operator
 
@@ -269,68 +269,46 @@ def prove(
 # -- verifier --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifierPovm:
-    """Structured mixture over the three-step checks P_r.
-
-    isometry spans the subspace accepted by both codespace checks; block is
-    the mixture restricted there (everything orthogonal has eigenvalue 0).
-    """
-
-    isometry: np.ndarray
-    block: np.ndarray
-    spectral: ati.SpectralMixture
-
-
 def assemble_verifier_povm(
     obf: PCObfuscation,
     qpro: QPrOSim,
     pv: PermutingVerifier,
     cfg: ProtocolConfig,
-) -> VerifierPovm:
+) -> ati.SpectralMixture:
     """Build the exact mixture operator from evaluation access to the
     transcript's circuits: the two codespace tables plus one decoder table
-    per reachable permutation, averaged with exact seed weights."""
+    per reachable permutation, averaged with exact seed weights, factored
+    through the subspace both codespace checks accept (eigenvalue 0 off it)."""
     m = pv.list_len * pv.ell
-    phys = m * (2 * cfg.lambda_code + 1)
+    width = 2 * cfg.lambda_code + 1
+    phys = m * width
     ctrl = max(m, cfg.prg_bits)
     if obf.arity != 1 + ctrl + phys:
         raise ValueError("transcript circuit arity disagrees with the configuration")
     pad = (0,) * (ctrl - m)
     ver0 = obfstack.pc_eval_table(obf, qpro, (0,) + (0,) * m + pad, phys)
     ver1 = obfstack.pc_eval_table(obf, qpro, (0,) + (1,) * m + pad, phys)
-    ones = (1,) * phys
-
-    def _pi_k(mat: np.ndarray) -> np.ndarray:
-        out = hadamard_layer(mat * ver0[:, None], ones)
-        return hadamard_layer(out * ver1[:, None], ones)
-
     dim = 2**phys
     probes = 2**m + 4
     rng_local = np.random.default_rng(
         np.frombuffer(toycrypto.digest(b"qmalab-povm-basis", obf.proof.inner), dtype=np.uint8)
     )
     g = rng_local.normal(size=(dim, probes)) + 1j * rng_local.normal(size=(dim, probes))
-    image = _pi_k(g)
+    image = zx_apply(g * ver0[:, None], (1,) * phys, ver1)
     q, r = np.linalg.qr(image)
     keep = np.abs(np.diag(r)) > 1e-8
     isometry = np.ascontiguousarray(q[:, keep])
 
     block = np.zeros((isometry.shape[1], isometry.shape[1]), dtype=np.complex128)
     adjoint = isometry.conj().T
-    width = 2 * cfg.lambda_code + 1
     seed_pad = (0,) * (ctrl - cfg.prg_bits)
     for perm, weight, rep_seed in permutation_weights(cfg.prg_bits, pv.list_len):
         theta_big, _ = permver.permuted_spec(pv, perm)
         mask = tuple(b for bit in theta_big.bits for b in (bit,) * width)
         mdec = obfstack.pc_eval_table(obf, qpro, (1,) + rep_seed + seed_pad, phys)
-        accept3 = ~mdec
-        p3v = hadamard_layer(isometry, mask)
-        p3v = hadamard_layer(p3v * accept3[:, None], mask)
-        block += weight * (adjoint @ p3v)
+        block += weight * (adjoint @ zx_apply(isometry, mask, ~mdec))
     block = (block + block.conj().T) / 2.0
-    spectral = ati.SpectralMixture.from_isometry_block(isometry, block)
-    return VerifierPovm(isometry, block, spectral)
+    return ati.SpectralMixture.from_isometry_block(isometry, block)
 
 
 def verify(
@@ -355,14 +333,14 @@ def verify(
         info["transcript_diagnostics"] = ["encoded_size_mismatch"]
         return 0, None, info
     try:
-        povm = assemble_verifier_povm(proof.obf, qpro, pv, cfg)
+        mixture = assemble_verifier_povm(proof.obf, qpro, pv, cfg)
     except ValueError as exc:
         # e.g. a challenge that opened every bundle leaves nothing to evaluate
         info["transcript_diagnostics"] = [f"povm_unavailable: {exc}"]
         return 0, None, info
-    outcome = ati.threshold_measure(povm.spectral, proof.encoded, g.gamma_prime, rng)
+    outcome = ati.threshold_measure(mixture, proof.encoded, g.gamma_prime, rng)
     info["eigenvalue_measured"] = outcome.eigenvalue_measured
-    info["mixture_expectation"] = ati.mixture_expectation(povm.spectral, proof.encoded)
+    info["mixture_expectation"] = ati.mixture_expectation(mixture, proof.encoded)
     residual = QmaProof(outcome.post, proof.obf)
     return outcome.accept, residual, info
 

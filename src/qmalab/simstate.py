@@ -107,6 +107,16 @@ def basis_indices(arity: int) -> np.ndarray:
     return np.arange(2**arity)
 
 
+def register_blocks(num_qubits: int, width: int) -> list[np.ndarray]:
+    """Value of each consecutive width-qubit block (block 0 first) at every
+    basis index of a num_qubits register."""
+    if width < 1 or num_qubits % width:
+        raise ValueError("block width must divide the qubit count")
+    idxs = basis_indices(num_qubits)
+    mask = (1 << width) - 1
+    return [(idxs >> (num_qubits - (i + 1) * width)) & mask for i in range(num_qubits // width)]
+
+
 def predicate_from_table(table: np.ndarray) -> BasisPredicate:
     return BasisPredicate(table)
 
@@ -194,6 +204,11 @@ def hadamard_layer(a: np.ndarray, mask) -> np.ndarray:
     return cur.reshape(a.shape)
 
 
+def zx_apply(a: np.ndarray, mask, accept: np.ndarray) -> np.ndarray:
+    """H^mask diag(accept) H^mask applied to the columns of a."""
+    return hadamard_layer(hadamard_layer(a, mask) * accept[:, None], mask)
+
+
 def apply_hadamard(s: StateVector, theta_mask: BitVector) -> StateVector:
     """Hadamard on every qubit i with theta_i = 1."""
     m = s.num_qubits
@@ -254,28 +269,18 @@ def measure_zx(
     return prob, apply_hadamard(post_one, theta)
 
 
-def measure_zx_both(
-    s: StateVector, theta: BitVector, f: BasisPredicate
-) -> tuple[float, StateVector | None, StateVector | None]:
-    """Like measure_zx but also returns the rejected branch."""
-    rotated = apply_hadamard(s, theta)
-    prob, post_one, post_zero = project_predicate(rotated, f)
-    back = lambda st: apply_hadamard(st, theta) if st is not None else None
-    return prob, back(post_one), back(post_zero)
-
-
-def tensor(a: StateVector, b: StateVector, cap: int = QUBIT_CAP) -> StateVector:
+def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product with qubit ordering a-then-b."""
     total = a.num_qubits + b.num_qubits
-    if total > cap:
-        raise ValueError(f"tensor product spans {total} qubits, above the cap {cap}")
+    if total > QUBIT_CAP:
+        raise ValueError(f"tensor product spans {total} qubits, above the cap {QUBIT_CAP}")
     return StateVector(np.kron(a.amplitudes, b.amplitudes), total)
 
 
-def tensor_many(states: list[StateVector], cap: int = QUBIT_CAP) -> StateVector:
+def tensor_many(states: list[StateVector]) -> StateVector:
     out = states[0]
     for st in states[1:]:
-        out = tensor(out, st, cap=cap)
+        out = tensor(out, st)
     return out
 
 

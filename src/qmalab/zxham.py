@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitVector
-from .simstate import BasisPredicate, StateVector, basis_indices, measure_zx
+from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
 
 SPECTRAL_QUBIT_CAP = 10
 
@@ -66,6 +66,9 @@ class HamiltonianInstance:
         if not self.terms:
             raise ValueError("degenerate instance: no terms")
         pair_weights: dict[tuple[int, int], float] = {}
+        listed = [(t.i, t.j, t.basis) for t in self.terms]
+        if len(set(listed)) != len(listed):
+            raise ValueError("a term (i, j, basis) is listed twice")
         for t in self.terms:
             if t.j >= self.num_qubits:
                 raise ValueError("term index out of range")
@@ -119,10 +122,8 @@ def term_to_zx(i: int, j: int, basis: str, beta: int, num_qubits: int) -> ZXMeas
         raise ValueError("need 0 <= i < j < num_qubits")
     theta_bit = 0 if basis == "Z" else 1
     theta = BitVector((theta_bit,) * num_qubits)
-    idxs = basis_indices(num_qubits)
-    bi = (idxs >> (num_qubits - 1 - i)) & 1
-    bj = (idxs >> (num_qubits - 1 - j)) & 1
-    f = BasisPredicate((bi ^ bj ^ beta).astype(bool))
+    bits = register_blocks(num_qubits, 1)
+    f = BasisPredicate((bits[i] ^ bits[j] ^ beta).astype(bool))
     return ZXMeasurementSpec(theta, f)
 
 

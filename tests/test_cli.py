@@ -111,6 +111,17 @@ def test_instance_file_loading(tmp_path):
     assert report["passed"]
 
 
+def test_config_loading_leaves_the_input_dict_unchanged(tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(cli.SINGLE_Z))
+    data = {"scenario": "e2e-simulate", "seed": 3, "instance": str(path), "instance_b": str(path)}
+    before = copy.deepcopy(data)
+    cfg = RunConfig.from_json(data)
+    assert data == before
+    assert cfg.instance == cfg.instance_b == cli.SINGLE_Z
+    assert RunConfig.from_json(data) == cfg  # the same dict loads again
+
+
 def test_permver_bench_report_keys():
     report = run_scenario(small("permver-bench", trials=100))
     for key in ("k", "threshold", "accept_freq_yes", "accept_freq_no", "hoeffding_bound"):

@@ -7,7 +7,7 @@ import pytest
 
 from qmalab import csa
 from qmalab.csa import CSAKey, CSARecord, DecSpec
-from qmalab.gf2 import BitVector, Subspace
+from qmalab.gf2 import BitVector, Subspace, index_to_bits
 from qmalab.simstate import (
     StateVector,
     apply_hadamard,
@@ -118,6 +118,41 @@ def test_ver_predicate_cases():
     assert ver.eval(outside.bits) == 0
 
 
+def _reference_predicates(key: CSAKey, theta: BitVector, f) -> tuple[np.ndarray, np.ndarray]:
+    """The two per-block loops that dec_predicate and ver_predicate ran
+    before they shared one decoder: (Dec table, Ver table)."""
+    total, w = key.physical_qubits, key.block_width
+    idxs = np.arange(2**total)
+    blocks = [(idxs >> (total - (i + 1) * w)) & ((1 << w) - 1) for i in range(key.n)]
+    bot = np.zeros(2**total, dtype=bool)
+    word = np.zeros(2**total, dtype=np.int64)
+    ok = np.ones(2**total, dtype=bool)
+    for i, rec in enumerate(key.records):
+        cls = rec.dec_tables[theta.bits[i]][blocks[i]]
+        bot |= cls == csa.BOT
+        word = (word << 1) | (cls & 1)
+        ok &= rec.dec_tables[theta.bits[i]][blocks[i]] != csa.BOT
+    return f.table()[word] & ~bot, ok
+
+
+def test_ver_is_dec_with_all_accept_f_and_both_match_reference_loops():
+    rng = np.random.default_rng(21)
+    for lam, n in ((1, 1), (1, 2), (1, 3), (2, 1), (1, 4)):
+        for _ in range(3):
+            key = csa.keygen(lam, n, rng)
+            f = predicate_from_table(rng.integers(0, 2, size=2**n))
+            for t in range(2**n):
+                theta = BitVector(index_to_bits(t, n))
+                ver = csa.ver_predicate(key, theta).table()
+                accept_all = csa.dec_predicate(DecSpec(key, theta, constant_predicate(n, 1)))
+                assert np.array_equal(ver, accept_all.table())
+                ref_dec, ref_ver = _reference_predicates(key, theta, f)
+                assert np.array_equal(csa.dec_predicate(DecSpec(key, theta, f)).table(), ref_dec)
+                assert np.array_equal(ver, ref_ver)
+    with pytest.raises(ValueError, match="theta length"):
+        csa.ver_predicate(key, BitVector.zeros(n + 1))
+
+
 def test_ver_accepts_every_encoding_in_both_bases():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -211,3 +246,5 @@ def test_codespace_check_cap():
     key = csa.keygen(2, 3, rng)  # 15 physical qubits
     with pytest.raises(ValueError):
         csa.codespace_projector_check(key)
+    with pytest.raises(ValueError, match="capped"):
+        csa.correctness_deviation(key, BitVector.zeros(3), constant_predicate(3, 1))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalab import obfstack, toycrypto
+from qmalab import nizknp, obfstack, toycrypto
 from qmalab.obfstack import (
     CircuitDesc,
     FeFunction,
@@ -615,6 +615,34 @@ def test_cut_and_choose_detection_rate():
         ok, _ = pc_verify(pp, PHI_ANY, o, qpro)
         rejected += not ok
     assert rejected / trials >= 1 - 0.5**3 - 0.06
+
+
+def test_pc_verify_rejects_a_transcript_with_a_foreign_lam_cc():
+    """A cheating prover posts one bundle with corrupted handles and the
+    verifier's own lam_cc-bit challenge.  When bit 0 of that challenge is
+    clear, the transcript's lam_cc = 1 opens nothing, the relation holds and
+    the tag verifies; only comparing lam_cc with the parameters catches it."""
+    c = table_circuit([0, 1, 1, 0])
+    forged_count = 0
+    for seed in range(40):
+        rng = np.random.default_rng(3000 + seed)
+        qpro = QPrOSim.from_seed(rng)
+        pp = pc_setup(rng)
+        short = dataclasses.replace(pp, lam_cc=1)
+        transcript, _, witness = obfstack._pc_build(short, PHI_ANY, c, qpro, rng, "jllw", (1,))
+        chal = obfstack._derive_chal(qpro, pp, transcript.commitments, transcript.handle_bundles)
+        if transcript.opened or chal & 1:
+            continue  # bundle 1 must stay unopened under both challenges
+        forged = dataclasses.replace(transcript, chal=chal)
+        stmt = obfstack._pc_statement(qpro, PHI_ANY, forged)
+        forged = dataclasses.replace(forged, proof=nizknp.np_prove(pp.crs, stmt, witness, rng))
+        assert forged.open_set() == set() and set(forged.unopened) == {1}
+        assert nizknp.np_verify(pp.crs, stmt, forged.proof)
+        assert pc_eval(forged, qpro, (0, 1)) is None  # the corrupted instance fails
+        ok, diags = pc_verify(pp, PHI_ANY, forged, qpro)
+        assert not ok and diags == ["structure_malformed"]
+        forged_count += 1
+    assert forged_count >= 3
 
 
 def test_evasive_composability_oracle_game():

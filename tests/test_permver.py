@@ -24,7 +24,14 @@ from qmalab.permver import (
     verify_entangled,
     verify_product,
 )
-from qmalab.simstate import StateVector, tensor_many
+from qmalab.gf2 import BitVector
+from qmalab.simstate import (
+    BasisPredicate,
+    StateVector,
+    apply_hadamard,
+    project_predicate,
+    tensor_many,
+)
 from qmalab.zxham import HamTerm, HamiltonianInstance
 
 SINGLE_Z = HamiltonianInstance(2, (HamTerm(0, 1, "Z", 0, 0.5),))
@@ -150,6 +157,85 @@ def test_verify_entangled_matches_product_on_products():
     f_ent = sum(verify_entangled(v, full, rng) for _ in range(trials)) / trials
     sigma = math.sqrt(0.25 / trials)
     assert abs(f_prod - f_ent) < 3.5 * (2 * sigma) + 0.01
+
+
+def _reference_from_bytes(data: bytes, n: int) -> tuple[int, ...]:
+    perm = list(range(n))
+    pos = 0
+    for i in range(n - 1, 0, -1):
+        draw = int.from_bytes(data[pos : pos + 4], "big")
+        pos += 4
+        j = draw % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
+def _reference_sample(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
+def test_shuffles_equal_reference_loops():
+    """Both Fisher-Yates entry points against the loops they replaced:
+    same draw order, same 4-byte windows, same generator draws."""
+    source = np.random.default_rng(31)
+    for n in range(10):
+        for _ in range(20):
+            data = source.bytes(4 * max(n - 1, 0) + int(source.integers(0, 5)))
+            assert permutation_from_bytes(data, n) == _reference_from_bytes(data, n)
+        ours, ref = np.random.default_rng([31, n]), np.random.default_rng([31, n])
+        for _ in range(20):
+            assert sample_permutation(n, ours) == _reference_sample(n, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_verify_entangled(v, full_state: StateVector, rng: np.random.Generator) -> int:
+    """verify_entangled as it was, with both branches of every
+    sub-measurement taken from one projection."""
+    total = v.list_len * v.ell
+    perm = _reference_sample(v.list_len, rng)
+    idxs = np.arange(2**total)
+    state = full_state
+    count = 0
+    for t, p in enumerate(perm):
+        spec = v.specs[p]
+        theta_full = BitVector(
+            tuple(
+                spec.theta.bits[q - t * v.ell] if t * v.ell <= q < (t + 1) * v.ell else 0
+                for q in range(total)
+            )
+        )
+        shift = total - (t + 1) * v.ell
+        f_full = BasisPredicate(spec.f.table()[(idxs >> shift) & ((1 << v.ell) - 1)])
+        prob, post_acc, post_rej = project_predicate(apply_hadamard(state, theta_full), f_full)
+        back = lambda st: apply_hadamard(st, theta_full) if st is not None else None
+        if rng.random() < prob:
+            count += 1
+            state = back(post_acc)
+        else:
+            state = back(post_rej)
+        if state is None:
+            break
+    return int(count >= v.threshold)
+
+
+def test_verify_entangled_matches_reference_on_seeded_sequence():
+    for h, k in ((SINGLE_Z, 6), (FULL_PAIR, 4), (FRUSTRATED, 4)):
+        v = build(h, k)
+        total = v.list_len * v.ell
+        states = np.random.default_rng([41, k])
+        ours, ref = np.random.default_rng([42, k]), np.random.default_rng([42, k])
+        outcomes = []
+        for _ in range(60):
+            amps = states.normal(size=2**total) + 1j * states.normal(size=2**total)
+            full = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+            outcomes.append(verify_entangled(v, full, ours))
+            assert outcomes[-1] == _reference_verify_entangled(v, full, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_verify_entangled_uniform_basis_below_midpoint():

@@ -194,7 +194,7 @@ def test_structured_povm_matches_raw_three_step_checks():
     crs = protocol.setup(rng, CFG)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     pv = permver.build(REFERENCE, CFG.k)
-    povm = protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)
+    mixture = protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)
 
     m = pv.list_len * pv.ell
     phys = m * 3
@@ -219,13 +219,44 @@ def test_structured_povm_matches_raw_three_step_checks():
             out += weight * stage
         return out
 
-    dense_block = povm.isometry @ povm.block @ povm.isometry.conj().T
+    dense_block = (mixture.eigvecs * mixture.eigvals) @ mixture.eigvecs.conj().T
     worst = 0.0
     for _ in range(12):
         v = rng.normal(size=2**phys) + 1j * rng.normal(size=2**phys)
         v /= np.linalg.norm(v)
         worst = max(worst, float(np.max(np.abs(raw_mixture_apply(v) - dense_block @ v))))
     assert worst < 1e-9
+
+
+def test_post_verified_extraction_is_exact_over_the_accept_eigenspace():
+    """Knowledge soundness on a given transcript, checked exactly: ext1 maps
+    every eigenvector of the verifier's mixture at or above the cutoff to a
+    witness of per-copy acceptance at least 1 - gamma.  The cutoff sits above
+    the next eigenvalue, 2050/4096, the uneven PRG seed split of
+    permutation_weights(12, 2).  Simulator transcripts, whose decoder
+    branch is null, put the whole codespace at eigenvalue 1."""
+    cutoff = 1 - GAMMAS.gamma_prime / 2
+    pv, m, phys = protocol.witness_registers(REFERENCE, CFG)
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 0])
+        qpro = QPrOSim.from_seed(rng, instance_count=CFG.lambda_cc + 1)
+        crs, td = protocol.ext0(rng, CFG)
+        proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
+        mixture = protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)
+        above = mixture.eigvals >= cutoff
+        assert above.sum() == 1
+        assert max(mixture.eigvals[~above]) == pytest.approx(2050 / 4096, abs=1e-9)
+        for vec in mixture.eigvecs[:, above].T:
+            residual = protocol.QmaProof(StateVector(vec, phys), proof.obf)
+            state = protocol.ext1(GAMMAS, crs, td, REFERENCE, residual, CFG, qpro)
+            assert protocol.per_copy_acceptance(REFERENCE, state, pv.list_len) >= 1 - GAMMAS.gamma
+
+        rng = np.random.default_rng([seed, 0])
+        qpro = QPrOSim.from_seed(rng, instance_count=CFG.lambda_cc + 1)
+        _, _, sim_proof = protocol.simulate(REFERENCE, CFG, qpro, rng)
+        sim = protocol.assemble_verifier_povm(sim_proof.obf, qpro, pv, CFG)
+        assert sim.eigvals.shape == (2**m,)
+        assert np.max(np.abs(sim.eigvals - 1.0)) < 1e-9
 
 
 def test_honest_run_accepts_with_certainty_on_frustration_free_instance():

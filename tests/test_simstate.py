@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalab.gf2 import BitVector, CosetPair, Subspace
+from qmalab.gf2 import BitVector, CosetPair, Subspace, bits_to_index, index_to_bits
 from qmalab.simstate import (
     BasisPredicate,
     StateVector,
@@ -20,8 +20,10 @@ from qmalab.simstate import (
     measure_zx,
     predicate_from_table,
     project_predicate,
+    register_blocks,
     tensor,
     trace_distance_pure,
+    zx_apply,
 )
 
 
@@ -139,6 +141,52 @@ def test_hadamard_layer_bytes_equal_butterfly_reference(m):
                 assert out.tobytes() == _butterfly_reference(a, mask).tobytes(), (shape, mask)
                 assert not np.shares_memory(out, a)
                 assert a.tobytes() == before
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_zx_apply_bytes_equal_two_layer_chains(m):
+    """zx_apply against the inline chains it replaced: the verifier POVM's
+    codespace closure and per-permutation check, and the codespace check."""
+    rng = np.random.default_rng(200 + m)
+    masks = [(0,) * m, (1,) * m, tuple(int(b) for b in rng.integers(0, 2, size=m))]
+    first = rng.integers(0, 2, size=2**m).astype(bool)
+    accept = rng.integers(0, 2, size=2**m).astype(bool)
+    for cols in (1, 3, 20):
+        g = rng.normal(size=(2**m, cols)) + 1j * rng.normal(size=(2**m, cols))
+        # exact-zero rows of both signs
+        for a in (g, g * first[:, None], -g * first[:, None]):
+            before = a.tobytes()
+            for mask in masks:
+                out = zx_apply(a, mask, accept)
+                chain = hadamard_layer(hadamard_layer(a, mask) * accept[:, None], mask)
+                assert out.tobytes() == chain.tobytes(), (cols, mask)
+                assert a.tobytes() == before and not np.shares_memory(out, a)
+            # the POVM's former _pi_k closure and the codespace check's chain
+            ones = (1,) * m
+            closure = hadamard_layer(a * first[:, None], ones)
+            closure = hadamard_layer(closure * accept[:, None], ones)
+            assert zx_apply(a * first[:, None], ones, accept).tobytes() == closure.tobytes()
+            rhs = a * first[:, None]
+            rhs = hadamard_layer(rhs, ones)
+            rhs = rhs * accept[:, None]
+            rhs = hadamard_layer(rhs, ones)
+            assert zx_apply(a * first[:, None], ones, accept).tobytes() == rhs.tobytes()
+
+
+def test_register_blocks_equal_index_to_bits_slices():
+    for width in (1, 2, 3):
+        for count in range(1, 10 // width + 1):
+            n = width * count
+            blocks = register_blocks(n, width)
+            assert len(blocks) == count
+            for idx in range(2**n):
+                label = index_to_bits(idx, n)
+                for i, block in enumerate(blocks):
+                    assert block[idx] == bits_to_index(label[i * width : (i + 1) * width])
+    with pytest.raises(ValueError, match="divide"):
+        register_blocks(5, 2)
+    with pytest.raises(ValueError, match="cap"):
+        register_blocks(QUBIT_CAP + 1, 1)  # refused before allocating
 
 
 def test_basis_predicate_table_checks():

@@ -45,6 +45,24 @@ def test_instance_validation():
         )  # unequal pair weights
 
 
+def test_instance_rejects_a_repeated_term():
+    # zxver looks a sampled term up by (i, j, basis); a second listing of the
+    # same key would be unreachable there but weigh in acceptance_operator
+    with pytest.raises(ValueError, match="listed twice"):
+        HamiltonianInstance(2, (HamTerm(0, 1, "Z", 0, 0.5), HamTerm(0, 1, "Z", 1, 0.5)))
+    with pytest.raises(ValueError, match="listed twice"):
+        HamiltonianInstance.from_json(
+            {
+                "qubits": 2,
+                "terms": [
+                    {"i": 0, "j": 1, "basis": "X", "beta": 0, "p": 0.5},
+                    {"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5},
+                    {"i": 0, "j": 1, "basis": "X", "beta": 0, "p": 0.5},
+                ],
+            }
+        )
+
+
 def test_json_round_trip():
     again = HamiltonianInstance.loads(TWO_PAIRS.dumps())
     assert again == TWO_PAIRS
