@@ -44,7 +44,18 @@ class NpProof:
 
     @classmethod
     def from_json(cls, data: dict) -> NpProof:
-        return cls(base64.b64decode(data["ct"]), base64.b64decode(data["inner"]))
+        return cls(_b64(data["ct"]), _b64(data["inner"]))
+
+
+def _b64(text) -> bytes:
+    """Bytes from the padded base64 that to_json writes; any other string,
+    or a non-string, raises ValueError."""
+    if type(text) is not str:
+        raise ValueError(f"expected base64 text, got {text!r}")
+    raw = base64.b64decode(text, validate=True)
+    if base64.b64encode(raw).decode() != text:
+        raise ValueError("base64 text is not in canonical form")
+    return raw
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ Oracle queries are classical throughout; the QPrO is a lazy keyed permutation
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -194,7 +195,38 @@ class ObfHandle:
 
     @classmethod
     def from_json(cls, data: dict) -> ObfHandle:
-        return cls(data["uid"], int(data["arity"]))
+        return cls(_wire_hex(data["uid"]).hex(), _wire_int(data["arity"]))
+
+
+# -- transcript fields --------------------------------------------------------
+
+
+def _wire_int(v, bits: int | None = None) -> int:
+    """A JSON integer (a bool is not one), in [0, 2**bits) when bits is given."""
+    if type(v) is not int or (bits is not None and not 0 <= v < 1 << bits):
+        raise ValueError(f"expected an integer in range, got {v!r}")
+    return v
+
+
+def _wire_hex(v) -> bytes:
+    """Bytes from lowercase hex without separators, the form to_json writes."""
+    raw = bytes.fromhex(v) if type(v) is str else None
+    if raw is None or raw.hex() != v:
+        raise ValueError(f"expected lowercase hex, got {v!r}")
+    return raw
+
+
+def _wire_list(v) -> list:
+    if type(v) is not list:
+        raise ValueError(f"expected a list, got {v!r}")
+    return v
+
+
+def _wire_index(v) -> int:
+    """A bundle index written as a JSON object key."""
+    if type(v) is not str or not v.isdecimal() or str(int(v)) != v:
+        raise ValueError(f"expected a decimal bundle index, got {v!r}")
+    return int(v)
 
 
 def ideal_obf(qpro: QPrOSim, c: CircuitDesc, rng: np.random.Generator) -> ObfHandle:
@@ -258,7 +290,13 @@ class QPrOSim:
     the QPrO), shared by prover, verifier, extractor and simulator.
     ``rounds`` memoizes the Feistel round function for gen and inv, keyed
     (instance, round, half); it holds at most
-    instance_count * 4 * 2**(lam_bits / 2) entries.
+    instance_count * 4 * 2**(lam_bits / 2) entries.  A miss costs one copy
+    of the round's BLAKE2b state, which has absorbed everything of the round
+    digest but the half (toycrypto.digest_state); the states are built on
+    first use, per oracle, at most instance_count * 4 of them.
+
+    lam_bits is even and in 8..62, so that a key is one int64 draw and a
+    half fits the round digest's 4 bytes.
     """
 
     master: bytes
@@ -268,26 +306,34 @@ class QPrOSim:
     rounds: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.lam_bits % 2 or self.lam_bits < 8:
-            raise ValueError("lam_bits must be even and at least 8")
+        if self.lam_bits % 2 or not 8 <= self.lam_bits <= 62:
+            raise ValueError("lam_bits must be even and in 8..62")
+        if self.instance_count < 1:
+            raise ValueError("instance_count must be at least 1")
 
     @classmethod
     def from_seed(cls, rng: np.random.Generator, lam_bits: int = 16, instance_count: int = DEFAULT_LAMBDA_CC + 1) -> QPrOSim:
         return cls(rng.bytes(32), lam_bits, instance_count)
 
+    @functools.cached_property
+    def _round_states(self) -> dict:
+        return {}
+
     def _round(self, instance: int, rnd: int, half: int) -> int:
         memo_key = (instance, rnd, half)
         value = self.rounds.get(memo_key)
         if value is None:
-            d = toycrypto.digest(
-                b"qmalab-qpro-perm",
-                self.master,
-                instance.to_bytes(4, "big"),
-                rnd.to_bytes(1, "big"),
-                half.to_bytes(4, "big"),
-                out_len=4,
-            )
-            value = int.from_bytes(d, "big") & ((1 << (self.lam_bits // 2)) - 1)
+            state = self._round_states.get((instance, rnd))
+            if state is None:
+                state = self._round_states[(instance, rnd)] = toycrypto.digest_state(
+                    b"qmalab-qpro-perm",
+                    (self.master, instance.to_bytes(4, "big"), rnd.to_bytes(1, "big")),
+                    out_len=4,
+                    next_len=4,
+                )
+            h = state.copy()
+            h.update(half.to_bytes(4, "big"))
+            value = int.from_bytes(h.digest(), "big") & ((1 << (self.lam_bits // 2)) - 1)
             self.rounds[memo_key] = value
         return value
 
@@ -319,8 +365,13 @@ class QPrOSim:
         self._check_instance(instance)
         return qpro_prf(instance, self.inv(instance, handle), x, out_len)
 
+    def sample_keys(self, rng: np.random.Generator, n: int) -> tuple[int, ...]:
+        """n uniform keys from one generator call; the same values and the
+        same generator state as n scalar draws."""
+        return tuple(rng.integers(0, 1 << self.lam_bits, size=n).tolist())
+
     def sample_key(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, 1 << self.lam_bits))
+        return self.sample_keys(rng, 1)[0]
 
 
 # -- toy 1-key functional encryption ------------------------------------------
@@ -501,11 +552,9 @@ def jllw_obfuscate(
         raise ValueError("need at least one input bit")
     blocks = JLLW_BLOCKS
     if key_handle_pairs is None:
-        key_handle_pairs = {}
-        for i in range(big_d):
-            for j in range(1, blocks + 1):
-                k = qpro.sample_key(rng)
-                key_handle_pairs[(i, j)] = (k, qpro.gen(instance, k))
+        shape = _bundle_shape(big_d)
+        drawn = qpro.sample_keys(rng, len(shape))
+        key_handle_pairs = {ij: (k, qpro.gen(instance, k)) for ij, k in zip(shape, drawn)}
     keys = {f"{i},{j}": kh[0] for (i, j), kh in key_handle_pairs.items()}
     handles = {f"{i},{j}": kh[1] for (i, j), kh in key_handle_pairs.items()}
 
@@ -664,27 +713,35 @@ class PCObfuscation:
 
     @classmethod
     def from_json(cls, data: dict) -> PCObfuscation:
-        backend = data["backend"]
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown obfuscation backend {backend!r}")
-        return cls(
-            backend=backend,
-            arity=int(data["arity"]),
-            lam_cc=int(data["lam_cc"]),
-            commitments=tuple(bytes.fromhex(c) for c in data["commitments"]),
-            handle_bundles=tuple(tuple(int(h) for h in b) for b in data["handle_bundles"]),
-            chal=int(data["chal"]),
-            unopened={
-                int(t): (ObfHandle.from_json(b) if backend == "ideal" else bytes.fromhex(b))
-                for t, b in data["unopened"].items()
-            },
-            opened={
-                int(t): (tuple(int(k) for k in d["keys"]), bytes.fromhex(d["r"]))
-                for t, d in data["opened"].items()
-            },
-            proof=NpProof.from_json(data["proof"]),
-            phi_id=data["phi_id"],
-        )
+        """Parse a transcript; a missing field or a field of the wrong type
+        or form raises ValueError, so what parses is what to_json writes."""
+        try:
+            backend = data["backend"]
+            if backend not in BACKENDS:
+                raise ValueError(f"unknown obfuscation backend {backend!r}")
+            if type(data["phi_id"]) is not str:
+                raise ValueError("phi_id must be a string")
+            unopened_blob = ObfHandle.from_json if backend == "ideal" else _wire_hex
+
+            def words(v) -> tuple[int, ...]:  # keys and handles travel as 8-byte words
+                return tuple(_wire_int(w, 64) for w in _wire_list(v))
+
+            return cls(
+                backend=backend,
+                arity=_wire_int(data["arity"]),
+                lam_cc=_wire_int(data["lam_cc"]),
+                commitments=tuple(_wire_hex(c) for c in _wire_list(data["commitments"])),
+                handle_bundles=tuple(words(b) for b in _wire_list(data["handle_bundles"])),
+                chal=_wire_int(data["chal"]),
+                unopened={_wire_index(t): unopened_blob(b) for t, b in data["unopened"].items()},
+                opened={
+                    _wire_index(t): (words(d["keys"]), _wire_hex(d["r"])) for t, d in data["opened"].items()
+                },
+                proof=NpProof.from_json(data["proof"]),
+                phi_id=data["phi_id"],
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed transcript: {exc!r}") from exc
 
 
 def _open_set(chal: int, lam_cc: int) -> set[int]:
@@ -811,11 +868,10 @@ def _pc_build(
     shape = _bundle_shape(c.input_arity)
     key_bundles, handle_bundles, commitments, rands = [], [], [], []
     for t in range(1, lam_cc + 1):
-        keys = tuple(qpro.sample_key(rng) for _ in shape)
-        if t in corrupt_bundles:
-            handles = tuple(qpro.gen(t, qpro.sample_key(rng)) for _ in shape)
-        else:
-            handles = tuple(qpro.gen(t, k) for k in keys)
+        keys = qpro.sample_keys(rng, len(shape))
+        # a corrupted bundle posts the handles of unrelated keys, drawn next
+        posted = qpro.sample_keys(rng, len(shape)) if t in corrupt_bundles else keys
+        handles = tuple(qpro.gen(t, k) for k in posted)
         r = rng.bytes(16)
         key_bundles.append(keys)
         handle_bundles.append(handles)
@@ -912,8 +968,11 @@ def pc_verify(
 ) -> tuple[bool, list[str]]:
     """Recompute the challenge, audit the opened bundles, verify the proof."""
     diagnostics: list[str] = []
+    width = JLLW_BLOCKS * o.arity  # keys, and handles, per bundle
     # the challenge spans pp.lam_cc bits, so the transcript must post that many bundles
-    if not o.lam_cc == pp.lam_cc == len(o.commitments) == len(o.handle_bundles):
+    if not o.lam_cc == pp.lam_cc == len(o.commitments) == len(o.handle_bundles) or any(
+        len(b) != width for b in o.handle_bundles
+    ):
         diagnostics.append("structure_malformed")
         return False, diagnostics
     if o.phi_id != phi.phi_id:
@@ -924,16 +983,17 @@ def pc_verify(
     open_set = o.open_set()
     if set(o.opened) != open_set or set(o.unopened) != set(range(1, o.lam_cc + 1)) - open_set:
         diagnostics.append("open_split_mismatch")
-    shape = _bundle_shape(o.arity)
     for t in sorted(o.opened):
+        if not 1 <= t <= o.lam_cc:
+            continue  # no such bundle; open_split_mismatch covers it
         keys, r = o.opened[t]
         if toycrypto.commit(_bundle_bytes(keys), r) != o.commitments[t - 1]:
             diagnostics.append(f"commitment_mismatch:{t}")
-        if len(keys) != len(shape):
+        if len(keys) != width:
             diagnostics.append(f"bundle_shape:{t}")
             continue
-        for idx in range(len(shape)):
-            if qpro.gen(t, keys[idx]) != o.handle_bundles[t - 1][idx]:
+        for k, h in zip(keys, o.handle_bundles[t - 1]):
+            if qpro.gen(t, k) != h:
                 diagnostics.append(f"handle_mismatch:{t}")
                 break
     if not nizknp.np_verify(pp.crs, _pc_statement(qpro, phi, o), o.proof):

@@ -15,12 +15,25 @@ class IntegrityError(Exception):
     """Authenticated decryption or transcript consistency failed."""
 
 
-def digest(tag: bytes, *parts: bytes, out_len: int = 32) -> bytes:
+def digest_state(
+    tag: bytes, parts: tuple[bytes, ...], out_len: int = 32, next_len: int | None = None
+) -> hashlib.blake2b:
+    """The BLAKE2b state of digest(tag, *parts) before it is finalized: each
+    part framed by its 4-byte big-endian length.  With next_len, the state
+    has also absorbed the length prefix of one more part of next_len bytes,
+    so copy(), update(part) and digest() give digest(tag, *parts, part) for
+    out_len <= 64.  This is the one definition of the framing."""
     h = hashlib.blake2b(digest_size=min(out_len, 64), person=tag[:16].ljust(16, b"\0"))
     for p in parts:
         h.update(len(p).to_bytes(4, "big"))
         h.update(p)
-    d = h.digest()
+    if next_len is not None:
+        h.update(next_len.to_bytes(4, "big"))
+    return h
+
+
+def digest(tag: bytes, *parts: bytes, out_len: int = 32) -> bytes:
+    d = digest_state(tag, parts, out_len).digest()
     while len(d) < out_len:
         d += hashlib.blake2b(d, digest_size=64).digest()
     return d[:out_len]

@@ -161,6 +161,60 @@ def test_qpro_oracles_with_one_master_are_equal_but_share_no_memo():
     assert b.gen(1, 12345) == h and b.rounds == a.rounds
 
 
+def test_qpro_round_states_give_the_defined_feistel_on_nine_instances():
+    rng = np.random.default_rng(33)
+    qpro = QPrOSim.from_seed(rng, lam_bits=16, instance_count=9)
+    for instance in range(qpro.instance_count):
+        keys = [int(k) for k in rng.integers(0, 1 << 16, size=300)]
+        handles = [qpro.gen(instance, k) for k in keys]
+        assert handles == [_feistel_reference(qpro, instance, k) for k in keys]
+        assert [qpro.inv(instance, h) for h in handles] == keys
+
+
+def test_qpro_round_states_are_per_oracle_and_bounded():
+    a = QPrOSim.from_seed(np.random.default_rng(34), lam_bits=8, instance_count=3)
+    b = QPrOSim(a.master, lam_bits=8, instance_count=3)
+    h = a.gen(1, 77)
+    assert a._round_states and not b._round_states
+    assert b.gen(1, 77) == h
+    assert a._round_states.keys() == b._round_states.keys()
+    assert all(a._round_states[k] is not b._round_states[k] for k in a._round_states)
+    # an exhaustive gen and inv on every instance builds one state per (instance, round)
+    for instance in range(a.instance_count):
+        assert [a.inv(instance, a.gen(instance, k)) for k in range(256)] == list(range(256))
+    assert set(a._round_states) == {(i, r) for i in range(a.instance_count) for r in range(4)}
+    # the states stay out of equality and repr, as the memo does
+    assert a == b and "_round_states" not in repr(a)
+
+
+@pytest.mark.parametrize("lam_bits", [8, 16, 62])
+@pytest.mark.parametrize("n", [1, 4, 51])
+def test_sample_keys_equal_scalar_draws(lam_bits, n):
+    qpro = QPrOSim(b"\x07" * 32, lam_bits=lam_bits)
+    bundle, scalar = np.random.default_rng([lam_bits, n]), np.random.default_rng([lam_bits, n])
+    keys = qpro.sample_keys(bundle, n)
+    assert keys == tuple(int(scalar.integers(0, 1 << lam_bits)) for _ in range(n))
+    assert all(type(k) is int for k in keys)
+    assert bundle.bit_generator.state == scalar.bit_generator.state
+    assert qpro.sample_key(bundle) == int(scalar.integers(0, 1 << lam_bits))
+
+
+def test_qpro_refuses_parameters_it_cannot_run():
+    rng = np.random.default_rng(35)
+    # lam_bits=64 used to construct and then fail in sample_key ("high is out
+    # of bounds for int64"); 66 failed in gen's 4-byte half; 0 instances
+    # failed every query
+    for lam_bits in (64, 66, 6, 15):
+        with pytest.raises(ValueError, match="lam_bits"):
+            QPrOSim.from_seed(rng, lam_bits=lam_bits)
+    with pytest.raises(ValueError, match="instance_count"):
+        QPrOSim.from_seed(rng, instance_count=0)
+    widest = QPrOSim.from_seed(rng, lam_bits=62, instance_count=1)
+    k = widest.sample_key(rng)
+    assert widest.inv(0, widest.gen(0, k)) == k
+    assert widest.gen(0, k) == _feistel_reference(widest, 0, k)
+
+
 def test_qpro_round_memo_bounded_over_long_jllw_run():
     rng = np.random.default_rng(32)
     qpro = QPrOSim.from_seed(rng, instance_count=2)
@@ -456,6 +510,22 @@ def test_pc_tamper_diagnostics():
     bad2 = dataclasses.replace(o, handle_bundles=tuple(bundles))
     ok2, diags2 = pc_verify(pp, PHI_ANY, bad2, qpro)
     assert not ok2 and "chal_mismatch" in diags2
+
+
+def test_pc_verify_refuses_ragged_bundles_and_unknown_openings():
+    rng = np.random.default_rng(24)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    o = pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng)
+    t = sorted(o.opened)[0]
+    bundles = list(o.handle_bundles)
+    bundles[t - 1] = bundles[t - 1][:-1]  # one handle short of the arity's shape
+    ok, diags = pc_verify(pp, PHI_ANY, dataclasses.replace(o, handle_bundles=tuple(bundles)), qpro)
+    assert not ok and diags == ["structure_malformed"]
+    # an opening of a bundle that does not exist is a split mismatch, not an IndexError
+    extra = {**o.opened, pp.lam_cc + 1: o.opened[t]}
+    ok, diags = pc_verify(pp, PHI_ANY, dataclasses.replace(o, opened=extra), qpro)
+    assert not ok and "open_split_mismatch" in diags
 
 
 def test_pc_eval_majority_with_faults():

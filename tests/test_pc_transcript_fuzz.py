@@ -1,0 +1,160 @@
+"""Mutated cut-and-choose transcripts: PCObfuscation.from_json followed by
+pc_verify raises ValueError at parse time or rejects with a diagnostic; it
+never accepts."""
+
+from __future__ import annotations
+
+import base64
+import copy
+
+import numpy as np
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from qmalab.obfstack import (
+    PCObfuscation,
+    PHI_ANY,
+    QPrOSim,
+    pc_obfuscate,
+    pc_setup,
+    pc_verify,
+    table_circuit,
+)
+
+
+def _honest_transcript():
+    rng = np.random.default_rng(41)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    o = pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng)
+    return qpro, pp, o.to_json()
+
+
+QPRO, PP, HONEST = _honest_transcript()
+OTHER_TYPES = [None, True, False, 0, 1, -1, 2**70, 1.5, "", "2", "zz", [], [0], {}, {"0": 0}]
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) below the root, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix, key
+        yield from _paths(child, prefix + (key,))
+
+
+ALL_PATHS = list(_paths(HONEST))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _flip_hex(text: str, bit: int) -> str:
+    raw = bytearray(bytes.fromhex(text))
+    raw[bit // 8 % len(raw)] ^= 1 << (bit % 8)
+    return raw.hex()
+
+
+def _flip_b64(text: str, bit: int) -> str:
+    raw = bytearray(base64.b64decode(text))
+    raw[bit // 8 % len(raw)] ^= 1 << (bit % 8)
+    return base64.b64encode(bytes(raw)).decode()
+
+
+@st.composite
+def delete_field(draw, data):
+    path, key = draw(st.sampled_from(ALL_PATHS))
+    parent = _at(data, path)
+    del parent[key]
+    return "delete", path + (key,)
+
+
+@st.composite
+def swap_type(draw, data):
+    path, key = draw(st.sampled_from(ALL_PATHS))
+    parent = _at(data, path)
+    old = parent[key]
+    parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)]))
+    return "swap", path + (key,), parent[key]
+
+
+@st.composite
+def flip_bit(draw, data):
+    bit = draw(st.integers(0, 255))
+    target = draw(st.sampled_from(["commitment", "handle", "key", "r", "uid", "ct", "inner"]))
+    if target == "commitment":
+        i = draw(st.integers(0, len(data["commitments"]) - 1))
+        data["commitments"][i] = _flip_hex(data["commitments"][i], bit)
+    elif target == "handle":
+        bundle = data["handle_bundles"][draw(st.integers(0, len(data["handle_bundles"]) - 1))]
+        i = draw(st.integers(0, len(bundle) - 1))
+        bundle[i] ^= 1 << (bit % 64)
+    elif target in ("key", "r"):
+        entry = data["opened"][draw(st.sampled_from(sorted(data["opened"])))]
+        if target == "key":
+            i = draw(st.integers(0, len(entry["keys"]) - 1))
+            entry["keys"][i] ^= 1 << (bit % 64)
+        else:
+            entry["r"] = _flip_hex(entry["r"], bit)
+    elif target == "uid":
+        entry = data["unopened"][draw(st.sampled_from(sorted(data["unopened"])))]
+        entry["uid"] = _flip_hex(entry["uid"], bit)
+    else:
+        data["proof"][target] = _flip_b64(data["proof"][target], bit)
+    return "flip", target, bit
+
+
+@st.composite
+def reorder_bundles(draw, data):
+    perm = list(range(len(data["commitments"])))
+    i = draw(st.integers(0, len(perm) - 2))
+    j = draw(st.integers(i + 1, len(perm) - 1))
+    perm[i], perm[j] = perm[j], perm[i]
+    which = draw(st.sampled_from(["commitments", "handle_bundles", "both"]))
+    for name in ("commitments", "handle_bundles") if which == "both" else (which,):
+        data[name] = [data[name][i] for i in perm]
+    if which == "both" and draw(st.booleans()):
+        # relabel the openings to follow their bundles
+        new_t = {str(old + 1): str(new + 1) for new, old in enumerate(perm)}
+        for part in ("opened", "unopened"):
+            data[part] = {new_t[t]: v for t, v in data[part].items()}
+    return "reorder", which, tuple(perm)
+
+
+@st.composite
+def bad_header(draw, data):
+    field = draw(st.sampled_from(["chal", "arity", "lam_cc"]))
+    lam_cc = data["lam_cc"]
+    if field == "chal":
+        value = draw(st.one_of(st.integers(-(2**70), -1), st.integers(1 << lam_cc, 2**70)))
+    else:
+        value = draw(st.integers(-5, 3 * data[field] + 5).filter(lambda v: v != data[field]))
+    data[field] = value
+    return "header", field, value
+
+
+MUTATIONS = [delete_field, swap_type, flip_bit, reorder_bundles, bad_header]
+
+
+def test_the_honest_transcript_parses_and_verifies_with_bundles_on_both_sides():
+    o = PCObfuscation.from_json(copy.deepcopy(HONEST))
+    assert o.opened and o.unopened
+    assert pc_verify(PP, PHI_ANY, o, QPRO) == (True, [])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_mutated_transcript_is_refused_or_rejected_never_accepted(data):
+    mutated = copy.deepcopy(HONEST)
+    data.draw(data.draw(st.sampled_from(MUTATIONS))(mutated))
+    assert mutated != HONEST
+    try:
+        o = PCObfuscation.from_json(mutated)
+    except ValueError:
+        event("refused at parse")
+        return  # the documented parse-time refusal
+    ok, diagnostics = pc_verify(PP, PHI_ANY, o, QPRO)
+    event(f"rejected: {diagnostics[0].split(':')[0] if diagnostics else 'none'}")
+    assert not ok and diagnostics
