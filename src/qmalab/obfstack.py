@@ -293,7 +293,9 @@ class QPrOSim:
     instance_count * 4 * 2**(lam_bits / 2) entries.  A miss costs one copy
     of the round's BLAKE2b state, which has absorbed everything of the round
     digest but the half (toycrypto.digest_state); the states are built on
-    first use, per oracle, at most instance_count * 4 of them.
+    first use, per oracle, at most instance_count * 4 of them.  None of the
+    three is a constructor parameter, so dataclasses.replace gives the new
+    oracle empty tables of its own.
 
     lam_bits is even and in 8..62, so that a key is one int64 draw and a
     half fits the round digest's 4 bytes.
@@ -302,8 +304,8 @@ class QPrOSim:
     master: bytes
     lam_bits: int = 16
     instance_count: int = DEFAULT_LAMBDA_CC + 1
-    circuits: dict = field(default_factory=dict, compare=False, repr=False)
-    rounds: dict = field(default_factory=dict, compare=False, repr=False)
+    circuits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    rounds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lam_bits % 2 or not 8 <= self.lam_bits <= 62:
@@ -494,6 +496,18 @@ def fe_dec(sk: FeSk, ct: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class JLLWObfuscation:
+    """The tree obfuscation: the root ciphertext, one FE key per level, and
+    the QPrO handles of each level's B pad keys.
+
+    ``_nodes`` memoizes the tree walk: ``_nodes[qpro][chi]`` is node chi's
+    unpadded child-ciphertext pair, its leaf byte, or _FAILED.  Only a
+    QPrOSim is a memo key, because its answers are a pure function of its
+    compared fields; an oracle of any other type walks uncached.  It holds at
+    most 2**(D+1) - 1 nodes per oracle and is freed with the obfuscation.  It
+    is a cached property, not a field, so dataclasses.replace starts the new
+    obfuscation with an empty memo; an obfuscation is never changed in place.
+    """
+
     instance: int
     D: int
     B: int
@@ -502,6 +516,10 @@ class JLLWObfuscation:
     ct_root: bytes
     sks: tuple[FeSk, ...]
     handles: dict
+
+    @functools.cached_property
+    def _nodes(self) -> dict:
+        return {}
 
     def serialize(self) -> bytes:
         return _dumps(
@@ -613,37 +631,54 @@ def jllw_eval_table(
     subtree depth first, child 0 before child 1.  Each node decrypts, then
     strips its B oracle pads; a node whose decryption or pad check fails
     labels every leaf below it _FAILED, which is exactly the set of pointwise
-    walks through it.  The walk keeps its own stack rather than recursing
-    through a closure, so a call leaves no reference cycle behind."""
+    walks through it.  A node already in the obfuscation's memo for this
+    QPrOSim is neither decrypted nor queried again, so any number of walks
+    over one obfuscation decrypt each node at most once per oracle.  An
+    oracle of another type (a tampering or logging proxy) gets a memo that
+    lives for this walk only, where no node is met twice, so it sees every
+    query of every walk in the uncached order.  The walk keeps its own
+    stack rather than recursing through a closure, so a call leaves no
+    reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
+    memo = o._nodes.setdefault(qpro, {}) if type(qpro) is QPrOSim else {}
     ct_len = o.ptlen + toycrypto.CIPHERTEXT_OVERHEAD
     out = np.full(2**suffix_arity, _FAILED, dtype=np.int16)
     stack = [(o.ct_root, "")]
     while stack:
         ct, chi = stack.pop()
         d = len(chi)
-        try:
-            v = fe_dec(o.sks[d], ct)
-            if d == o.D:
-                out[int("0" + chi[len(prefix) :], 2)] = v[0]
-                continue
-            pad_input = (chi + "0" * (o.D - d)).encode()
-            otp = b"".join(
-                qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
-                for j in range(1, o.B + 1)
-            )
-            pair = toycrypto.xor_bytes(v, otp)
-        except IntegrityError:
+        node = memo.get(chi)
+        if node is None:
+            try:
+                v = fe_dec(o.sks[d], ct)
+                if d == o.D:
+                    node = v[0]
+                else:
+                    pad_input = (chi + "0" * (o.D - d)).encode()
+                    otp = b"".join(
+                        qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
+                        for j in range(1, o.B + 1)
+                    )
+                    node = toycrypto.xor_bytes(v, otp)
+            except IntegrityError:
+                node = _FAILED
+            memo[chi] = node
+        if node == _FAILED:
+            continue
+        if d == o.D:
+            out[int("0" + chi[len(prefix) :], 2)] = node
             continue
         # pushed child 1 first, so that child 0's subtree is walked first
         for bit in (int(prefix[d]) & 1,) if d < len(prefix) else (1, 0):
-            stack.append((pair[:ct_len] if bit == 0 else pair[ct_len:], chi + str(bit)))
+            stack.append((node[:ct_len] if bit == 0 else node[ct_len:], chi + str(bit)))
     return out
 
 
 def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int:
-    """The zero-width case of jllw_eval_table."""
+    """The zero-width case of jllw_eval_table; it shares the obfuscation's
+    node memo, so 2**D pointwise walks with one QPrOSim cost one full table
+    walk (2**(D+1) - 1 decryptions and (2**D - 1) * B pad queries)."""
     y = int(jllw_eval_table(o, qpro, x_bits, 0)[0])
     if y == _FAILED:
         raise IntegrityError("tree walk failed its integrity checks")

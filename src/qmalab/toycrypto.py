@@ -39,14 +39,22 @@ def digest(tag: bytes, *parts: bytes, out_len: int = 32) -> bytes:
     return d[:out_len]
 
 
+_STREAM_STATE = hashlib.blake2b(digest_size=64, person=b"qmalab-stream\0\0\0")
+
+
 def stream(seed: bytes, n: int) -> bytes:
-    """Deterministic keystream of n bytes in counter mode."""
+    """Deterministic keystream of n bytes in counter mode: block i is the
+    64-byte personalized BLAKE2b of the 8-byte big-endian i followed by the
+    seed.  Each block copies one prepared, empty personalized state instead
+    of building a new one; BLAKE2b hashes a stream, so the bytes are the
+    same."""
     out = bytearray()
     ctr = 0
     while len(out) < n:
-        out += hashlib.blake2b(
-            ctr.to_bytes(8, "big") + seed, digest_size=64, person=b"qmalab-stream\0\0\0"
-        ).digest()
+        h = _STREAM_STATE.copy()
+        h.update(ctr.to_bytes(8, "big"))
+        h.update(seed)
+        out += h.digest()
         ctr += 1
     return bytes(out[:n])
 

@@ -215,6 +215,23 @@ def test_qpro_refuses_parameters_it_cannot_run():
     assert widest.gen(0, k) == _feistel_reference(widest, 0, k)
 
 
+def test_qpro_replace_gives_the_new_oracle_tables_of_its_own():
+    rng = np.random.default_rng(36)
+    a = QPrOSim.from_seed(rng, instance_count=3)
+    keys = a.sample_keys(rng, 50)
+    for k in keys:
+        a.gen(1, k)
+    ideal_obf(a, table_circuit([0, 1]), rng)
+    # b must not inherit a's round memo (its gen would read a's rounds) nor
+    # a's handle table (the two would share one ideal obfuscator)
+    b = dataclasses.replace(a, master=rng.bytes(32))
+    fresh = QPrOSim(b.master, instance_count=3)
+    assert [b.gen(1, k) for k in keys] == [fresh.gen(1, k) for k in keys]
+    assert b.rounds is not a.rounds and b.circuits is not a.circuits and not b.circuits
+    with pytest.raises(TypeError):
+        QPrOSim(a.master, rounds=a.rounds)
+
+
 def test_qpro_round_memo_bounded_over_long_jllw_run():
     rng = np.random.default_rng(32)
     qpro = QPrOSim.from_seed(rng, instance_count=2)
@@ -377,9 +394,12 @@ def test_jllw_broken_node_fails_exactly_its_subtree():
     qpro = QPrOSim.from_seed(rng, instance_count=2)
     tab = [0, 1, 1, 0, 1, 1, 1, 0]
     o = jllw_obfuscate(table_circuit(tab), qpro, 1, rng)
+    # a full walk of o fills its node memo, which replace does not carry over
+    assert obfstack.jllw_eval_table(o, qpro, (), 3).tolist() == tab
     # a wrong level-1 handle for segment 2 garbles every level-2 node whose
     # second input bit is 1, so exactly the walks through them fail
     broken = dataclasses.replace(o, handles={**o.handles, "1,2": o.handles["1,2"] ^ 1})
+    assert not broken._nodes
     expected = [obfstack._FAILED if bits(x, 3)[1] else tab[x] for x in range(8)]
     for k in range(4):
         for p in range(2 ** (3 - k)):
@@ -426,6 +446,96 @@ def test_jllw_zero_width_walk_query_order(monkeypatch):
     _log_decryptions(monkeypatch, o, log)
     assert jllw_eval(o, _LoggedQPrO(qpro, log), x) == c.eval_bits(x)
     assert log == expected
+
+
+def _count_qpro_evals(monkeypatch, log: list) -> None:
+    """Record every QPrOSim.eval call, whoever makes it."""
+    real = QPrOSim.eval
+    monkeypatch.setattr(
+        QPrOSim, "eval", lambda self, *args: log.append(("eval",) + args[:3]) or real(self, *args)
+    )
+
+
+def test_jllw_pointwise_walks_decrypt_each_node_once_per_oracle(monkeypatch):
+    rng = np.random.default_rng(18)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=16))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    blob = o.serialize()
+    log: list = []
+    _log_decryptions(monkeypatch, o, log)
+    _count_qpro_evals(monkeypatch, log)
+    assert [jllw_eval(o, qpro, bits(x, 4)) for x in range(16)] == c.table_for_prefix((), 4).tolist()
+    # the 16 walks cost one full table walk: 15 expand nodes and 16 leaves,
+    # two pad queries per expand node (80 and 128 without the memo)
+    assert sum(e[0] == "dec" for e in log) == 31
+    assert sum(e[0] == "eval" for e in log) == 30
+    # every later walk by an equal oracle is served from the memo
+    again = QPrOSim(qpro.master, instance_count=2)
+    assert obfstack.jllw_eval_table(o, again, (), 4).tolist() == c.table_for_prefix((), 4).tolist()
+    assert [obfstack.jllw_eval_table(o, qpro, bits(p, 2), 2).tolist() for p in range(4)] == [
+        c.table_for_prefix(bits(p, 2), 2).tolist() for p in range(4)
+    ]
+    assert len(log) == 61
+    # one memo entry per node, none for another oracle type, and the
+    # obfuscation's bytes are unchanged
+    assert list(o._nodes) == [qpro] and len(o._nodes[qpro]) == 2 ** (o.D + 1) - 1
+    assert o.serialize() == blob and JLLWObfuscation.deserialize(blob) == o
+
+
+def test_jllw_memo_stays_bounded_per_oracle():
+    rng = np.random.default_rng(19)
+    oracles = [QPrOSim.from_seed(rng, instance_count=2) for _ in range(2)]
+    for d in (1, 2, 3, 4):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, oracles[0], 1, rng)
+        for qpro in oracles:
+            for k in range(d + 1):
+                for p in range(2 ** (d - k)):
+                    obfstack.jllw_eval_table(o, qpro, bits(p, d - k), k)
+                    assert len(o._nodes[qpro]) <= 2 ** (d + 1) - 1
+        assert len(o._nodes) == 2
+        assert len(o._nodes[oracles[0]]) == 2 ** (d + 1) - 1
+        # the second oracle holds none of the pad keys: the root decrypts,
+        # both its children fail, and nothing below them is visited
+        assert o._nodes[oracles[1]].keys() == {"", "0", "1"}
+        assert o._nodes[oracles[1]]["0"] == o._nodes[oracles[1]]["1"] == obfstack._FAILED
+
+
+def test_a_logged_oracle_sees_every_query_of_every_walk(monkeypatch):
+    rng = np.random.default_rng(21)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=8))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    x = (0, 1, 1)
+    log: list = []
+    _log_decryptions(monkeypatch, o, log)
+    logged = _LoggedQPrO(qpro, log)
+    assert jllw_eval(o, logged, x) == c.eval_bits(x)
+    first = list(log)
+    assert len(first) == o.D * (1 + o.B) + 1
+    # a second walk with the same proxy queries it again, in the same order
+    assert jllw_eval(o, logged, x) == c.eval_bits(x)
+    assert log == first + first
+    assert not o._nodes
+
+
+def test_jllw_tamper_probe_detects_at_every_level_after_memoized_walks():
+    from qmalab.cli import _TamperedQPrO
+
+    rng = np.random.default_rng(22)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=16))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == c.table_for_prefix((), 4).tolist()
+    for x in range(16):
+        probe = bits(x, 4)
+        assert jllw_eval(o, qpro, probe) == c.eval_bits(probe)
+        for level in range(o.D):
+            # the flipped byte lies in the pad segment of the child the walk takes
+            with pytest.raises(IntegrityError):
+                jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
+    assert list(o._nodes) == [qpro] and len(o._nodes[qpro]) == 2 ** (o.D + 1) - 1
 
 
 # -- provably-correct obfuscation -------------------------------------------------

@@ -1,6 +1,6 @@
-"""Mutated cut-and-choose transcripts: PCObfuscation.from_json followed by
-pc_verify raises ValueError at parse time or rejects with a diagnostic; it
-never accepts."""
+"""Mutated cut-and-choose transcripts of either backend:
+PCObfuscation.from_json followed by pc_verify raises ValueError at parse time
+or rejects with a diagnostic; it never accepts."""
 
 from __future__ import annotations
 
@@ -22,15 +22,16 @@ from qmalab.obfstack import (
 )
 
 
-def _honest_transcript():
+def _honest_transcript(backend: str):
     rng = np.random.default_rng(41)
     qpro = QPrOSim.from_seed(rng)
     pp = pc_setup(rng)
-    o = pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng)
+    o = pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng, backend=backend)
     return qpro, pp, o.to_json()
 
 
-QPRO, PP, HONEST = _honest_transcript()
+QPRO, PP, HONEST = _honest_transcript("ideal")
+JLLW_QPRO, JLLW_PP, JLLW_HONEST = _honest_transcript("jllw")
 OTHER_TYPES = [None, True, False, 0, 1, -1, 2**70, 1.5, "", "2", "zz", [], [0], {}, {"0": 0}]
 
 
@@ -40,9 +41,6 @@ def _paths(node, prefix=()):
     for key, child in items:
         yield prefix, key
         yield from _paths(child, prefix + (key,))
-
-
-ALL_PATHS = list(_paths(HONEST))
 
 
 def _at(data, path):
@@ -65,7 +63,7 @@ def _flip_b64(text: str, bit: int) -> str:
 
 @st.composite
 def delete_field(draw, data):
-    path, key = draw(st.sampled_from(ALL_PATHS))
+    path, key = draw(st.sampled_from(list(_paths(data))))
     parent = _at(data, path)
     del parent[key]
     return "delete", path + (key,)
@@ -73,7 +71,7 @@ def delete_field(draw, data):
 
 @st.composite
 def swap_type(draw, data):
-    path, key = draw(st.sampled_from(ALL_PATHS))
+    path, key = draw(st.sampled_from(list(_paths(data))))
     parent = _at(data, path)
     old = parent[key]
     parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(old)]))
@@ -83,7 +81,9 @@ def swap_type(draw, data):
 @st.composite
 def flip_bit(draw, data):
     bit = draw(st.integers(0, 255))
-    target = draw(st.sampled_from(["commitment", "handle", "key", "r", "uid", "ct", "inner"]))
+    # an unopened ideal instance posts a handle with a uid, a JLLW one a blob
+    unopened = "uid" if data["backend"] == "ideal" else "blob"
+    target = draw(st.sampled_from(["commitment", "handle", "key", "r", unopened, "ct", "inner"]))
     if target == "commitment":
         i = draw(st.integers(0, len(data["commitments"]) - 1))
         data["commitments"][i] = _flip_hex(data["commitments"][i], bit)
@@ -101,6 +101,10 @@ def flip_bit(draw, data):
     elif target == "uid":
         entry = data["unopened"][draw(st.sampled_from(sorted(data["unopened"])))]
         entry["uid"] = _flip_hex(entry["uid"], bit)
+    elif target == "blob":
+        t = draw(st.sampled_from(sorted(data["unopened"])))
+        bit = draw(st.integers(0, 4 * len(data["unopened"][t]) - 1))  # anywhere in the blob
+        data["unopened"][t] = _flip_hex(data["unopened"][t], bit)
     else:
         data["proof"][target] = _flip_b64(data["proof"][target], bit)
     return "flip", target, bit
@@ -138,23 +142,34 @@ def bad_header(draw, data):
 MUTATIONS = [delete_field, swap_type, flip_bit, reorder_bundles, bad_header]
 
 
-def test_the_honest_transcript_parses_and_verifies_with_bundles_on_both_sides():
-    o = PCObfuscation.from_json(copy.deepcopy(HONEST))
-    assert o.opened and o.unopened
-    assert pc_verify(PP, PHI_ANY, o, QPRO) == (True, [])
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_a_mutated_transcript_is_refused_or_rejected_never_accepted(data):
-    mutated = copy.deepcopy(HONEST)
+def _refused_or_rejected(data, honest, pp, qpro) -> None:
+    mutated = copy.deepcopy(honest)
     data.draw(data.draw(st.sampled_from(MUTATIONS))(mutated))
-    assert mutated != HONEST
+    assert mutated != honest
     try:
         o = PCObfuscation.from_json(mutated)
     except ValueError:
         event("refused at parse")
         return  # the documented parse-time refusal
-    ok, diagnostics = pc_verify(PP, PHI_ANY, o, QPRO)
+    ok, diagnostics = pc_verify(pp, PHI_ANY, o, qpro)
     event(f"rejected: {diagnostics[0].split(':')[0] if diagnostics else 'none'}")
     assert not ok and diagnostics
+
+
+def test_the_honest_transcript_parses_and_verifies_with_bundles_on_both_sides():
+    for honest, pp, qpro in ((HONEST, PP, QPRO), (JLLW_HONEST, JLLW_PP, JLLW_QPRO)):
+        o = PCObfuscation.from_json(copy.deepcopy(honest))
+        assert o.opened and o.unopened
+        assert pc_verify(pp, PHI_ANY, o, qpro) == (True, [])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_mutated_transcript_is_refused_or_rejected_never_accepted(data):
+    _refused_or_rejected(data, HONEST, PP, QPRO)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_mutated_jllw_transcript_is_refused_or_rejected_never_accepted(data):
+    _refused_or_rejected(data, JLLW_HONEST, JLLW_PP, JLLW_QPRO)

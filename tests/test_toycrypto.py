@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,76 @@ DIGEST_PINS = [
 def test_digest_bytes_are_pinned(args, out_len, expected):
     """1, 3 and 5 length-prefixed parts; the framing cannot drift."""
     assert toycrypto.digest(*args, out_len=out_len).hex() == expected
+
+
+STREAM_PINS = [
+    (b"", 0, ""),
+    (b"k", 1, "26"),
+    (
+        bytes(range(16)),
+        63,
+        "24ff5753e55bdbd961bd163c32123d1523f1ec726c45e18b230deb7b9398cb226e46cb247ba35b39eb19ac6831f715ae"
+        "dfb19a7e5f8c1f9451797449d1945a"
+    ),
+    (
+        b"qmalab" * 8,
+        64,
+        "c4634245ff215c2f28953ca7da444d25cad2a4d9a1b87b33973c63cd3d7fe2604f34620d5c68d3c1e51bc846f25cee0c"
+        "55e56e3e7cc1a8e714dc4466b08e044f"
+    ),
+    (
+        bytes(range(48)),
+        65,
+        "fd816296d825e0f177b8969791eff54efb81a11490ae67fa445ceeb6ee3e804811ea2f9c318da21e0e446df4ffa20c88"
+        "96e43e81ef97cbe7a74db9f55118c69a73"
+    ),
+    (
+        b"\xff" * 32,
+        1000,
+        "459735766ad6cfd211558f00052fb8fc63ab1bcf71b58e654a1875a5a6305362b4723044ee17ed58cee6da5e12a5936f"
+        "43d1c986c8fe424d47bcd171527239cb450061b656db7fd547720e1cafe81531e83e8e87a6c8802e2d6dd42d033d88bc"
+        "0513b7b05a6d91c949d41cfbdc6065e3c441a4fba24c3a6a0d1984f7a8b8bb42336cf080a19a5f2932b6d41f6f237897"
+        "d484e33f2088bc1305e30dbcc55c5cabc55232c4fde49178b1cc5fff02c70836cb70289031d40ec1843ddd839ecd5b62"
+        "882abbcdfe29694433b638eaee935990d777b9ecacc93bd358874da41c84a57bbb8940f137efad11d72f6c653fe9108c"
+        "0c051ef4fce8cb515fc2b5ffcde41264c28f2b1aca576e5354b7c4e1f894c57ac66ffb921bbdb51c2968a1bfa624d210"
+        "766fc7ee25a0917994fdccf33447e39956b64695f57e794b7e7eaf74798d37136e48b6deeaa106fc2953b469e460d761"
+        "718767146e82164b0d33f46029b0ed48aee37c8e39a9baf5f1efb2c5f2c3b8e8b767069198fe0bd47d50cb0d711ba93d"
+        "c1ea69c216d3040910086e2d2d1419ac3825f25e329c74e50e1cb5d3dc08b52f3e824e7e5eb296cba98767ccb013e953"
+        "24e790f4b05813a53649474fc2dd86da3c9c5958f5b649cd7f9f20747891b455848341973291fdf02268e5609e8612dc"
+        "a603ea9afc95d5ab594edeec576491af02f79aba76af001fd984750008ef6c8920cce083662d6653460216d719155ab8"
+        "ee504b399d4aa5e14ef1f94227c4491ab308c4e4409b12872326cf42f0e87f05a5b8b5ab41d8794bb2d117a58c0574bd"
+        "0963a384509e2628bedc4fe89282f9aab22a7d32d6f24c5d5bbb0b32bcac682972cd3147d0d8b84a404493b994875f6f"
+        "3fa676943a6fe67f692f8938b5153819ecdebf67141195a0a8b9595c93cf7c3e0b11f6a5ff1099b378309a894f23b457"
+        "03a2c11521182cb174c541d2c2ce702258192d8bdfc1163435e716fb98e9ef1a8da7c7310478af56cf4cdc4c7aeeb939"
+        "b853e36aab3e1b932850eb13f60e4509d08c82a6a236756eb519b063205e0ce1f665155f83e5a35a7875b2e3289b74df"
+        "318befebde01ce81e1c3ebcd46f7a4c9f1de3e32b0539351a24f5b6d9856bac51220e386dd9d3c8fe5e8b7604f717655"
+        "bb7ba0513efce32acddb0a33645cea35f5578333e4feaa0c5ed239fc754b49027ca22f23b4d044fbe1c8a9daac8ca986"
+        "a3e6089932ffcd829bbc290b4459668b3a7198c4969f8e27761961e3ece5dd4057ce9655f0611b12f36d34cb78740e6f"
+        "4e00f345a5f38ae9618a11e2e85349fe8540858340ad02285a0cab1d75495f2ee80bb0a619929a43ba0778d522861de3"
+        "3dbd872050cafe170e5fec45dc8d1a8ec90307220eccd0a91626d9572b79cf0b4cc091a7d50f64a4"
+    ),
+]
+
+
+@pytest.mark.parametrize("seed, n, expected", STREAM_PINS, ids=[f"n{n}" for _, n, _ in STREAM_PINS])
+def test_stream_bytes_are_pinned(seed, n, expected):
+    """Short of a block, one block, just over one, and many; the keystream
+    cannot drift."""
+    assert toycrypto.stream(seed, n).hex() == expected
+
+
+def test_stream_is_counter_mode_and_a_prefix_of_every_longer_stream():
+    rng = np.random.default_rng(64)
+    for seed in (b"", b"\0", rng.bytes(16), rng.bytes(48), rng.bytes(200)):
+        # block i is the personalized BLAKE2b of the 8-byte counter i and the seed
+        blocks = b"".join(
+            hashlib.blake2b(i.to_bytes(8, "big") + seed, digest_size=64, person=b"qmalab-stream\0\0\0").digest()
+            for i in range(5)
+        )
+        assert toycrypto.stream(seed, 300) == blocks[:300]
+        for n in range(0, 200, 7):
+            for k in (0, 1, 63, 64, 65, 100):
+                assert toycrypto.stream(seed, n) == toycrypto.stream(seed, n + k)[:n]
 
 
 @pytest.mark.parametrize("out_len", [1, 4, 32, 64])
