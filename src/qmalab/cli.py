@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import ati, csa, obfstack, permver, protocol, zxham
 from .gf2 import BitVector
@@ -317,6 +316,9 @@ def scenario_e2e_simulate(cfg: RunConfig) -> dict:
     if table.shape[1] < 2:
         p_value = 1.0
     else:
+        # imported here: scipy.stats adds ~70 MB and ~1 s to any process that imports it
+        from scipy import stats
+
         p_value = float(stats.chi2_contingency(table)[1])
     return {
         "sim_accept_rate_a": metric(rates["a"], ">= 0.9", rates["a"] >= 0.9),

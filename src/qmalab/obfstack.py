@@ -713,6 +713,11 @@ class PcParams:
 
 @dataclass(frozen=True)
 class PCObfuscation:
+    """A cut-and-choose transcript.  ``_trees`` parses each unopened JLLW
+    blob once, so every evaluation of the transcript shares the trees' node
+    memos; like ``JLLWObfuscation._nodes`` it is a cached property, so
+    dataclasses.replace starts the new transcript with an empty one."""
+
     backend: str
     arity: int
     lam_cc: int
@@ -726,6 +731,10 @@ class PCObfuscation:
 
     def open_set(self) -> set[int]:
         return _open_set(self.chal, self.lam_cc)
+
+    @functools.cached_property
+    def _trees(self) -> dict:  # t -> the parsed JLLWObfuscation of unopened instance t
+        return {t: JLLWObfuscation.deserialize(blob) for t, blob in self.unopened.items()}
 
     def to_json(self) -> dict:
         return {
@@ -1064,7 +1073,7 @@ def _instance_table(
     vote's sort cheap."""
     if o.backend == "ideal":
         return ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity).astype(np.int16)
-    return jllw_eval_table(JLLWObfuscation.deserialize(o.unopened[t]), qpro, prefix, suffix_arity)
+    return jllw_eval_table(o._trees[t], qpro, prefix, suffix_arity)
 
 
 def _votes(o: PCObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:

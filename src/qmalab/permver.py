@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .gf2 import BitVector
 from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
@@ -260,6 +259,9 @@ def hoeffding_completeness_bound(v: PermutingVerifier) -> float:
 
 def binomial_accept_tail(v: PermutingVerifier, q: float) -> float:
     """Pr[Bin(len, q) >= threshold]: the product-state acceptance model."""
+    # imported here: scipy.stats adds ~70 MB and ~1 s to any process that imports it
+    from scipy import stats
+
     need = math.ceil(v.threshold - 1e-12)
     if need <= 0:
         return 1.0

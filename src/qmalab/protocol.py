@@ -98,24 +98,38 @@ def ext0(rng: np.random.Generator, cfg: ProtocolConfig) -> tuple[QmaCrs, bytes]:
 
 def prg_expand(seed_bits: tuple[int, ...], out_bits: int) -> BitVector:
     """Deterministic expansion of a seed into measurement-selection bits."""
-    raw = _prg_bytes(seed_bits, (out_bits + 7) // 8)
+    raw = _prg_bytes(*_prg_input(seed_bits), (out_bits + 7) // 8)
     bits = []
     for byte in raw:
         bits.extend((byte >> (7 - i)) & 1 for i in range(8))
     return BitVector(tuple(bits[:out_bits]))
 
 
-def _prg_bytes(seed_bits: tuple[int, ...], out_len: int) -> bytes:
-    seed = "".join(str(int(b) & 1) for b in seed_bits).encode()
-    return toycrypto.stream(toycrypto.digest(b"qmalab-prg", seed), out_len)
+def _prg_input(seed_bits: tuple[int, ...]):
+    """(state, text) of a seed: the text spells its bits in '0'/'1', and the
+    prepared state, shared by every seed of that length, has absorbed all of
+    digest(b"qmalab-prg", text) that comes before the text."""
+    text = "".join(str(int(b) & 1) for b in seed_bits).encode()
+    return toycrypto.digest_state(b"qmalab-prg", (), next_len=len(text)), text
 
 
-def _perm_for_seed(seed_bits: tuple[int, ...], list_len: int) -> tuple[int, ...]:
+def _prg_bytes(state, seed_text: bytes, out_len: int) -> bytes:
+    h = state.copy()
+    h.update(seed_text)
+    return toycrypto.stream(h.digest(), out_len)
+
+
+def _perm_for_text(state, seed_text: bytes, list_len: int) -> tuple[int, ...]:
+    """The one definition of seed -> PRG bytes -> permutation."""
     if list_len <= 1:
         return tuple(range(list_len))
     return permver.permutation_from_bytes(
-        _prg_bytes(seed_bits, 4 * (list_len - 1)), list_len
+        _prg_bytes(state, seed_text, 4 * (list_len - 1)), list_len
     )
+
+
+def _perm_for_seed(seed_bits: tuple[int, ...], list_len: int) -> tuple[int, ...]:
+    return _perm_for_text(*_prg_input(seed_bits), list_len)
 
 
 @lru_cache(maxsize=32)
@@ -123,15 +137,19 @@ def permutation_weights(prg_bits: int, list_len: int) -> tuple[tuple[tuple[int, 
     """Exact distribution over permutations induced by enumerating all
     2**prg_bits seeds: (permutation, weight, representative seed) triples.
     Exact weights keep the seed split's bias: at prg_bits=12, list_len=2,
-    (0, 1) weighs 2050/4096 and (1, 0) 2046/4096, i.e. 1/2 +- 2**-11."""
+    (0, 1) weighs 2050/4096 and (1, 0) 2046/4096, i.e. 1/2 +- 2**-11.
+    Every seed copies one prepared hash state; seed r's text is its
+    prg_bits-digit binary numeral, the text of index_to_bits(r, prg_bits)."""
     counts: dict[tuple[int, ...], int] = {}
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     total = 2**prg_bits
+    state, _ = _prg_input((0,) * prg_bits)
     for r in range(total):
-        seed = index_to_bits(r, prg_bits)
-        perm = _perm_for_seed(seed, list_len)
+        text = format(r, f"0{prg_bits}b").encode() if prg_bits else b""  # not "0" at width 0
+        perm = _perm_for_text(state, text, list_len)
         counts[perm] = counts.get(perm, 0) + 1
-        reps.setdefault(perm, seed)
+        if perm not in reps:
+            reps[perm] = index_to_bits(r, prg_bits)
     return tuple((perm, counts[perm] / total, reps[perm]) for perm in sorted(counts))
 
 
@@ -332,12 +350,14 @@ def verify(
     if proof.encoded.num_qubits != phys:
         info["transcript_diagnostics"] = ["encoded_size_mismatch"]
         return 0, None, info
-    try:
-        mixture = assemble_verifier_povm(proof.obf, qpro, pv, cfg)
-    except ValueError as exc:
-        # e.g. a challenge that opened every bundle leaves nothing to evaluate
-        info["transcript_diagnostics"] = [f"povm_unavailable: {exc}"]
+    # the two transcripts that audit clean and still leave no POVM to build
+    if not proof.obf.unopened:  # the challenge opened every bundle
+        info["transcript_diagnostics"] = ["povm_unavailable: all_bundles_opened"]
         return 0, None, info
+    if proof.obf.arity != 1 + max(m, cfg.prg_bits) + phys:
+        info["transcript_diagnostics"] = ["povm_unavailable: arity_mismatch"]
+        return 0, None, info
+    mixture = assemble_verifier_povm(proof.obf, qpro, pv, cfg)
     outcome = ati.threshold_measure(mixture, proof.encoded, g.gamma_prime, rng)
     info["eigenvalue_measured"] = outcome.eigenvalue_measured
     info["mixture_expectation"] = ati.mixture_expectation(mixture, proof.encoded)

@@ -7,7 +7,9 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +228,19 @@ def test_runs_leave_module_globals_unchanged():
     o = obfstack.pc_sim_obfuscate(pp, td, phi, obfstack.table_circuit([0, 1]), qpro, rng)
     assert obfstack.pc_verify(pp, phi, o, qpro)[0]
     assert _module_container_sizes() == before
+
+
+def test_workload_scenarios_never_load_scipy_stats():
+    # scipy.stats serves only permver-bench's binomial tail and e2e-simulate's
+    # chi-squared test; a fresh process is needed, as pytest loads it itself
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(qmalab.__file__).parents[1])!r})\n"
+        "import qmalab\n"
+        "from qmalab import cli\n"
+        "for name in ('e2e-extract', 'cutchoose-detect', 'jllw-correctness'):\n"
+        "    cli.run_scenario(cli.RunConfig.from_json({'scenario': name, 'seed': 1, 'trials': 2}))\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

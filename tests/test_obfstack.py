@@ -908,14 +908,56 @@ def test_pc_eval_table_matches_pointwise_on_jllw(monkeypatch):
                 pointwise = [pc_eval(tr, qpro, prefix + bits(x, k)) for x in range(2**k)]
                 assert pc_eval_table(tr, qpro, prefix, k).tolist() == [bool(y) for y in pointwise]
 
-    # one deserialization per unopened instance, not one per point
+    # one deserialization per unopened instance over all the walks of one
+    # transcript, not one per point or per call
     calls = []
     real = JLLWObfuscation.deserialize
     monkeypatch.setattr(
         JLLWObfuscation, "deserialize", classmethod(lambda cls, data: calls.append(1) or real(data))
     )
-    pc_eval_table(o, qpro, (), 3)
+    fresh = dataclasses.replace(o)
+    pc_eval_table(fresh, qpro, (), 3)
+    for x in range(8):
+        pc_eval(fresh, qpro, bits(x, 3))
     assert len(calls) == len(o.unopened)
+
+
+def _count_fe_dec(monkeypatch) -> list:
+    calls: list = []
+    real = obfstack.fe_dec
+    monkeypatch.setattr(obfstack, "fe_dec", lambda sk, ct: calls.append(1) or real(sk, ct))
+    return calls
+
+
+def _seed41_jllw_transcript():
+    rng = np.random.default_rng(41)
+    qpro = QPrOSim.from_seed(rng)
+    o = pc_obfuscate(pc_setup(rng), PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng, backend="jllw")
+    assert len(o.unopened) == 2
+    return qpro, o
+
+
+def test_pointwise_pc_evals_share_each_parsed_jllw_tree(monkeypatch):
+    # two unopened trees of 7 nodes each: four pointwise evaluations decrypt
+    # each node once, as one table walk does (a parse per call made it 24)
+    qpro, o = _seed41_jllw_transcript()
+    calls = _count_fe_dec(monkeypatch)
+    assert [pc_eval(o, qpro, bits(x, 2)) for x in range(4)] == [0, 1, 1, 0]
+    assert len(calls) == 14
+    calls.clear()
+    assert pc_eval_table(dataclasses.replace(o), qpro, (), 2).tolist() == [False, True, True, False]
+    assert len(calls) == 14
+
+
+def test_replaced_transcript_starts_with_no_parsed_trees(monkeypatch):
+    qpro, o = _seed41_jllw_transcript()
+    pc_eval_table(o, qpro, (), 2)
+    assert "_trees" in vars(o)
+    copy = dataclasses.replace(o)
+    assert "_trees" not in vars(copy)
+    calls = _count_fe_dec(monkeypatch)
+    pc_eval_table(copy, qpro, (), 2)
+    assert len(calls) == 14
 
 
 def test_combine_circuit_dispatch():

@@ -70,6 +70,19 @@ def test_permutation_weights_sum_to_one():
         assert abs(w - 0.5) < 0.05  # two permutations, near-uniform
 
 
+@pytest.mark.parametrize("prg_bits,list_len", [(12, 2), (8, 3), (6, 4), (4, 5), (10, 1)])
+def test_permutation_weights_match_pointwise_enumeration(prg_bits, list_len):
+    counts: dict = {}
+    reps: dict = {}
+    for r in range(2**prg_bits):
+        seed = tuple((r >> (prg_bits - 1 - i)) & 1 for i in range(prg_bits))
+        perm = protocol._perm_for_seed(seed, list_len)
+        counts[perm] = counts.get(perm, 0) + 1
+        reps.setdefault(perm, seed)
+    expected = tuple((perm, counts[perm] / 2**prg_bits, reps[perm]) for perm in sorted(counts))
+    assert repr(protocol.permutation_weights(prg_bits, list_len)) == repr(expected)
+
+
 def test_m_circuit_selects_complemented_decoder():
     rng, _ = fresh(0)
     pv = permver.build(REFERENCE, CFG.k)
@@ -270,6 +283,46 @@ def test_honest_run_accepts_with_certainty_on_frustration_free_instance():
         assert accept == 1
         assert info["mixture_expectation"] == pytest.approx(1.0, abs=1e-9)
         assert residual.encoded.fidelity(proof.encoded) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verify_names_a_challenge_that_opened_every_bundle():
+    # with one bundle, an honest challenge opens all of them half the time
+    cfg = dataclasses.replace(CFG, lambda_cc=1)
+    for seed in range(20):
+        rng, qpro = fresh(500 + seed)
+        crs = protocol.setup(rng, cfg)
+        proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), cfg, qpro, rng)
+        if proof.obf.unopened:
+            continue
+        accept, residual, info = protocol.verify(crs, GAMMAS, REFERENCE, proof, cfg, qpro, rng)
+        assert accept == 0 and residual is None and info["transcript_ok"]
+        assert info["transcript_diagnostics"] == ["povm_unavailable: all_bundles_opened"]
+        return
+    raise AssertionError("no seed opened every bundle")
+
+
+def test_verify_names_an_arity_that_disagrees_with_the_configuration():
+    rng, qpro = fresh(4)
+    crs = protocol.setup(rng, CFG)
+    other = dataclasses.replace(CFG, prg_bits=CFG.prg_bits + 1)
+    proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), other, qpro, rng)
+    assert proof.obf.unopened
+    accept, residual, info = protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
+    assert accept == 0 and residual is None and info["transcript_ok"]
+    assert info["transcript_diagnostics"] == ["povm_unavailable: arity_mismatch"]
+
+
+def test_verify_propagates_errors_of_the_povm(monkeypatch):
+    rng, qpro = fresh(4)
+    crs = protocol.setup(rng, CFG)
+    proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
+
+    def broken(*args):
+        raise ValueError("shape bug")
+
+    monkeypatch.setattr(protocol, "assemble_verifier_povm", broken)
+    with pytest.raises(ValueError, match="shape bug"):
+        protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
 
 
 def test_garbage_encoded_state_mostly_rejected():
