@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,14 +66,18 @@ class CircuitDesc:
     table: Callable[[tuple[int, ...], int], np.ndarray]
     canonical: dict
 
+    @functools.cached_property
+    def _canonical_bytes(self) -> bytes:  # computed once per object
+        return _dumps(self.canonical).encode()
+
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.canonical, sort_keys=True, separators=(",", ":")).encode()
+        return self._canonical_bytes
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CircuitDesc) and self.canonical_bytes() == other.canonical_bytes()
+        return isinstance(other, CircuitDesc) and self._canonical_bytes == other._canonical_bytes
 
     def __hash__(self) -> int:
-        return hash(self.canonical_bytes())
+        return hash(self._canonical_bytes)
 
     def eval_bits(self, bits: tuple[int, ...]) -> int:
         return int(self.table_for_prefix(bits, 0)[0])
@@ -288,14 +293,12 @@ class QPrOSim:
     One object is the whole oracle of a run: ``circuits`` is the ideal
     obfuscator's handle -> circuit table (JLLW builds that obfuscator from
     the QPrO), shared by prover, verifier, extractor and simulator.
-    ``rounds`` memoizes the Feistel round function for gen and inv, keyed
-    (instance, round, half); it holds at most
-    instance_count * 4 * 2**(lam_bits / 2) entries.  A miss costs one copy
-    of the round's BLAKE2b state, which has absorbed everything of the round
-    digest but the half (toycrypto.digest_state); the states are built on
-    first use, per oracle, at most instance_count * 4 of them.  None of the
-    three is a constructor parameter, so dataclasses.replace gives the new
-    oracle empty tables of its own.
+    ``rounds`` maps an instance to its 4 round tables, built on its first
+    query and read by gen_many and inv: each pairs a {half: value} memo with
+    the round's BLAKE2b state, a copy of the per-oracle state that has
+    absorbed the tag and master.  The tables hold at most instance_count * 4
+    states and instance_count * 4 * 2**(lam_bits / 2) halves, and
+    dataclasses.replace gives the new oracle empty tables of its own.
 
     lam_bits is even and in 8..62, so that a key is one int64 draw and a
     half fits the round digest's 4 bytes.
@@ -318,53 +321,61 @@ class QPrOSim:
         return cls(rng.bytes(32), lam_bits, instance_count)
 
     @functools.cached_property
-    def _round_states(self) -> dict:
-        return {}
+    def _perm_state(self):  # every round digest's state after the tag and master
+        return toycrypto.digest_state(b"qmalab-qpro-perm", (self.master,), out_len=4)
 
-    def _round(self, instance: int, rnd: int, half: int) -> int:
-        memo_key = (instance, rnd, half)
-        value = self.rounds.get(memo_key)
-        if value is None:
-            state = self._round_states.get((instance, rnd))
-            if state is None:
-                state = self._round_states[(instance, rnd)] = toycrypto.digest_state(
-                    b"qmalab-qpro-perm",
-                    (self.master, instance.to_bytes(4, "big"), rnd.to_bytes(1, "big")),
-                    out_len=4,
-                    next_len=4,
-                )
-            h = state.copy()
-            h.update(half.to_bytes(4, "big"))
-            value = int.from_bytes(h.digest(), "big") & ((1 << (self.lam_bits // 2)) - 1)
-            self.rounds[memo_key] = value
-        return value
+    def _tables(self, instance: int) -> tuple[tuple, ...]:
+        tables = self.rounds.get(instance)
+        if tables is None:
+            if not 0 <= instance < self.instance_count:
+                raise ValueError("oracle instance out of range")
+            parts = [(instance.to_bytes(4, "big"), bytes([rnd])) for rnd in range(4)]
+            tables = self.rounds[instance] = tuple(
+                (toycrypto.absorb(self._perm_state.copy(), p, next_len=4), {}) for p in parts
+            )
+        return tables
 
-    def _check_instance(self, instance: int) -> None:
-        if not 0 <= instance < self.instance_count:
-            raise ValueError("oracle instance out of range")
+    def _in_key_space(self, keys: tuple[int, ...]) -> bool:  # the keys gen_many accepts
+        return all(0 <= k < 1 << self.lam_bits for k in keys)
+
+    def _feistel(self, tables: tuple, words) -> tuple[int, ...]:
+        """The rounds of tables over each word in turn, a word outside [0, 2**lam_bits) raising
+        ValueError; a memo miss copies the round's state and absorbs the half."""
+        half = self.lam_bits // 2
+        mask, space = (1 << half) - 1, 1 << self.lam_bits
+        out = []
+        for word in words:
+            if not 0 <= word < space:
+                raise ValueError(f"key {word} outside the oracle's {self.lam_bits}-bit key space")
+            left, right = word >> half, word & mask
+            for state, memo in tables:
+                value = memo.get(right)
+                if value is None:
+                    h = state.copy()
+                    h.update(right.to_bytes(4, "big"))
+                    value = memo[right] = int.from_bytes(h.digest(), "big") & mask
+                left, right = right, left ^ value
+            out.append(left << half | right)
+        return tuple(out)
+
+    def gen_many(self, instance: int, keys: tuple[int, ...]) -> tuple[int, ...]:
+        """QPrO(Gen, k) -> pi(k) for each key; one instance check and table fetch a batch."""
+        return self._feistel(self._tables(instance), keys)
 
     def gen(self, instance: int, key: int) -> int:
-        """QPrO(Gen, k) -> pi(k)."""
-        self._check_instance(instance)
-        half = self.lam_bits // 2
-        mask = (1 << half) - 1
-        left, right = (key >> half) & mask, key & mask
-        for rnd in range(4):
-            left, right = right, left ^ self._round(instance, rnd, right)
-        return (left << half) | right
+        """QPrO(Gen, k) -> pi(k), the one-key case of gen_many."""
+        return self.gen_many(instance, (key,))[0]
 
     def inv(self, instance: int, handle: int) -> int:
-        self._check_instance(instance)
+        """pi^{-1}(h mod 2**lam_bits): the Feistel rounds in reverse order between two half swaps."""
         half = self.lam_bits // 2
         mask = (1 << half) - 1
-        left, right = (handle >> half) & mask, handle & mask
-        for rnd in reversed(range(4)):
-            left, right = right ^ self._round(instance, rnd, left), left
-        return (left << half) | right
+        swapped = (handle & mask) << half | (handle >> half) & mask
+        word = self._feistel(self._tables(instance)[::-1], (swapped,))[0]
+        return (word & mask) << half | word >> half
 
     def eval(self, instance: int, handle: int, x: bytes, out_len: int) -> bytes:
         """QPrO(Eval, h, x) -> H(pi^{-1}(h), x); total on all handles."""
-        self._check_instance(instance)
         return qpro_prf(instance, self.inv(instance, handle), x, out_len)
 
     def sample_keys(self, rng: np.random.Generator, n: int) -> tuple[int, ...]:
@@ -522,28 +533,15 @@ class JLLWObfuscation:
         return {}
 
     def serialize(self) -> bytes:
-        return _dumps(
-            {
-                "instance": self.instance,
-                "D": self.D,
-                "B": self.B,
-                "L": self.L,
-                "ptlen": self.ptlen,
-                "ct_root": self.ct_root.hex(),
-                "sks": [sk.to_json() for sk in self.sks],
-                "handles": {k: v for k, v in sorted(self.handles.items())},
-            }
-        ).encode()
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        fields.update(ct_root=self.ct_root.hex(), sks=[sk.to_json() for sk in self.sks])
+        return _dumps(fields).encode()  # _dumps sorts the keys at every level
 
     @classmethod
     def deserialize(cls, data: bytes) -> JLLWObfuscation:
         d = json.loads(data.decode())
         return cls(
-            instance=int(d["instance"]),
-            D=int(d["D"]),
-            B=int(d["B"]),
-            L=int(d["L"]),
-            ptlen=int(d["ptlen"]),
+            **{name: int(d[name]) for name in ("instance", "D", "B", "L", "ptlen")},
             ct_root=bytes.fromhex(d["ct_root"]),
             sks=tuple(FeSk.from_json(s) for s in d["sks"]),
             handles={k: int(v) for k, v in d["handles"].items()},
@@ -572,7 +570,7 @@ def jllw_obfuscate(
     if key_handle_pairs is None:
         shape = _bundle_shape(big_d)
         drawn = qpro.sample_keys(rng, len(shape))
-        key_handle_pairs = {ij: (k, qpro.gen(instance, k)) for ij, k in zip(shape, drawn)}
+        key_handle_pairs = dict(zip(shape, zip(drawn, qpro.gen_many(instance, drawn))))
     keys = {f"{i},{j}": kh[0] for (i, j), kh in key_handle_pairs.items()}
     handles = {f"{i},{j}": kh[1] for (i, j), kh in key_handle_pairs.items()}
 
@@ -794,15 +792,11 @@ def _open_set(chal: int, lam_cc: int) -> set[int]:
 
 
 def _bundle_bytes(keys: tuple[int, ...]) -> bytes:
-    return b"".join(k.to_bytes(8, "big") for k in keys)
+    return struct.pack(f">{len(keys)}Q", *keys)
 
 
 def _chal_message(commitments, handle_bundles) -> bytes:
-    return toycrypto.digest(
-        b"qmalab-chal-msg",
-        *[c for c in commitments],
-        *[_bundle_bytes(b) for b in handle_bundles],
-    )
+    return toycrypto.digest(b"qmalab-chal-msg", *commitments, *map(_bundle_bytes, handle_bundles))
 
 
 def _derive_chal(qpro: QPrOSim, pp: PcParams, commitments, handle_bundles) -> int:
@@ -860,6 +854,8 @@ def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, 
                 t = int(t_str)
                 opening = wit["openings"][t_str]
                 keys = tuple(int(k) for k in opening["keys"])
+                if not qpro._in_key_space(keys):
+                    return False
                 r = bytes.fromhex(opening["r"])
                 if toycrypto.commit(_bundle_bytes(keys), r) != bytes.fromhex(inst["commitments"][t - 1]):
                     return False
@@ -915,12 +911,10 @@ def _pc_build(
         keys = qpro.sample_keys(rng, len(shape))
         # a corrupted bundle posts the handles of unrelated keys, drawn next
         posted = qpro.sample_keys(rng, len(shape)) if t in corrupt_bundles else keys
-        handles = tuple(qpro.gen(t, k) for k in posted)
-        r = rng.bytes(16)
         key_bundles.append(keys)
-        handle_bundles.append(handles)
-        rands.append(r)
-        commitments.append(toycrypto.commit(_bundle_bytes(keys), r))
+        handle_bundles.append(qpro.gen_many(t, posted))
+        rands.append(rng.bytes(16))
+        commitments.append(toycrypto.commit(_bundle_bytes(keys), rands[-1]))
 
     chal = _derive_chal(qpro, pp, commitments, handle_bundles)
     open_set = _open_set(chal, lam_cc)
@@ -1036,10 +1030,11 @@ def pc_verify(
         if len(keys) != width:
             diagnostics.append(f"bundle_shape:{t}")
             continue
-        for k, h in zip(keys, o.handle_bundles[t - 1]):
-            if qpro.gen(t, k) != h:
-                diagnostics.append(f"handle_mismatch:{t}")
-                break
+        if not qpro._in_key_space(keys):  # gen would refuse them
+            diagnostics.append(f"key_out_of_range:{t}")
+            continue
+        if any(qpro.gen(t, k) != h for k, h in zip(keys, o.handle_bundles[t - 1])):
+            diagnostics.append(f"handle_mismatch:{t}")
     if not nizknp.np_verify(pp.crs, _pc_statement(qpro, phi, o), o.proof):
         diagnostics.append("nizk_invalid")
     return not diagnostics, diagnostics

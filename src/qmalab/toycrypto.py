@@ -22,8 +22,13 @@ def digest_state(
     part framed by its 4-byte big-endian length.  With next_len, the state
     has also absorbed the length prefix of one more part of next_len bytes,
     so copy(), update(part) and digest() give digest(tag, *parts, part) for
-    out_len <= 64.  This is the one definition of the framing."""
+    out_len <= 64.  This and absorb are the one definition of the framing."""
     h = hashlib.blake2b(digest_size=min(out_len, 64), person=tag[:16].ljust(16, b"\0"))
+    return absorb(h, parts, next_len)
+
+
+def absorb(h: hashlib.blake2b, parts: tuple[bytes, ...], next_len: int | None = None) -> hashlib.blake2b:
+    """h after it has absorbed parts, and next_len's prefix, in digest_state's framing."""
     for p in parts:
         h.update(len(p).to_bytes(4, "big"))
         h.update(p)

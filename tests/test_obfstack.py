@@ -117,26 +117,37 @@ def test_qpro_eval_total_on_malformed_handles():
     assert len(out) == 8
 
 
+def _round_reference(qpro: QPrOSim, instance: int, rnd: int, x: int) -> int:
+    """The Feistel round function from its definition, one digest a call."""
+    d = toycrypto.digest(
+        b"qmalab-qpro-perm",
+        qpro.master,
+        instance.to_bytes(4, "big"),
+        rnd.to_bytes(1, "big"),
+        x.to_bytes(4, "big"),
+        out_len=4,
+    )
+    return int.from_bytes(d, "big") & ((1 << (qpro.lam_bits // 2)) - 1)
+
+
 def _feistel_reference(qpro: QPrOSim, instance: int, key: int) -> int:
     """gen recomputed from its definition, with a digest per round."""
     half = qpro.lam_bits // 2
     mask = (1 << half) - 1
-
-    def rnd_fn(rnd: int, x: int) -> int:
-        d = toycrypto.digest(
-            b"qmalab-qpro-perm",
-            qpro.master,
-            instance.to_bytes(4, "big"),
-            rnd.to_bytes(1, "big"),
-            x.to_bytes(4, "big"),
-            out_len=4,
-        )
-        return int.from_bytes(d, "big") & mask
-
     left, right = (key >> half) & mask, key & mask
     for rnd in range(4):
-        left, right = right, left ^ rnd_fn(rnd, right)
+        left, right = right, left ^ _round_reference(qpro, instance, rnd, right)
     return (left << half) | right
+
+
+def _round_halves(qpro: QPrOSim) -> int:
+    """Halves memoized over all of an oracle's round tables."""
+    return sum(len(memo) for tables in qpro.rounds.values() for _, memo in tables)
+
+
+def _round_states(qpro: QPrOSim) -> list:
+    """The prepared BLAKE2b state of every round table of an oracle."""
+    return [state for tables in qpro.rounds.values() for state, _ in tables]
 
 
 def test_qpro_round_memo_matches_definition_and_stays_bounded():
@@ -145,11 +156,22 @@ def test_qpro_round_memo_matches_definition_and_stays_bounded():
         handles = [qpro.gen(instance, k) for k in range(256)]
         assert handles == [_feistel_reference(qpro, instance, k) for k in range(256)]
         assert [qpro.inv(instance, h) for h in handles] == list(range(256))
-    # an exhaustive gen reaches every (instance, round, half) exactly once
-    assert len(qpro.rounds) == qpro.instance_count * 4 * 2**4
-    # a second pass is served from the memo and agrees with the first
+    # an exhaustive gen reaches every (instance, round, half) exactly once, and
+    # builds one state per (instance, round)
+    assert _round_halves(qpro) == qpro.instance_count * 4 * 2**4
+    assert sorted(qpro.rounds) == list(range(qpro.instance_count))
+    assert all(len(tables) == 4 for tables in qpro.rounds.values())
+    assert len({id(s) for s in _round_states(qpro)}) == qpro.instance_count * 4
+    # every memoized value is the round function's
+    for instance, tables in qpro.rounds.items():
+        for rnd, (_, memo) in enumerate(tables):
+            assert memo == {x: _round_reference(qpro, instance, rnd, x) for x in range(16)}
+    # a second pass, one key at a time or in one batch, is served from the
+    # memo and agrees with the first
     assert [qpro.gen(2, k) for k in range(256)] == handles
-    assert len(qpro.rounds) == qpro.instance_count * 4 * 2**4
+    assert qpro.gen_many(2, tuple(range(256))) == tuple(handles)
+    assert _round_halves(qpro) == qpro.instance_count * 4 * 2**4
+    assert len(_round_states(qpro)) == qpro.instance_count * 4
 
 
 def test_qpro_oracles_with_one_master_are_equal_but_share_no_memo():
@@ -158,7 +180,12 @@ def test_qpro_oracles_with_one_master_are_equal_but_share_no_memo():
     assert a == b and a.rounds is not b.rounds
     h = a.gen(1, 12345)
     assert a.rounds and not b.rounds
-    assert b.gen(1, 12345) == h and b.rounds == a.rounds
+    assert b.gen(1, 12345) == h
+    assert [memo for _, memo in b.rounds[1]] == [memo for _, memo in a.rounds[1]]
+    # no table, memo or state is shared between the two
+    for (state_a, memo_a), (state_b, memo_b) in zip(a.rounds[1], b.rounds[1]):
+        assert state_a is not state_b and memo_a is not memo_b
+    assert a._perm_state is not b._perm_state
 
 
 def test_qpro_round_states_give_the_defined_feistel_on_nine_instances():
@@ -175,16 +202,56 @@ def test_qpro_round_states_are_per_oracle_and_bounded():
     a = QPrOSim.from_seed(np.random.default_rng(34), lam_bits=8, instance_count=3)
     b = QPrOSim(a.master, lam_bits=8, instance_count=3)
     h = a.gen(1, 77)
-    assert a._round_states and not b._round_states
+    assert a.rounds and not b.rounds
     assert b.gen(1, 77) == h
-    assert a._round_states.keys() == b._round_states.keys()
-    assert all(a._round_states[k] is not b._round_states[k] for k in a._round_states)
+    assert a.rounds.keys() == b.rounds.keys() == {1}
+    assert not {id(s) for s in _round_states(a)} & {id(s) for s in _round_states(b)}
     # an exhaustive gen and inv on every instance builds one state per (instance, round)
     for instance in range(a.instance_count):
         assert [a.inv(instance, a.gen(instance, k)) for k in range(256)] == list(range(256))
-    assert set(a._round_states) == {(i, r) for i in range(a.instance_count) for r in range(4)}
-    # the states stay out of equality and repr, as the memo does
-    assert a == b and "_round_states" not in repr(a)
+    assert sorted(a.rounds) == list(range(a.instance_count))
+    assert len({id(s) for s in _round_states(a)}) == a.instance_count * 4
+    assert _round_halves(a) == a.instance_count * 4 * 2**4
+    # the tables stay out of equality and repr
+    assert a == b and "rounds" not in repr(a) and "_perm_state" not in repr(a)
+
+
+def test_gen_many_agrees_with_the_definition_pointwise():
+    rng = np.random.default_rng(37)
+    qpro = QPrOSim.from_seed(rng, lam_bits=8, instance_count=3)
+    every = tuple(range(256))
+    for instance in range(qpro.instance_count):
+        cold = qpro.gen_many(instance, every)
+        assert cold == tuple(_feistel_reference(qpro, instance, k) for k in every)
+        assert qpro.gen_many(instance, every[::-1]) == cold[::-1]  # warm memo
+        assert tuple(qpro.inv(instance, h) for h in cold) == every
+    # repeated keys in one batch on a cold memo, and the empty batch
+    keys = tuple(int(k) for k in rng.integers(0, 256, size=40)) * 3
+    fresh = QPrOSim(qpro.master, lam_bits=8, instance_count=3)
+    assert fresh.gen_many(1, keys) == tuple(_feistel_reference(qpro, 1, k) for k in keys)
+    assert fresh.gen_many(2, ()) == ()
+    with pytest.raises(ValueError, match="instance"):
+        fresh.gen_many(3, ())
+    # the widest key space, its end points included
+    wide = QPrOSim.from_seed(rng, lam_bits=62, instance_count=2)
+    keys = wide.sample_keys(rng, 60) + (0, (1 << 62) - 1)
+    handles = wide.gen_many(1, keys)
+    assert handles == tuple(_feistel_reference(wide, 1, k) for k in keys)
+    assert handles == tuple(wide.gen(1, k) for k in keys)
+    assert tuple(wide.inv(1, h) for h in handles) == keys
+
+
+@pytest.mark.parametrize("lam_bits", [8, 16, 62])
+def test_gen_refuses_keys_outside_the_key_space(lam_bits):
+    qpro = QPrOSim(b"\x09" * 32, lam_bits=lam_bits)
+    # masking a key to lam_bits would give k + 2**lam_bits the handle of k
+    for bad in (-1, 1 << lam_bits, (1 << lam_bits) + 5, 1 << 64):
+        with pytest.raises(ValueError, match="key space"):
+            qpro.gen(1, bad)
+        with pytest.raises(ValueError, match="key space"):
+            qpro.gen_many(1, (5, bad))
+        assert not qpro._in_key_space((5, bad))
+    assert qpro._in_key_space((0, (1 << lam_bits) - 1))
 
 
 @pytest.mark.parametrize("lam_bits", [8, 16, 62])
@@ -225,6 +292,7 @@ def test_qpro_replace_gives_the_new_oracle_tables_of_its_own():
     # b must not inherit a's round memo (its gen would read a's rounds) nor
     # a's handle table (the two would share one ideal obfuscator)
     b = dataclasses.replace(a, master=rng.bytes(32))
+    assert not b.rounds and a.rounds
     fresh = QPrOSim(b.master, instance_count=3)
     assert [b.gen(1, k) for k in keys] == [fresh.gen(1, k) for k in keys]
     assert b.rounds is not a.rounds and b.circuits is not a.circuits and not b.circuits
@@ -242,7 +310,8 @@ def test_qpro_round_memo_bounded_over_long_jllw_run():
         o = jllw_obfuscate(c, qpro, 1, rng)
         labels = obfstack.jllw_eval_table(o, qpro, (), d)
         assert labels.tolist() == c.table_for_prefix((), d).astype(int).tolist()
-        assert len(qpro.rounds) <= bound
+        assert _round_halves(qpro) <= bound
+        assert len(_round_states(qpro)) <= qpro.instance_count * 4
 
 
 def test_key_swap_game_advantage_small():
@@ -1021,6 +1090,10 @@ def test_pc_relation_rejects_malformed_witnesses():
     no_opening = {**honest, "openings": {k: v for k, v in honest["openings"].items() if k != t}}
     bad_r = dict(honest["openings"][t], r="00" * 16)
     wrong_commitment = {**honest, "openings": {**honest["openings"], t: bad_r}}
+
+    def with_first_key(k: int) -> bytes:
+        opening = dict(honest["openings"][t], keys=[k, *honest["openings"][t]["keys"][1:]])
+        return json.dumps({**honest, "openings": {**honest["openings"], t: opening}}).encode()
     witnesses = {
         "non-utf8": b"\xff\xfe",
         "non-json": b"{not json",
@@ -1031,12 +1104,75 @@ def test_pc_relation_rejects_malformed_witnesses():
         "combine without subs": with_circuit({"kind": "combine", "index_bits": 1, "subs": []}),
         "missing opening": json.dumps(no_opening).encode(),
         "wrong commitment": json.dumps(wrong_commitment).encode(),
+        # keys outside the oracle's key space, two of them wider than 8 bytes
+        "negative key": with_first_key(-1),
+        "key of 2**64": with_first_key(2**64),
+        "key of 2**lam_bits": with_first_key(2**qpro.lam_bits),
     }
     for name, w in witnesses.items():
         assert stmt.relation(stmt.instance, w) is False, name
     # unknown handle: the same relation checked by an oracle that issued nothing
     foreign = obfstack._pc_relation(QPrOSim(qpro.master), "ideal", PHI_ANY)
     assert foreign(stmt.instance, witness) is False
+
+
+@pytest.mark.parametrize("backend", obfstack.BACKENDS)
+def test_prover_opening_keys_outside_the_key_space_is_refused(backend, monkeypatch):
+    # A prover that commits to and opens keys k + 2**lam_bits.  An oracle that
+    # masked keys would give them the handles of k, so the opened bundles would
+    # pass the audit with no diagnostic and every pc_eval of the JLLW
+    # transcript would return None.
+    rng = np.random.default_rng(5)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    c = table_circuit([0, 1, 1, 0])
+    shift = 1 << qpro.lam_bits
+    sample_keys, gen_many = QPrOSim.sample_keys, QPrOSim.gen_many
+
+    def shifted_keys(self, r, n):
+        return tuple(k + shift for k in sample_keys(self, r, n))
+
+    def masking_gen_many(self, t, keys):
+        return gen_many(self, t, [k % shift for k in keys])
+
+    monkeypatch.setattr(QPrOSim, "sample_keys", shifted_keys)
+    with pytest.raises(ValueError, match="key space"):
+        pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend=backend)
+    # the same prover against a masking oracle, with a tag the relation did
+    # not check
+    monkeypatch.setattr(QPrOSim, "gen_many", masking_gen_many)
+    o, stmt, witness = obfstack._pc_build(pp, PHI_ANY, c, qpro, rng, backend, ())
+    monkeypatch.undo()
+    assert o.opened and o.unopened
+    assert not stmt.relation(stmt.instance, witness)
+    o = dataclasses.replace(o, proof=nizknp.np_prove_simulated(pp.crs, stmt, witness, rng))
+    ok, diagnostics = pc_verify(pp, PHI_ANY, o, qpro)
+    assert not ok
+    assert diagnostics == [f"key_out_of_range:{t}" for t in sorted(o.opened)]
+
+
+def test_canonical_bytes_is_the_compact_sorted_json_of_every_kind():
+    from qmalab import csa, permver, protocol, zxham
+
+    rng = np.random.default_rng(38)
+    ham = zxham.HamiltonianInstance(2, (zxham.HamTerm(0, 1, "Z", 0, 0.5), zxham.HamTerm(0, 1, "X", 1, 0.5)))
+    verifier = permver.build(ham, 2)
+    key = csa.keygen(1, verifier.list_len * verifier.ell, rng)
+    circuits = [
+        null_circuit(3),
+        table_circuit([0, 1, 1, 0]),
+        point_circuit(4, 9),
+        point_circuit(2, None),
+        combine_circuits([point_circuit(2, 1), table_circuit([1, 0, 0, 1])], 1),
+        protocol.combined_circuit(key, verifier, 2),
+    ]
+    assert {c.canonical["kind"] for c in circuits} == set(obfstack._KIND_BUILDERS)
+    for c in circuits:
+        text = json.dumps(c.canonical, sort_keys=True, separators=(",", ":")).encode()
+        assert c.canonical_bytes() == text
+        assert c.canonical_bytes() is c.canonical_bytes()  # computed once per object
+        again = CircuitDesc.from_canonical(json.loads(text))
+        assert again == c and hash(again) == hash(c) and again.canonical_bytes() == text
 
 
 def test_canonical_boundary_raises_value_error():
