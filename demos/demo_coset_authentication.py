@@ -10,7 +10,7 @@ import numpy as np
 
 from qmalab import csa
 from qmalab.gf2 import BitVector
-from qmalab.simstate import StateVector, predicate_from_table
+from qmalab.simstate import BasisPredicate, StateVector
 
 rng = np.random.default_rng(2024)
 
@@ -31,7 +31,7 @@ print("support of enc(|1>):", [i for i, a in enumerate(enc1.amplitudes) if abs(a
 print("<enc0|enc1> =", abs(np.vdot(enc0.amplitudes, enc1.amplitudes)))
 
 print("\n== logical measurements through the decode circuit ==")
-ident = predicate_from_table([0, 1])
+ident = BasisPredicate([0, 1])
 p_std, _ = csa.logical_measure(key, BitVector((0,)), ident, enc1)
 print("Pr[decode |1> to logical 1, standard basis] =", round(p_std, 12))
 plus = StateVector.from_amplitudes(np.array([1, 1]) / np.sqrt(2))
@@ -42,7 +42,7 @@ print("\n== correctness identity, all bases and a predicate family ==")
 worst = 0.0
 for th in (0, 1):
     for table in ([0, 0], [1, 1], [0, 1]):
-        dev = csa.correctness_deviation(key, BitVector((th,)), predicate_from_table(table))
+        dev = csa.correctness_deviation(key, BitVector((th,)), BasisPredicate(table))
         worst = max(worst, dev)
 print("max |Enc^dag (H^theta Dec H^theta) Enc - M[theta,f]| =", worst)
 

@@ -7,73 +7,24 @@ side of the cutoff.  This is the zero-error stand-in for the approximate
 threshold procedure: two successive runs agree with probability exactly 1 and
 every accepted residual has mixture acceptance at least the cutoff.
 
-Two mixture representations are supported: a dense operator assembled from
-explicit projector components, and a factored form V L V^dag for mixtures
-supported on the image of an isometry V (used by the protocol verifier,
-where the logical block L is small while the physical space is large).
+A mixture is held in one form, its eigendecomposition (SpectralMixture),
+built from explicit (weight, projector) pairs on a small register or from the
+factored form V L V^dag of a mixture supported on the image of an isometry V
+(the protocol verifier's, where L is small and the physical space large).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitVector
-from .simstate import BasisPredicate, StateVector, zx_projector
+from .simstate import StateVector
 
 DENSE_DIM_CAP = 2**12
 EIG_GROUP_TOL = 1e-9
 PROJECTOR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProjectorComponent:
-    """One projector of a mixture, as a dense matrix or a conjugated
-    basis-predicate recipe (Hadamard mask + acceptance predicate)."""
-
-    weight: float
-    matrix: np.ndarray | None = None
-    predicate: BasisPredicate | None = None
-    theta: BitVector | None = None
-
-    def dense(self, num_qubits: int) -> np.ndarray:
-        if self.matrix is not None:
-            return np.asarray(self.matrix, dtype=np.complex128)
-        if self.predicate is None:
-            raise ValueError("component needs a matrix or a predicate")
-        theta = self.theta if self.theta is not None else BitVector.zeros(num_qubits)
-        return zx_projector(theta, self.predicate)
-
-
-@dataclass(frozen=True)
-class MixturePOVM:
-    """Mixture sum_i w_i P_i of exact projectors with weights summing to 1."""
-
-    num_qubits: int
-    components: tuple[ProjectorComponent, ...]
-
-    def __post_init__(self):
-        if 2**self.num_qubits > DENSE_DIM_CAP:
-            raise ValueError(f"dense mixture capped at dimension {DENSE_DIM_CAP}")
-        total = sum(c.weight for c in self.components)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("component weights must sum to 1")
-        if any(c.weight < 0 for c in self.components):
-            raise ValueError("component weights must be nonnegative")
-        for c in self.components:
-            p = c.dense(self.num_qubits)
-            if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
-                raise ValueError("component is not an exact projector")
-
-
-def mixture_operator(m: MixturePOVM) -> np.ndarray:
-    """Dense Hermitian E = sum_i w_i P_i."""
-    dim = 2**m.num_qubits
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for c in m.components:
-        out += c.weight * c.dense(m.num_qubits)
-    return out
 
 
 @dataclass(frozen=True)
@@ -98,9 +49,23 @@ class SpectralMixture:
     has_junk: bool
 
     @classmethod
-    def from_povm(cls, m: MixturePOVM) -> SpectralMixture:
-        evals, evecs = np.linalg.eigh(mixture_operator(m))
-        return cls(m.num_qubits, evals, evecs, has_junk=False)
+    def from_projectors(
+        cls, num_qubits: int, pairs: Sequence[tuple[float, np.ndarray]]
+    ) -> SpectralMixture:
+        """Mixture sum_i w_i P_i of exact projectors with weights summing to 1."""
+        if 2**num_qubits > DENSE_DIM_CAP:
+            raise ValueError(f"dense mixture capped at dimension {DENSE_DIM_CAP}")
+        if abs(sum(w for w, _ in pairs) - 1.0) > 1e-9:
+            raise ValueError("component weights must sum to 1")
+        if any(w < 0 for w, _ in pairs):
+            raise ValueError("component weights must be nonnegative")
+        total = np.zeros((2**num_qubits,) * 2, dtype=np.complex128)
+        for w, p in pairs:
+            if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
+                raise ValueError("component is not an exact projector")
+            total += w * p
+        evals, evecs = np.linalg.eigh(total)
+        return cls(num_qubits, evals, evecs, has_junk=False)
 
     @classmethod
     def from_isometry_block(cls, isometry: np.ndarray, block: np.ndarray) -> SpectralMixture:
@@ -128,21 +93,20 @@ class SpectralMixture:
 
 
 def threshold_measure(
-    m: MixturePOVM | SpectralMixture,
+    spec: SpectralMixture,
     s: StateVector,
     gamma: float,
     rng: np.random.Generator,
 ) -> ThresholdOutcome:
-    """Exact projective threshold measurement at cutoff 1 - gamma/2.
+    """Exact projective threshold measurement of spec at cutoff 1 - gamma/2.
 
-    Born-samples an eigenvalue of the mixture operator, accepts iff it
-    clears the cutoff, and projects onto the union of eigenspaces on the
-    sampled side -- the statistics and residuals of the binary measurement
-    {Pi_{>= 1-gamma/2}, I - Pi_{>= 1-gamma/2}}.
+    Born-samples an eigenvalue from the stored eigendecomposition, accepts
+    iff it clears the cutoff, and projects onto the union of eigenspaces on
+    the sampled side -- the statistics and residuals of the binary
+    measurement {Pi_{>= 1-gamma/2}, I - Pi_{>= 1-gamma/2}}.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie strictly between 0 and 1")
-    spec = SpectralMixture.from_povm(m) if isinstance(m, MixturePOVM) else m
     if s.num_qubits != spec.num_qubits:
         raise ValueError("state size disagrees with the mixture")
     cutoff = 1.0 - gamma / 2.0
@@ -181,17 +145,15 @@ def threshold_measure(
     return ThresholdOutcome(accept=accept, post=post, eigenvalue_measured=sampled)
 
 
-def mixture_expectation(m: MixturePOVM | SpectralMixture, s: StateVector) -> float:
-    """Tr[E |s><s|] for the mixture operator."""
-    if isinstance(m, MixturePOVM):
-        e = mixture_operator(m)
-        return float(np.real(np.vdot(s.amplitudes, e @ s.amplitudes)))
-    coeffs = m.eigvecs.conj().T @ s.amplitudes
-    return float(np.real(np.sum(m.eigvals * np.abs(coeffs) ** 2)))
+def mixture_expectation(spec: SpectralMixture, s: StateVector) -> float:
+    """Tr[E |s><s|] = sum_j lambda_j |<v_j|s>|^2 over the eigenpairs of E
+    (the junk space has eigenvalue 0 and adds nothing)."""
+    coeffs = spec.eigvecs.conj().T @ s.amplitudes
+    return float(np.real(np.sum(spec.eigvals * np.abs(coeffs) ** 2)))
 
 
 def repeat_projectivity_check(
-    m: MixturePOVM | SpectralMixture,
+    spec: SpectralMixture,
     s: StateVector,
     gamma: float,
     trials: int,
@@ -203,26 +165,8 @@ def repeat_projectivity_check(
     """
     agree = 0
     for _ in range(trials):
-        first = threshold_measure(m, s, gamma, rng)
-        second = threshold_measure(m, first.post, gamma, rng)
+        first = threshold_measure(spec, s, gamma, rng)
+        second = threshold_measure(spec, first.post, gamma, rng)
         agree += int(first.accept == second.accept)
     return agree / trials
 
-
-def sampled_estimate(
-    m: MixturePOVM, s: StateVector, shots: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo acceptance frequency: draw a component, apply it, tally.
-
-    Cross-check for the spectral path; this is what a measurement-limited
-    implementation would do instead of eigendecomposing.
-    """
-    weights = np.array([c.weight for c in m.components])
-    weights = weights / weights.sum()
-    mats = [c.dense(m.num_qubits) for c in m.components]
-    hits = 0
-    for _ in range(shots):
-        c = int(rng.choice(len(mats), p=weights))
-        prob = float(np.real(np.vdot(s.amplitudes, mats[c] @ s.amplitudes)))
-        hits += int(rng.random() < prob)
-    return hits / shots

@@ -23,7 +23,7 @@ import numpy as np
 from . import ati, csa, obfstack, permver, protocol, zxham
 from .gf2 import BitVector
 from .obfstack import QPrOSim
-from .simstate import StateVector, predicate_from_table
+from .simstate import BasisPredicate, StateVector
 from .zxham import HamiltonianInstance
 
 REFERENCE_YES = {
@@ -67,10 +67,13 @@ class RunConfig:
     def from_json(cls, data: dict) -> RunConfig:
         if "seed" not in data:
             raise ValueError("config must carry an explicit seed")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        declared = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(declared)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _has_declared_type(value, declared[name]):
+                raise ValueError(f"config field {name!r} must be {declared[name]}, not {value!r}")
         data = dict(data)  # instance paths are loaded into a copy
         for key in ("instance", "instance_b"):
             ref = data.get(key)
@@ -100,6 +103,17 @@ class RunConfig:
 
     def load_instance(self, default: dict) -> HamiltonianInstance:
         return HamiltonianInstance.from_json(self.instance or default)
+
+
+def _has_declared_type(value, declared: str) -> bool:
+    """Whether a JSON value fits a RunConfig annotation: bools are not
+    numbers, ints pass as floats, and instance fields also take a path."""
+    if value is None:
+        return declared.endswith(" | None")
+    if isinstance(value, bool):
+        return False
+    kinds = {"int": int, "float": (int, float), "str": str, "dict": (dict, str)}
+    return isinstance(value, kinds[declared.removesuffix(" | None")])
 
 
 def metric(value, tolerance: str, ok: bool | None = None) -> dict:
@@ -137,7 +151,7 @@ def scenario_csa_correctness(cfg: RunConfig) -> dict:
             for th in range(2**n):
                 theta = BitVector.from_index(th, n)
                 for tab in fams:
-                    dev = csa.correctness_deviation(key, theta, predicate_from_table(tab))
+                    dev = csa.correctness_deviation(key, theta, BasisPredicate(tab))
                     worst = max(worst, dev)
     code_worst = 0.0
     for _ in range(20):
@@ -178,23 +192,13 @@ def scenario_permver_bench(cfg: RunConfig) -> dict:
     }
 
 
-def _demo_mixture() -> ati.MixturePOVM:
-    # shared +1 eigenvector |00>, eigenvalue 1/2 on |01> and |11>, 0 on |10>
-    p_a = np.diag(np.array([1, 1, 0, 0], dtype=np.complex128))
-    p_b = np.diag(np.array([1, 0, 0, 1], dtype=np.complex128))
-    return ati.MixturePOVM(
-        2,
-        (
-            ati.ProjectorComponent(weight=0.5, matrix=p_a),
-            ati.ProjectorComponent(weight=0.5, matrix=p_b),
-        ),
-    )
-
-
 def scenario_ati_check(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     gamma = 0.2
-    mix = _demo_mixture()
+    # shared +1 eigenvector |00>, eigenvalue 1/2 on |01> and |11>, 0 on |10>
+    mix = ati.SpectralMixture.from_projectors(
+        2, [(0.5, np.diag([1.0 + 0j, 1, 0, 0])), (0.5, np.diag([1.0 + 0j, 0, 0, 1]))]
+    )
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps[0] += 3.0  # tilt toward the eigenvalue-1 vector so both sides get hit
     state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
@@ -202,12 +206,8 @@ def scenario_ati_check(cfg: RunConfig) -> dict:
     agreement = ati.repeat_projectivity_check(mix, state, gamma, trials, rng)
 
     # global rejection: two orthogonal rank-1 projectors at weight 1/2 each
-    lo = ati.MixturePOVM(
-        1,
-        (
-            ati.ProjectorComponent(weight=0.5, matrix=np.diag([1.0 + 0j, 0.0])),
-            ati.ProjectorComponent(weight=0.5, matrix=np.diag([0.0, 1.0 + 0j])),
-        ),
+    lo = ati.SpectralMixture.from_projectors(
+        1, [(0.5, np.diag([1.0 + 0j, 0.0])), (0.5, np.diag([0.0, 1.0 + 0j]))]
     )
     reject_hits = sum(
         ati.threshold_measure(lo, StateVector.basis(1, 0), gamma, rng).accept
@@ -436,7 +436,7 @@ def _game_csa_measure(cfg: RunConfig, world: int, rng: np.random.Generator) -> i
     # decode to the same transcript distribution
     key = csa.keygen(cfg.lambda_code, 1, rng)
     encoded = csa.enc(key, StateVector.basis(1, world))
-    f = predicate_from_table([0, 1] if world == 0 else [1, 0])
+    f = BasisPredicate([0, 1] if world == 0 else [1, 0])
     dec = csa.dec_predicate(csa.DecSpec(key, BitVector((0,)), f)).table()
     probs = np.abs(encoded.amplitudes) ** 2
     outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
@@ -573,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": f"config unreadable: {exc}"}), file=sys.stderr)
         return 2
 
+    if not isinstance(data, dict):
+        print(json.dumps({"error": "config must be a JSON object"}), file=sys.stderr)
+        return 2
     data["scenario"] = "permver-bench" if args.command == "permver" else args.scenario
     try:
         cfg = RunConfig.from_json(data)

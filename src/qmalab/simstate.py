@@ -117,10 +117,6 @@ def register_blocks(num_qubits: int, width: int) -> list[np.ndarray]:
     return [(idxs >> (num_qubits - (i + 1) * width)) & mask for i in range(num_qubits // width)]
 
 
-def predicate_from_table(table: np.ndarray) -> BasisPredicate:
-    return BasisPredicate(table)
-
-
 def constant_predicate(arity: int, value: int) -> BasisPredicate:
     return BasisPredicate(np.full(2**arity, bool(value)))
 
@@ -290,9 +286,7 @@ def trace_distance_pure(a: StateVector, b: StateVector) -> float:
 
 
 def zx_projector(theta: BitVector, f: BasisPredicate) -> np.ndarray:
-    """Dense M[theta, f] = H^theta diag(f) H^theta (small registers only):
-    the Hadamard layer applied to the columns of diag(f), then to the rows."""
+    """Dense M[theta, f] = H^theta diag(f) H^theta (small registers only)."""
     if f.arity != len(theta):
         raise ValueError("arity mismatch")
-    left = hadamard_layer(np.diag(f.table().astype(np.complex128)), theta.bits)
-    return hadamard_layer(left.T, theta.bits).T
+    return zx_apply(np.eye(2**f.arity, dtype=np.complex128), theta.bits, f.table())

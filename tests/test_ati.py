@@ -6,48 +6,102 @@ import numpy as np
 import pytest
 
 from qmalab import ati
-from qmalab.ati import MixturePOVM, ProjectorComponent, SpectralMixture
+from qmalab.ati import SpectralMixture
 from qmalab.gf2 import BitVector
-from qmalab.simstate import StateVector, predicate_from_table
+from qmalab.simstate import BasisPredicate, StateVector, zx_projector
 
 
-def diag_mix(*pairs: tuple[float, list[float]]) -> MixturePOVM:
-    dim = len(pairs[0][1])
-    m = int(np.log2(dim))
-    comps = tuple(
-        ProjectorComponent(weight=w, matrix=np.diag(np.array(d, dtype=np.complex128)))
-        for w, d in pairs
-    )
-    return MixturePOVM(m, comps)
+def diag_pairs(*pairs: tuple[float, list[float]]) -> list[tuple[float, np.ndarray]]:
+    return [(w, np.diag(np.array(d, dtype=np.complex128))) for w, d in pairs]
+
+
+def diag_mix(*pairs: tuple[float, list[float]]) -> SpectralMixture:
+    m = int(np.log2(len(pairs[0][1])))
+    return SpectralMixture.from_projectors(m, diag_pairs(*pairs))
+
+
+def operator(spec: SpectralMixture) -> np.ndarray:
+    """The mixture operator rebuilt from its eigendecomposition."""
+    return spec.eigvecs @ np.diag(spec.eigvals) @ spec.eigvecs.conj().T
+
+
+def sampled_estimate(
+    pairs: list[tuple[float, np.ndarray]], s: StateVector, shots: int, rng: np.random.Generator
+) -> float:
+    """Monte-Carlo acceptance frequency: draw a component, apply it, tally.
+
+    Cross-check for the spectral path; this is what a measurement-limited
+    implementation would do instead of eigendecomposing.
+    """
+    weights = np.array([w for w, _ in pairs])
+    weights = weights / weights.sum()
+    mats = [p for _, p in pairs]
+    hits = 0
+    for _ in range(shots):
+        c = int(rng.choice(len(mats), p=weights))
+        prob = float(np.real(np.vdot(s.amplitudes, mats[c] @ s.amplitudes)))
+        hits += int(rng.random() < prob)
+    return hits / shots
 
 
 def test_mixture_operator_examples():
     single = diag_mix((1.0, [1, 0, 0, 0]))
-    e = ati.mixture_operator(single)
-    assert np.allclose(e, np.diag([1, 0, 0, 0]))
+    assert np.allclose(operator(single), np.diag([1, 0, 0, 0]))
 
     two = diag_mix((0.5, [1, 0]), (0.5, [0, 1]))
-    evals = np.linalg.eigvalsh(ati.mixture_operator(two))
-    assert np.allclose(evals, [0.5, 0.5])
+    assert np.allclose(two.eigvals, [0.5, 0.5])
+    assert np.allclose(operator(two), np.diag([0.5, 0.5]))
 
 
 def test_mixture_validation():
     with pytest.raises(ValueError, match="sum"):
         diag_mix((0.4, [1, 0]), (0.4, [0, 1]))
     with pytest.raises(ValueError, match="projector"):
-        MixturePOVM(
-            1, (ProjectorComponent(weight=1.0, matrix=np.diag([0.5 + 0j, 0.0])),)
-        )
+        SpectralMixture.from_projectors(1, [(1.0, np.diag([0.5 + 0j, 0.0]))])
+
+
+def test_from_projectors_rejects_negative_weights_and_oversized_registers():
+    with pytest.raises(ValueError, match="nonnegative"):
+        diag_mix((1.5, [1, 0]), (-0.5, [0, 1]))
+    too_wide = int(np.log2(ati.DENSE_DIM_CAP)) + 1
+    with pytest.raises(ValueError, match="capped"):  # refused before allocating
+        SpectralMixture.from_projectors(too_wide, [(1.0, np.eye(2))])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_from_projectors_agrees_with_the_dense_sum(m):
+    """The eigendecomposition rebuilds sum_i w_i P_i, and the expectation
+    equals <s|sum_i w_i P_i|s>, on random mixtures of ZX projectors."""
+    rng = np.random.default_rng(40 + m)
+    for _ in range(20):
+        count = int(rng.integers(1, 5))
+        weights = rng.random(count)
+        weights = weights / weights.sum()
+        pairs = [
+            (
+                float(w),
+                zx_projector(
+                    BitVector(tuple(int(b) for b in rng.integers(0, 2, size=m))),
+                    BasisPredicate(rng.integers(0, 2, size=2**m)),
+                ),
+            )
+            for w in weights
+        ]
+        dense = sum(w * p for w, p in pairs)
+        spec = SpectralMixture.from_projectors(m, pairs)
+        assert np.max(np.abs(operator(spec) - dense)) <= 1e-12
+        for _ in range(5):
+            amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+            state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+            direct = float(np.real(np.vdot(state.amplitudes, dense @ state.amplitudes)))
+            assert abs(ati.mixture_expectation(spec, state) - direct) <= 1e-12
 
 
 def test_predicate_component_with_basis_change():
-    comp = ProjectorComponent(
-        weight=1.0, predicate=predicate_from_table([0, 1]), theta=BitVector((1,))
-    )
-    mix = MixturePOVM(1, (comp,))
-    e = ati.mixture_operator(mix)
+    proj = zx_projector(BitVector((1,)), BasisPredicate([0, 1]))
+    mix = SpectralMixture.from_projectors(1, [(1.0, proj)])
     minus = np.array([1, -1], dtype=np.complex128) / np.sqrt(2)
-    assert np.allclose(e @ minus, minus)
+    assert np.allclose(operator(mix) @ minus, minus)
 
 
 def test_threshold_deterministic_cases():
@@ -119,12 +173,13 @@ def test_global_rejection():
 
 def test_monte_carlo_estimate_matches_expectation():
     rng = np.random.default_rng(5)
-    mix = diag_mix((0.5, [1, 1, 0, 0]), (0.5, [1, 0, 0, 1]))
+    pairs = diag_pairs((0.5, [1, 1, 0, 0]), (0.5, [1, 0, 0, 1]))
+    mix = SpectralMixture.from_projectors(2, pairs)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
     expected = ati.mixture_expectation(mix, state)
     shots = 20_000
-    freq = ati.sampled_estimate(mix, state, shots, rng)
+    freq = sampled_estimate(pairs, state, shots, rng)
     sigma = np.sqrt(max(expected * (1 - expected), 1e-4) / shots)
     assert abs(freq - expected) < 3.5 * sigma + 0.005
 

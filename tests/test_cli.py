@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qmalab
-from qmalab import cli, obfstack
+from qmalab import ati, cli, obfstack
 from qmalab.cli import RunConfig, run_scenario
 
 
@@ -49,6 +49,72 @@ def test_config_naming_backend_is_refused_before_any_work(tmp_path, capsys, monk
         cfg_path.write_text(json.dumps({"seed": 1, "backend": backend}))
         assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
         assert "backend" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("trials", [5, 50])
+def test_ati_check_builds_its_two_mixtures_once(trials, monkeypatch):
+    built, eighs = [], []
+    from_projectors = ati.SpectralMixture.from_projectors.__func__
+    eigh = np.linalg.eigh
+
+    def counting_from_projectors(cls, num_qubits, pairs):
+        built.append(num_qubits)
+        return from_projectors(cls, num_qubits, pairs)
+
+    def counting_eigh(a):
+        eighs.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(
+        ati.SpectralMixture, "from_projectors", classmethod(counting_from_projectors)
+    )
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report = run_scenario(small("ati-check", trials=trials))
+    assert report["passed"]
+    assert sorted(built) == [1, 2] and len(eighs) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"seed": 1, "trials": "5"},
+        {"seed": 1, "gamma": "0.2"},
+        {"seed": 1.5},
+        {"seed": 1, "k": 2.5},
+        {"seed": True},
+        {"seed": None},
+        {"seed": 1, "p_margin": False},
+        {"seed": 1, "instance": 5},
+        {"seed": 1, "instance_b": [1]},
+        {"seed": 1, "game": None},
+        {"seed": 1, "out": 3},
+        [1],
+    ],
+)
+def test_config_of_the_wrong_type_is_refused_before_any_work(data, tmp_path, capsys, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(cli.SCENARIOS, "e2e-complete", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_config_types_accept_every_declared_form():
+    cfg = RunConfig.from_json(
+        {
+            "scenario": "e2e-complete",
+            "seed": 2**70,
+            "gamma": 1,
+            "p_margin": 0.05,
+            "instance": cli.SINGLE_Z,
+            "instance_b": None,
+            "out": None,
+        }
+    )
+    assert (cfg.seed, cfg.gamma, cfg.instance, cfg.out) == (2**70, 1, cli.SINGLE_Z, None)
 
 
 def test_config_rejects_missing_instance_file():

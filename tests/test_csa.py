@@ -9,10 +9,10 @@ from qmalab import csa
 from qmalab.csa import CSAKey, CSARecord, DecSpec
 from qmalab.gf2 import BitVector, Subspace, index_to_bits
 from qmalab.simstate import (
+    BasisPredicate,
     StateVector,
     apply_hadamard,
     constant_predicate,
-    predicate_from_table,
     project_predicate,
 )
 
@@ -34,7 +34,7 @@ def predicate_family(n: int):
         fams.append([0, 1])
     else:
         fams += [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 1]]
-    return [predicate_from_table(t) for t in fams]
+    return [BasisPredicate(t) for t in fams]
 
 
 def test_keygen_shapes_and_determinism():
@@ -85,13 +85,13 @@ def test_enc_preserves_inner_products():
 
 def test_dec_predicate_standard_basis_cases():
     key = fixed_key_lambda1()
-    ident = predicate_from_table([0, 1])
+    ident = BasisPredicate([0, 1])
     dec = csa.dec_predicate(DecSpec(key, BitVector((0,)), ident))
     # v in S (m=0): f(0) = 0; v in S+delta (m=1): f(1) = 1; junk: 0
     assert dec.eval((0, 0, 0)) == 0 and dec.eval((1, 0, 0)) == 0
     assert dec.eval((0, 1, 0)) == 1 and dec.eval((1, 1, 0)) == 1
     assert dec.eval((0, 0, 1)) == 0  # outside all four cosets -> bot -> 0
-    parity = predicate_from_table([0, 1])
+    parity = BasisPredicate([0, 1])
     dec_const = csa.dec_predicate(DecSpec(key, BitVector((0,)), constant_predicate(1, 1)))
     assert dec_const.eval((0, 0, 1)) == 0  # bot clause beats the constant
 
@@ -100,7 +100,7 @@ def test_dec_predicate_dual_basis_cases():
     key = fixed_key_lambda1()
     rec = key.records[0]
     s_hat, d_hat = rec.dual
-    ident = predicate_from_table([0, 1])
+    ident = BasisPredicate([0, 1])
     dec = csa.dec_predicate(DecSpec(key, BitVector((1,)), ident))
     for u in s_hat.elements():
         assert dec.eval((u ^ rec.z).bits) == 0
@@ -140,7 +140,7 @@ def test_ver_is_dec_with_all_accept_f_and_both_match_reference_loops():
     for lam, n in ((1, 1), (1, 2), (1, 3), (2, 1), (1, 4)):
         for _ in range(3):
             key = csa.keygen(lam, n, rng)
-            f = predicate_from_table(rng.integers(0, 2, size=2**n))
+            f = BasisPredicate(rng.integers(0, 2, size=2**n))
             for t in range(2**n):
                 theta = BitVector(index_to_bits(t, n))
                 ver = csa.ver_predicate(key, theta).table()
@@ -180,7 +180,7 @@ def test_logical_measure_matches_logical_zx_exhaustively():
 
 def test_logical_measure_examples():
     key = fixed_key_lambda1()
-    ident = predicate_from_table([0, 1])
+    ident = BasisPredicate([0, 1])
     p, _ = csa.logical_measure(key, BitVector((0,)), ident, csa.enc(key, StateVector.basis(1, 0)))
     assert p == pytest.approx(0.0, abs=1e-12)
     plus = StateVector.from_amplitudes([1 / np.sqrt(2), 1 / np.sqrt(2)])
@@ -192,7 +192,7 @@ def test_dec_complement_partitions_ver_acceptance():
     rng = np.random.default_rng(7)
     key = csa.keygen(1, 2, rng)
     theta = BitVector((0, 1))
-    f = predicate_from_table([0, 1, 1, 0])
+    f = BasisPredicate([0, 1, 1, 0])
     amps = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     st = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
     mask = csa.physical_theta(key, theta)

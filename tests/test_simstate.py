@@ -18,12 +18,12 @@ from qmalab.simstate import (
     constant_predicate,
     hadamard_layer,
     measure_zx,
-    predicate_from_table,
     project_predicate,
     register_blocks,
     tensor,
     trace_distance_pure,
     zx_apply,
+    zx_projector,
 )
 
 
@@ -146,7 +146,8 @@ def test_hadamard_layer_bytes_equal_butterfly_reference(m):
 @pytest.mark.parametrize("m", range(11))
 def test_zx_apply_bytes_equal_two_layer_chains(m):
     """zx_apply against the inline chains it replaced: the verifier POVM's
-    codespace closure and per-permutation check, and the codespace check."""
+    codespace closure and per-permutation check, the codespace check, and
+    the dense ZX projector."""
     rng = np.random.default_rng(200 + m)
     masks = [(0,) * m, (1,) * m, tuple(int(b) for b in rng.integers(0, 2, size=m))]
     first = rng.integers(0, 2, size=2**m).astype(bool)
@@ -171,6 +172,13 @@ def test_zx_apply_bytes_equal_two_layer_chains(m):
             rhs = rhs * accept[:, None]
             rhs = hadamard_layer(rhs, ones)
             assert zx_apply(a * first[:, None], ones, accept).tobytes() == rhs.tobytes()
+    # the former zx_projector: the layer on the columns of diag(accept), then
+    # on the rows through a transpose
+    for mask in masks:
+        left = hadamard_layer(np.diag(accept.astype(np.complex128)), mask)
+        dense = hadamard_layer(left.T, mask).T
+        out = zx_projector(BitVector(mask), BasisPredicate(accept))
+        assert out.tobytes() == dense.tobytes(), mask
 
 
 def test_register_blocks_equal_index_to_bits_slices():
@@ -191,12 +199,12 @@ def test_register_blocks_equal_index_to_bits_slices():
 
 def test_basis_predicate_table_checks():
     with pytest.raises(ValueError, match="power of two"):
-        predicate_from_table([0, 1, 1])
+        BasisPredicate([0, 1, 1])
     with pytest.raises(ValueError, match="power of two"):
-        predicate_from_table([])
+        BasisPredicate([])
     with pytest.raises(ValueError, match="cap"):
         BasisPredicate(np.zeros(2 ** (QUBIT_CAP + 1), dtype=bool))
-    p = predicate_from_table([0, 1, 1, 0])
+    p = BasisPredicate([0, 1, 1, 0])
     assert p.arity == 2
     assert [p.eval(bits) for bits in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 1, 1, 0]
     with pytest.raises(ValueError, match="label length"):
@@ -249,14 +257,14 @@ def test_born_completeness(seed, m):
     rng = np.random.default_rng(seed)
     s = random_state(rng, m)
     table = rng.integers(0, 2, size=2**m)
-    p = predicate_from_table(table)
+    p = BasisPredicate(table)
     prob1, _, _ = project_predicate(s, p)
     prob0, _, _ = project_predicate(s, p.complement())
     assert prob1 + prob0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_zx_examples():
-    ident = predicate_from_table([0, 1])
+    ident = BasisPredicate([0, 1])
     s0, _ = measure_zx(StateVector.basis(2, 1), BitVector((0, 0)), constant_predicate(2, 1))
     assert s0 == pytest.approx(1.0)
 
@@ -275,7 +283,7 @@ def test_measure_zx_idempotent_on_post_state():
     for _ in range(20):
         s = random_state(rng, 3)
         theta = BitVector.from_array(rng.integers(0, 2, size=3))
-        f = predicate_from_table(rng.integers(0, 2, size=8))
+        f = BasisPredicate(rng.integers(0, 2, size=8))
         prob, post = measure_zx(s, theta, f)
         if post is None:
             continue
@@ -289,7 +297,7 @@ def test_gentle_measurement_bound():
     for m in range(2, 7):
         for _ in range(30):
             s = random_state(rng, m)
-            f = predicate_from_table(rng.integers(0, 2, size=2**m))
+            f = BasisPredicate(rng.integers(0, 2, size=2**m))
             theta = BitVector.from_array(rng.integers(0, 2, size=m))
             prob, post = measure_zx(s, theta, f)
             if post is None or prob < 0.5:
