@@ -20,11 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ati, csa, obfstack, permver, protocol, zxham
+from . import ati, csa, obfstack, permver, protocol, simstate, zxham
 from .gf2 import BitVector
 from .obfstack import QPrOSim
-from .simstate import BasisPredicate, StateVector
-from .zxham import HamiltonianInstance
 
 REFERENCE_YES = {
     "qubits": 2,
@@ -81,10 +79,16 @@ class RunConfig:
                 path = Path(ref)
                 if not path.exists():
                     raise ValueError(f"instance file {ref} does not exist")
-                data[key] = json.loads(path.read_text())
+                data[key] = ref = json.loads(path.read_text())
+            if ref is not None:
+                zxham.HamiltonianInstance.from_json(ref)  # shape check; the dict is echoed
         cfg = cls(**data)
         if cfg.trials < 0:
             raise ValueError("trial count must be nonnegative")
+        if cfg.budget < 0:
+            raise ValueError("query budget must be nonnegative")
+        if cfg.lambda_cc < 1:
+            raise ValueError("lambda_cc must be at least 1")
         return cfg
 
     def trials_or(self, default: int) -> int:
@@ -101,8 +105,8 @@ class RunConfig:
     def gamma_params(self) -> protocol.GammaParams:
         return protocol.GammaParams(self.gamma, self.p_margin)
 
-    def load_instance(self, default: dict) -> HamiltonianInstance:
-        return HamiltonianInstance.from_json(self.instance or default)
+    def load_instance(self, default: dict) -> zxham.HamiltonianInstance:
+        return zxham.HamiltonianInstance.from_json(self.instance or default)
 
 
 def _has_declared_type(value, declared: str) -> bool:
@@ -151,7 +155,7 @@ def scenario_csa_correctness(cfg: RunConfig) -> dict:
             for th in range(2**n):
                 theta = BitVector.from_index(th, n)
                 for tab in fams:
-                    dev = csa.correctness_deviation(key, theta, BasisPredicate(tab))
+                    dev = csa.correctness_deviation(key, theta, simstate.BasisPredicate(tab))
                     worst = max(worst, dev)
     code_worst = 0.0
     for _ in range(20):
@@ -171,7 +175,7 @@ def scenario_permver_bench(cfg: RunConfig) -> dict:
     e = zxham.acceptance_operator(h)
     diag = np.real(np.diag(e))
     no_idx = int(np.argmin(diag))
-    no_state = StateVector.basis(h.num_qubits, no_idx)
+    no_state = simstate.StateVector.basis(h.num_qubits, no_idx)
 
     trials = cfg.trials_or(10_000)
     yes_hits = sum(permver.verify_product(v, gs, rng) for _ in range(trials))
@@ -201,7 +205,7 @@ def scenario_ati_check(cfg: RunConfig) -> dict:
     )
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps[0] += 3.0  # tilt toward the eigenvalue-1 vector so both sides get hit
-    state = StateVector.from_amplitudes(amps / np.linalg.norm(amps))
+    state = simstate.StateVector.from_amplitudes(amps / np.linalg.norm(amps))
     trials = cfg.trials_or(1000)
     agreement = ati.repeat_projectivity_check(mix, state, gamma, trials, rng)
 
@@ -210,7 +214,7 @@ def scenario_ati_check(cfg: RunConfig) -> dict:
         1, [(0.5, np.diag([1.0 + 0j, 0.0])), (0.5, np.diag([0.0, 1.0 + 0j]))]
     )
     reject_hits = sum(
-        ati.threshold_measure(lo, StateVector.basis(1, 0), gamma, rng).accept
+        ati.threshold_measure(lo, simstate.StateVector.basis(1, 0), gamma, rng).accept
         for _ in range(trials)
     )
 
@@ -233,7 +237,7 @@ def scenario_ati_check(cfg: RunConfig) -> dict:
     }
 
 
-def _e2e_run(cfg: RunConfig, h: HamiltonianInstance, i: int, g, pcfg):
+def _e2e_run(cfg: RunConfig, h: zxham.HamiltonianInstance, i: int, g, pcfg):
     rng = np.random.default_rng([cfg.seed, i])
     qpro = QPrOSim.from_seed(rng, instance_count=cfg.lambda_cc + 1)
     _, gs = zxham.ground_state(h)
@@ -294,7 +298,7 @@ def _popcount_hist(chals: list[int], lam_cc: int) -> np.ndarray:
 
 def scenario_e2e_simulate(cfg: RunConfig) -> dict:
     h_a = cfg.load_instance(REFERENCE_YES)
-    h_b = HamiltonianInstance.from_json(cfg.instance_b or ALT_YES)
+    h_b = zxham.HamiltonianInstance.from_json(cfg.instance_b or ALT_YES)
     g, pcfg = cfg.gamma_params(), cfg.protocol_config()
     trials = cfg.trials_or(200)
     rates = {}
@@ -421,7 +425,7 @@ def _game_key_swap(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
 
 def _game_csa_hiding(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
     key = csa.keygen(cfg.lambda_code, 1, rng)
-    encoded = csa.enc(key, StateVector.basis(1, world))
+    encoded = csa.enc(key, simstate.StateVector.basis(1, world))
     probs = np.abs(encoded.amplitudes) ** 2
     outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
     ver = csa.ver_predicate(key, BitVector((0,))).table()
@@ -435,8 +439,8 @@ def _game_csa_measure(cfg: RunConfig, world: int, rng: np.random.Generator) -> i
     # identity predicate, world 1 encodes |1> with its complement; both
     # decode to the same transcript distribution
     key = csa.keygen(cfg.lambda_code, 1, rng)
-    encoded = csa.enc(key, StateVector.basis(1, world))
-    f = BasisPredicate([0, 1] if world == 0 else [1, 0])
+    encoded = csa.enc(key, simstate.StateVector.basis(1, world))
+    f = simstate.BasisPredicate([0, 1] if world == 0 else [1, 0])
     dec = csa.dec_predicate(csa.DecSpec(key, BitVector((0,)), f)).table()
     probs = np.abs(encoded.amplitudes) ** 2
     outcome = int(rng.choice(len(probs), p=probs / probs.sum()))

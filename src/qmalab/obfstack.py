@@ -44,12 +44,6 @@ _FAILED = -1  # label of an evaluation that failed its integrity checks
 
 # -- circuit descriptions ----------------------------------------------------
 
-_KIND_BUILDERS: dict[str, Callable[[dict], "CircuitDesc"]] = {}
-
-
-def register_circuit_kind(kind: str, builder: Callable[[dict], "CircuitDesc"]) -> None:
-    _KIND_BUILDERS[kind] = builder
-
 
 @dataclass(frozen=True)
 class CircuitDesc:
@@ -176,15 +170,21 @@ def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
     )
 
 
-register_circuit_kind("null", lambda c: null_circuit(int(c["arity"])))
-register_circuit_kind("table", lambda c: table_circuit(c["table"]))
-register_circuit_kind("point", lambda c: point_circuit(int(c["arity"]), c["x"]))
-register_circuit_kind(
-    "combine",
-    lambda c: combine_circuits(
+def _protocol_circuit(canonical: dict) -> CircuitDesc:
+    from .protocol import _build_combined_from_canonical  # protocol imports this module
+
+    return _build_combined_from_canonical(canonical)
+
+
+_KIND_BUILDERS: dict[str, Callable[[dict], CircuitDesc]] = {
+    "null": lambda c: null_circuit(int(c["arity"])),
+    "table": lambda c: table_circuit(c["table"]),
+    "point": lambda c: point_circuit(int(c["arity"]), c["x"]),
+    "combine": lambda c: combine_circuits(
         [CircuitDesc.from_canonical(s) for s in c["subs"]], int(c["index_bits"])
     ),
-)
+    "csa-ver-mcirc": _protocol_circuit,
+}
 
 
 # -- ideal obfuscation --------------------------------------------------------

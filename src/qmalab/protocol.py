@@ -229,9 +229,6 @@ def _build_combined_from_canonical(canonical: dict) -> CircuitDesc:
     )
 
 
-obfstack.register_circuit_kind("csa-ver-mcirc", _build_combined_from_canonical)
-
-
 def _phi_check(c: CircuitDesc) -> bool:
     canon = c.canonical
     if canon.get("kind") != "csa-ver-mcirc" or canon.get("null_m"):

@@ -10,6 +10,7 @@ oracles return ground truth for desk-scale instances (dense diagonalization).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .gf2 import BitVector
 from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
 
 SPECTRAL_QUBIT_CAP = 10
+_TERM_FIELDS = ("i", "j", "basis", "beta", "p")  # HamTerm's fields, in order
 
 _PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -35,6 +37,8 @@ class HamTerm:
     p: float
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) for v in (self.i, self.j, self.p)):
+            raise ValueError("term indices and weight must be numbers")
         if self.basis not in ("Z", "X"):
             raise ValueError("basis must be 'Z' or 'X'")
         if not 0 <= self.i < self.j:
@@ -95,9 +99,15 @@ class HamiltonianInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> HamiltonianInstance:
-        terms = tuple(
-            HamTerm(d["i"], d["j"], d["basis"], d["beta"], d["p"]) for d in data["terms"]
-        )
+        """Parse an instance object; a malformed one raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError("an instance must be an object with a list of terms")
+        for d in data["terms"]:
+            if not isinstance(d, dict) or not all(k in d for k in _TERM_FIELDS):
+                raise ValueError(f"each term must be an object with fields {_TERM_FIELDS}")
+        if not isinstance(data.get("qubits"), numbers.Integral):
+            raise ValueError("an instance must give its qubit count as an integer")
+        terms = tuple(HamTerm(*(d[k] for k in _TERM_FIELDS)) for d in data["terms"])
         return cls(int(data["qubits"]), terms)
 
     @classmethod

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,10 @@ def test_ati_check_builds_its_two_mixtures_once(trials, monkeypatch):
         {"seed": 1, "game": None},
         {"seed": 1, "out": 3},
         [1],
+        {"seed": 1, "trials": 4, "game": "csa-measure", "budget": -5},
+        {"seed": 1, "trials": 2, "lambda_cc": 0},
+        {"seed": 1, "instance": {"qubits": 2, "terms": [1]}},
+        {"seed": 1, "instance_b": "list_instance.json"},
     ],
 )
 def test_config_of_the_wrong_type_is_refused_before_any_work(data, tmp_path, capsys, monkeypatch):
@@ -96,6 +101,8 @@ def test_config_of_the_wrong_type_is_refused_before_any_work(data, tmp_path, cap
         raise AssertionError("the scenario ran")
 
     monkeypatch.setitem(cli.SCENARIOS, "e2e-complete", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list_instance.json").write_text("[1]")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
@@ -296,17 +303,83 @@ def test_runs_leave_module_globals_unchanged():
     assert _module_container_sizes() == before
 
 
+def _fresh_process(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports qmalab from this tree."""
+    prelude = f"import sys\nsys.path.insert(0, {str(Path(qmalab.__file__).parents[1])!r})\n"
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code, *args], capture_output=True, text=True, timeout=120
+    )
+
+
+QUANTUM_LAYERS = ("ati", "csa", "permver", "protocol", "simstate", "zxham")
+
+
+def test_import_registers_every_layer_without_running_the_quantum_ones():
+    # perfbench's tracer reads sys.modules["qmalab.<name>"] for every layer
+    done = _fresh_process(
+        "import types\n"
+        "import qmalab, qmalab.cli\n"
+        "for name in qmalab.__all__:\n"
+        "    assert getattr(qmalab, name) is sys.modules[f'qmalab.{name}'], name\n"
+        "    loaded = type(sys.modules[f'qmalab.{name}']) is types.ModuleType\n"
+        "    assert loaded == (name not in sys.argv[1:]), name\n",
+        *QUANTUM_LAYERS,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "scenarios, loaded",
+    [(("cutchoose-detect", "jllw-correctness"), False), (("e2e-extract",), True)],
+)
+def test_scenarios_load_the_quantum_layers_only_when_they_use_them(scenarios, loaded):
+    # type() reads no attribute, so it does not trigger a lazy module's load
+    done = _fresh_process(
+        "import json, types\n"
+        "from qmalab import cli\n"
+        "scenarios, loaded = json.loads(sys.argv[1])\n"
+        "for name in scenarios:\n"
+        "    trials = 1 if name == 'e2e-extract' else 2\n"
+        "    cfg = cli.RunConfig.from_json({'scenario': name, 'seed': 1, 'trials': trials})\n"
+        "    assert cli.run_scenario(cfg)['passed'], name\n"
+        "for name in sys.argv[2:]:\n"
+        "    module = sys.modules[f'qmalab.{name}']\n"
+        "    assert (type(module) is types.ModuleType) == loaded, name\n",
+        json.dumps([scenarios, loaded]),
+        *QUANTUM_LAYERS,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_traced_benchmark_run_passes_with_its_seed_fingerprint(tmp_path):
+    # the tracer wraps every layer of a freshly imported package; a copy of
+    # the tree keeps its span file out of the checkout
+    root = Path(__file__).resolve().parents[1]
+    skip = shutil.ignore_patterns("__pycache__", "traces")
+    shutil.copytree(root / "perfbench", tmp_path / "perfbench", ignore=skip)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=skip)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "jllw-correctness",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-2])
+    assert report["fingerprint"]["sha256"] == (
+        "552ad4eca09d26fbd96ad37d48527675bc518fd2ce19e2654199e38fc7d2ecb9"
+    )
+    assert report["trace"]["layers"]
+
+
 def test_workload_scenarios_never_load_scipy_stats():
     # scipy.stats serves only permver-bench's binomial tail and e2e-simulate's
     # chi-squared test; a fresh process is needed, as pytest loads it itself
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(Path(qmalab.__file__).parents[1])!r})\n"
+    done = _fresh_process(
         "import qmalab\n"
         "from qmalab import cli\n"
         "for name in ('e2e-extract', 'cutchoose-detect', 'jllw-correctness'):\n"
         "    cli.run_scenario(cli.RunConfig.from_json({'scenario': name, 'seed': 1, 'trials': 2}))\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

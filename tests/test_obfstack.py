@@ -6,7 +6,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1173,6 +1176,33 @@ def test_canonical_bytes_is_the_compact_sorted_json_of_every_kind():
         assert c.canonical_bytes() is c.canonical_bytes()  # computed once per object
         again = CircuitDesc.from_canonical(json.loads(text))
         assert again == c and hash(again) == hash(c) and again.canonical_bytes() == text
+
+
+def test_circuit_kinds_do_not_depend_on_which_layers_were_imported():
+    # a process that imports only obfstack still rebuilds a protocol circuit;
+    # protocol runs only when its kind is first built
+    from qmalab import csa, permver, protocol, zxham
+
+    rng = np.random.default_rng(39)
+    ham = zxham.HamiltonianInstance(2, (zxham.HamTerm(0, 1, "Z", 0, 0.5), zxham.HamTerm(0, 1, "X", 1, 0.5)))
+    verifier = permver.build(ham, 2)
+    key = csa.keygen(1, verifier.list_len * verifier.ell, rng)
+    circuit = protocol.combined_circuit(key, verifier, 2)
+    code = (
+        "import json, sys, types\n"
+        f"sys.path.insert(0, {str(Path(obfstack.__file__).parents[1])!r})\n"
+        "from qmalab.obfstack import _KIND_BUILDERS, CircuitDesc\n"
+        "kinds = {'null', 'table', 'point', 'combine', 'csa-ver-mcirc'}\n"
+        "assert set(_KIND_BUILDERS) == kinds, sorted(_KIND_BUILDERS)\n"
+        "assert type(sys.modules['qmalab.protocol']) is not types.ModuleType\n"
+        "sys.stdout.write(CircuitDesc.from_canonical(json.loads(sys.argv[1])).canonical_bytes().decode())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(circuit.canonical)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.encode() == circuit.canonical_bytes()
 
 
 def test_canonical_boundary_raises_value_error():

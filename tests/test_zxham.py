@@ -63,6 +63,25 @@ def test_instance_rejects_a_repeated_term():
         )
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1],
+        {"qubits": 2},
+        {"qubits": 2, "terms": {"i": 0}},
+        {"qubits": 2, "terms": [1]},
+        {"qubits": 2, "terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0}]},
+        {"terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]},
+        {"qubits": [2], "terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]},
+        {"qubits": 2, "terms": [{"i": "0", "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]},
+        {"qubits": 2, "terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": "1/2"}]},
+    ],
+)
+def test_malformed_instance_json_raises_value_error(data):
+    with pytest.raises(ValueError):
+        HamiltonianInstance.from_json(data)
+
+
 def test_json_round_trip():
     again = HamiltonianInstance.loads(TWO_PAIRS.dumps())
     assert again == TWO_PAIRS
