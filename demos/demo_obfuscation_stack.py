@@ -30,7 +30,7 @@ print("verifier accepts:", ok, diags)
 print("majority vote on input 110:", obfstack.pc_eval(transcript, qpro, (1, 1, 0)))
 
 extracted = obfstack.pc_extract(pp, td, PHI_ANY, transcript, qpro)
-print("extracted circuit equals the source:", extracted == maj)
+print("extracted circuit equals the source:", extracted == maj.canonical)
 
 print("\n== a cheating prover with 3 mismatched key bundles ==")
 caught = 0

@@ -49,11 +49,11 @@ _FAILED = -1  # label of an evaluation that failed its integrity checks
 class CircuitDesc:
     """Deterministic classical circuit with a serializable canonical form.
 
-    The canonical form round-trips through from_canonical and is the unit of
-    comparison for commitments and extraction checks.  table(prefix,
-    suffix_arity) is the circuit's one evaluation: the truth table over the
-    last suffix_arity input bits with the leading bits fixed to prefix;
-    eval_bits is its zero-width case.
+    The canonical form is what phi checks, the NP relation compares and
+    pc_extract returns; from_canonical builds this module's four kinds.
+    table(prefix, suffix_arity) is the circuit's one evaluation: the truth
+    table over the last suffix_arity input bits with the leading bits fixed
+    to prefix; eval_bits is its zero-width case.
     """
 
     input_arity: int
@@ -170,12 +170,6 @@ def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
     )
 
 
-def _protocol_circuit(canonical: dict) -> CircuitDesc:
-    from .protocol import _build_combined_from_canonical  # protocol imports this module
-
-    return _build_combined_from_canonical(canonical)
-
-
 _KIND_BUILDERS: dict[str, Callable[[dict], CircuitDesc]] = {
     "null": lambda c: null_circuit(int(c["arity"])),
     "table": lambda c: table_circuit(c["table"]),
@@ -183,7 +177,6 @@ _KIND_BUILDERS: dict[str, Callable[[dict], CircuitDesc]] = {
     "combine": lambda c: combine_circuits(
         [CircuitDesc.from_canonical(s) for s in c["subs"]], int(c["index_bits"])
     ),
-    "csa-ver-mcirc": _protocol_circuit,
 }
 
 
@@ -688,13 +681,14 @@ def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Named predicate over circuit descriptions."""
+    """Named predicate over canonical circuit descriptions (dicts)."""
 
     phi_id: str
-    check: Callable[[CircuitDesc], bool]
+    check: Callable[[dict], bool]
 
 
-PHI_ANY = PhiSpec("any", lambda c: True)
+# every description from_canonical builds; it raises on a malformed one
+PHI_ANY = PhiSpec("any", lambda canon: CircuitDesc.from_canonical(canon) is not None)
 
 
 @dataclass(frozen=True)
@@ -837,19 +831,25 @@ def _jllw_blob(c: CircuitDesc, qpro: QPrOSim, t: int, keys, handles, seed: bytes
 def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, bytes], bool]:
     """The cut-and-choose NP relation, checked by the trusted oracle.
 
-    The witness must open every unopened commitment and re-derive the posted
-    obfuscation of a phi-satisfying circuit (literal re-execution for the
-    JLLW backend; an identity check against the oracle's table in the ideal
-    model).  A malformed witness is a rejection; any other error, such as
-    one raised inside phi, propagates."""
+    The witness's circuit description must satisfy phi and be in canonical
+    form, and the witness must open every unopened commitment and re-derive
+    the posted obfuscation (its bytes against the oracle's table in the ideal
+    model; literal re-execution for the JLLW backend).  A malformed witness
+    is a rejection; any other error, such as a RuntimeError inside phi,
+    propagates."""
 
     def _relation(instance: bytes, witness: bytes) -> bool:
         try:
             inst = json.loads(instance.decode())
             wit = json.loads(witness.decode())
-            circuit = CircuitDesc.from_canonical(wit["circuit"])
-            if not (inst["phi"] == phi.phi_id and phi.check(circuit)):
+            desc = wit["circuit"]
+            if not (inst["phi"] == phi.phi_id and isinstance(desc, dict) and phi.check(desc)):
                 return False
+            canon = _dumps(desc).encode()
+            if backend == "jllw":
+                circuit = CircuitDesc.from_canonical(desc)
+                if circuit.canonical_bytes() != canon:
+                    return False
             for t_str, entry in inst["unopened"].items():
                 t = int(t_str)
                 opening = wit["openings"][t_str]
@@ -861,7 +861,7 @@ def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, 
                     return False
                 handles = tuple(int(h) for h in inst["handles"][t - 1])
                 if backend == "ideal":
-                    if _lookup(qpro, ObfHandle.from_json(entry)) != circuit:
+                    if _lookup(qpro, ObfHandle.from_json(entry)).canonical_bytes() != canon:
                         return False
                 else:
                     blob = _jllw_blob(circuit, qpro, t, keys, handles, bytes.fromhex(opening["seed"]))
@@ -974,7 +974,7 @@ def pc_obfuscate(
     commitments still cover the original keys, so dishonesty surfaces only
     when a corrupted bundle is opened.
     """
-    if not phi.check(c):
+    if not phi.check(c.canonical):
         raise ValueError("circuit violates the predicate phi")
     transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, backend, corrupt_bundles)
     proof = nizknp.np_prove(pp.crs, stmt, witness, rng)
@@ -1098,11 +1098,11 @@ def pc_eval_table(
 
 def pc_extract(
     pp: PcParams, td: bytes, phi: PhiSpec, o: PCObfuscation, qpro: QPrOSim
-) -> CircuitDesc:
+) -> dict:
     """Knowledge extractor: gated on verification, then decrypt the witness
-    ciphertext and return its circuit."""
+    ciphertext and return its circuit description, unbuilt."""
     ok, diagnostics = pc_verify(pp, phi, o, qpro)
     if not ok:
         raise ValueError(f"extraction attempted on a rejecting transcript: {diagnostics}")
     witness = nizknp.np_ext1(pp.crs, td, _pc_statement(qpro, phi, o), o.proof)
-    return CircuitDesc.from_canonical(json.loads(witness.decode())["circuit"])
+    return json.loads(witness.decode())["circuit"]

@@ -797,10 +797,11 @@ def test_pc_extract_contract():
     and2 = table_circuit([0, 0, 0, 1])
     o = pc_obfuscate(pp, PHI_ANY, and2, qpro, rng)
     extracted = pc_extract(pp, td, PHI_ANY, o, qpro)
-    assert extracted == and2
+    assert extracted == and2.canonical
     assert PHI_ANY.check(extracted)
+    circuit = CircuitDesc.from_canonical(extracted)
     for x in range(4):
-        assert extracted.eval_bits(bits(x, 2)) == pc_eval(o, qpro, bits(x, 2))
+        assert circuit.eval_bits(bits(x, 2)) == pc_eval(o, qpro, bits(x, 2))
 
 
 def test_pc_extract_gated_on_verification():
@@ -1071,6 +1072,10 @@ def test_cut_and_choose_trials_retain_bounded_memory():
 # -- the cut-and-choose relation on malformed witnesses ------------------------
 
 
+def _with_circuit(witness: bytes, circuit) -> bytes:
+    return json.dumps({**json.loads(witness.decode()), "circuit": circuit}).encode()
+
+
 def _ideal_statement(phi=PHI_ANY):
     rng = np.random.default_rng(70)
     qpro = QPrOSim.from_seed(rng)
@@ -1086,10 +1091,6 @@ def test_pc_relation_rejects_malformed_witnesses():
     assert stmt.relation(stmt.instance, witness)
     honest = json.loads(witness.decode())
     t = sorted(honest["openings"])[0]
-
-    def with_circuit(circuit) -> bytes:
-        return json.dumps({**honest, "circuit": circuit}).encode()
-
     no_opening = {**honest, "openings": {k: v for k, v in honest["openings"].items() if k != t}}
     bad_r = dict(honest["openings"][t], r="00" * 16)
     wrong_commitment = {**honest, "openings": {**honest["openings"], t: bad_r}}
@@ -1101,10 +1102,10 @@ def test_pc_relation_rejects_malformed_witnesses():
         "non-utf8": b"\xff\xfe",
         "non-json": b"{not json",
         "json list": b"[1, 2]",
-        "circuit not a dict": with_circuit(5),
-        "unknown kind": with_circuit({"kind": "nope"}),
-        "empty table": with_circuit({"kind": "table", "arity": 0, "table": []}),
-        "combine without subs": with_circuit({"kind": "combine", "index_bits": 1, "subs": []}),
+        "circuit not a dict": _with_circuit(witness, 5),
+        "unknown kind": _with_circuit(witness, {"kind": "nope"}),
+        "empty table": _with_circuit(witness, {"kind": "table", "arity": 0, "table": []}),
+        "combine without subs": _with_circuit(witness, {"kind": "combine", "index_bits": 1, "subs": []}),
         "missing opening": json.dumps(no_opening).encode(),
         "wrong commitment": json.dumps(wrong_commitment).encode(),
         # keys outside the oracle's key space, two of them wider than 8 bytes
@@ -1117,6 +1118,56 @@ def test_pc_relation_rejects_malformed_witnesses():
     # unknown handle: the same relation checked by an oracle that issued nothing
     foreign = obfstack._pc_relation(QPrOSim(qpro.master), "ideal", PHI_ANY)
     assert foreign(stmt.instance, witness) is False
+
+
+@pytest.mark.parametrize("backend", obfstack.BACKENDS)
+def test_pc_relation_accepts_a_description_only_in_canonical_form(backend):
+    rng = np.random.default_rng(71)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    c = table_circuit([0, 1, 1, 0])
+    transcript, stmt, witness = obfstack._pc_build(pp, PHI_ANY, c, qpro, rng, backend, ())
+    assert transcript.unopened and stmt.relation(stmt.instance, witness)
+    # the table builder ignores "arity", so this builds c without being its description
+    alias = {"kind": "table", "arity": 99, "table": [0, 1, 1, 0]}
+    assert CircuitDesc.from_canonical(alias) == c and PHI_ANY.check(alias)
+    assert stmt.relation(stmt.instance, _with_circuit(witness, alias)) is False
+
+
+def _fully_opened_build(phi, backend):
+    """_pc_build over one bundle at the first seed whose challenge opens it,
+    so the relation has no obfuscation to compare the description with."""
+    c = table_circuit([0, 1, 1, 0])
+    for seed in range(64):
+        rng = np.random.default_rng(4000 + seed)
+        qpro = QPrOSim.from_seed(rng)
+        pp = dataclasses.replace(pc_setup(rng), lam_cc=1)
+        transcript, stmt, witness = obfstack._pc_build(pp, phi, c, qpro, rng, backend, ())
+        if transcript.opened:
+            assert set(transcript.opened) == {1} and not transcript.unopened
+            return stmt, witness
+    raise AssertionError("no seed opened the bundle")
+
+
+@pytest.mark.parametrize("backend", obfstack.BACKENDS)
+def test_pc_relation_without_unopened_instances_still_checks_the_description(backend):
+    stmt, witness = _fully_opened_build(PHI_ANY, backend)
+    assert stmt.relation(stmt.instance, witness)
+    for desc in ({"kind": "nope"}, 5):
+        assert stmt.relation(stmt.instance, _with_circuit(witness, desc)) is False, desc
+
+
+def test_pc_relation_without_unopened_instances_checks_the_protocol_phi():
+    from qmalab import csa, permver, protocol, zxham
+
+    ham = zxham.HamiltonianInstance(2, (zxham.HamTerm(0, 1, "Z", 0, 0.5), zxham.HamTerm(0, 1, "X", 1, 0.5)))
+    verifier = permver.build(ham, 2)
+    key = csa.keygen(1, verifier.list_len * verifier.ell, np.random.default_rng(72))
+    desc = protocol.combined_circuit(key, verifier, 2).canonical
+    stmt, witness = _fully_opened_build(protocol.PROTOCOL_PHI, "ideal")
+    assert stmt.relation(stmt.instance, _with_circuit(witness, desc))
+    for bad_key in ({}, "junk", None):
+        assert stmt.relation(stmt.instance, _with_circuit(witness, {**desc, "key": bad_key})) is False, bad_key
 
 
 @pytest.mark.parametrize("backend", obfstack.BACKENDS)
@@ -1167,7 +1218,6 @@ def test_canonical_bytes_is_the_compact_sorted_json_of_every_kind():
         point_circuit(4, 9),
         point_circuit(2, None),
         combine_circuits([point_circuit(2, 1), table_circuit([1, 0, 0, 1])], 1),
-        protocol.combined_circuit(key, verifier, 2),
     ]
     assert {c.canonical["kind"] for c in circuits} == set(obfstack._KIND_BUILDERS)
     for c in circuits:
@@ -1176,11 +1226,15 @@ def test_canonical_bytes_is_the_compact_sorted_json_of_every_kind():
         assert c.canonical_bytes() is c.canonical_bytes()  # computed once per object
         again = CircuitDesc.from_canonical(json.loads(text))
         assert again == c and hash(again) == hash(c) and again.canonical_bytes() == text
+    # the protocol's circuit crosses the obfuscator as its description alone
+    c = protocol.combined_circuit(key, verifier, 2)
+    text = json.dumps(c.canonical, sort_keys=True, separators=(",", ":")).encode()
+    assert c.canonical_bytes() == text and c.canonical_bytes() is c.canonical_bytes()
 
 
 def test_circuit_kinds_do_not_depend_on_which_layers_were_imported():
-    # a process that imports only obfstack still rebuilds a protocol circuit;
-    # protocol runs only when its kind is first built
+    # a process that imports only obfstack knows the four kinds it defines;
+    # a protocol description is not one of them, and reading it loads nothing
     from qmalab import csa, permver, protocol, zxham
 
     rng = np.random.default_rng(39)
@@ -1192,17 +1246,35 @@ def test_circuit_kinds_do_not_depend_on_which_layers_were_imported():
         "import json, sys, types\n"
         f"sys.path.insert(0, {str(Path(obfstack.__file__).parents[1])!r})\n"
         "from qmalab.obfstack import _KIND_BUILDERS, CircuitDesc\n"
-        "kinds = {'null', 'table', 'point', 'combine', 'csa-ver-mcirc'}\n"
+        "kinds = {'null', 'table', 'point', 'combine'}\n"
         "assert set(_KIND_BUILDERS) == kinds, sorted(_KIND_BUILDERS)\n"
+        "try:\n"
+        "    CircuitDesc.from_canonical(json.loads(sys.argv[1]))\n"
+        "except ValueError as exc:\n"
+        "    sys.stdout.write(str(exc))\n"
         "assert type(sys.modules['qmalab.protocol']) is not types.ModuleType\n"
-        "sys.stdout.write(CircuitDesc.from_canonical(json.loads(sys.argv[1])).canonical_bytes().decode())\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, json.dumps(circuit.canonical)],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.encode() == circuit.canonical_bytes()
+    assert done.stdout == "unknown circuit kind 'csa-ver-mcirc'"
+
+
+def test_obfstack_imports_no_layer_above_it():
+    import ast
+
+    tree = ast.parse(Path(obfstack.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qmalab"):
+            imported |= {node.module.partition(".")[2] or "qmalab"}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.partition(".")[2] or "qmalab" for a in node.names if a.name.startswith("qmalab")}
+    assert imported == {"gf2", "nizknp", "toycrypto"}
 
 
 def test_canonical_boundary_raises_value_error():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -107,14 +108,20 @@ def test_combined_circuit_canonical_round_trip():
     pv = permver.build(REFERENCE, CFG.k)
     key = csa.keygen(1, pv.list_len * pv.ell, rng)
     circ = protocol.combined_circuit(key, pv, CFG.prg_bits)
-    again = obfstack.CircuitDesc.from_canonical(circ.canonical)
+    # the reference rebuilds the circuit from its description's own fields
+    canon = json.loads(circ.canonical_bytes())
+    rebuilt_pv = permver.build(HamiltonianInstance.from_json(canon["ham"]), canon["k"], canon["a"], canon["b"])
+    again = protocol.combined_circuit(
+        csa.CSAKey.from_json(canon["key"]), rebuilt_pv, canon["prg_bits"], null_m=canon["null_m"]
+    )
     assert again == circ
     for _ in range(25):
         x = tuple(int(b) for b in rng.integers(0, 2, size=circ.input_arity))
         assert again.eval_bits(x) == circ.eval_bits(x)
-    assert protocol.PROTOCOL_PHI.check(circ)
+    assert protocol.PROTOCOL_PHI.check(circ.canonical)
     sim_circ = protocol.combined_circuit(key, pv, CFG.prg_bits, null_m=True)
-    assert not protocol.PROTOCOL_PHI.check(sim_circ)
+    assert not protocol.PROTOCOL_PHI.check(sim_circ.canonical)
+    assert not protocol.PROTOCOL_PHI.check(5)
 
 
 def test_combined_circuit_splits_inside_physical_register_match_pointwise():
@@ -356,18 +363,43 @@ def test_extraction_recovers_key_and_quality():
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     accept, residual, _ = protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
     assert accept == 1
-    extracted_circuit = obfstack.pc_extract(
-        crs.pp, td, protocol.PROTOCOL_PHI, residual.obf, qpro
-    )
+    extracted = obfstack.pc_extract(crs.pp, td, protocol.PROTOCOL_PHI, residual.obf, qpro)
+    assert type(extracted) is dict
     prover_key = None
     for t in sorted(residual.obf.unopened):
         prover_key = obfstack._lookup(qpro, residual.obf.unopened[t]).canonical["key"]
         break
-    assert extracted_circuit.canonical["key"] == prover_key
+    assert extracted["key"] == prover_key
     state = protocol.ext1(GAMMAS, crs, td, REFERENCE, residual, CFG, qpro)
     pv = permver.build(REFERENCE, CFG.k)
     quality = protocol.per_copy_acceptance(REFERENCE, state, pv.list_len)
     assert quality >= 1 - GAMMAS.gamma
+
+
+def test_one_argument_builds_the_protocol_circuit_once(monkeypatch):
+    # the relation and the extractor read the circuit's description; only
+    # the prover builds the circuit, and prover and verifier each build
+    # the permuting verifier
+    calls = {"combined_circuit": 0, "build": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(protocol, "combined_circuit")
+    counted(permver, "build")
+    rng, qpro = fresh(5)
+    crs, td = protocol.ext0(rng, CFG)
+    proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
+    accept, residual, _ = protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
+    assert accept == 1
+    protocol.ext1(GAMMAS, crs, td, REFERENCE, residual, CFG, qpro)
+    assert calls == {"combined_circuit": 1, "build": 2}
 
 
 def test_extracted_state_matches_witness_tensor():
