@@ -110,17 +110,19 @@ def null_circuit(arity: int) -> CircuitDesc:
 
 def table_circuit(table) -> CircuitDesc:
     tab = np.asarray(table, dtype=np.uint8) & 1
+    if tab.ndim != 1:
+        raise ValueError("table must be one-dimensional")
     if tab.size == 0:
         raise ValueError("table must not be empty")
-    arity = int(np.log2(tab.size))
-    if 2**arity != tab.size:
+    if tab.size & (tab.size - 1):
         raise ValueError("table length must be a power of two")
+    arity = tab.size.bit_length() - 1
     full = tab.astype(bool)
 
     return CircuitDesc(
         input_arity=arity,
         table=lambda prefix, sa: table_slice(full, prefix, sa),
-        canonical={"kind": "table", "arity": arity, "table": [int(v) for v in tab]},
+        canonical={"kind": "table", "arity": arity, "table": tab.tolist()},
     )
 
 
@@ -267,12 +269,17 @@ def ideal_eval_table(qpro: QPrOSim, h: ObfHandle, prefix: tuple[int, ...], suffi
 # -- QPrO simulation ----------------------------------------------------------
 
 
+_PRF_STATE = toycrypto.digest_state(b"qmalab-qpro-prf", (), next_len=4)  # awaits the instance
+
+
 def qpro_prf(instance: int, key: int, x: bytes, out_len: int) -> bytes:
-    """Public PRF family H underlying the QPrO (keyed per oracle instance)."""
-    seed = toycrypto.digest(
-        b"qmalab-qpro-prf", instance.to_bytes(4, "big"), key.to_bytes(8, "big"), x
-    )
-    return toycrypto.stream(seed, out_len)
+    """Public PRF family H underlying the QPrO (keyed per oracle instance):
+    the keystream seeded by digest(b"qmalab-qpro-prf", instance, key, x).
+    Each call copies one prepared personalized state, a constant, and
+    absorbs the three parts in digest's framing, so the bytes are the same."""
+    h = _PRF_STATE.copy()
+    h.update(instance.to_bytes(4, "big"))
+    return toycrypto.stream(toycrypto.absorb(h, (key.to_bytes(8, "big"), x)).digest(), out_len)
 
 
 @dataclass(frozen=True)
@@ -387,9 +394,50 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _node_body(plaintext: bytes) -> dict:
+    """The JSON object of a node plaintext; the one reader of its text."""
+    try:
+        body = json.loads(plaintext.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise IntegrityError("node plaintext is not JSON") from None
+    if type(body) is not dict:
+        raise IntegrityError("node plaintext is not a JSON object")
+    return body
+
+
+def _node_field(obj: dict, name: str, kind: type):
+    value = obj.get(name)
+    if type(value) is not kind:
+        raise IntegrityError(f"node field {name!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def _node_chi(body: dict) -> str:
+    chi = _node_field(body, "chi", str)
+    if chi.strip("01"):
+        raise IntegrityError("node field 'chi' is not a bit string")
+    return chi
+
+
+def _node_parse(name: str, parse: Callable, *args):
+    """parse(*args), a malformed field raising IntegrityError that names it."""
+    try:
+        return parse(*args)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise IntegrityError(f"node field {name!r} is malformed: {exc}") from None
+
+
+def _leaf_bit(canonical, chi: str) -> int:
+    return CircuitDesc.from_canonical(canonical).eval_bits(tuple(map(int, chi)))
+
+
 @dataclass(frozen=True)
 class FeFunction:
-    """Function attached to a decryption key; dispatches on a canonical kind."""
+    """Function attached to a decryption key; dispatches on a canonical kind.
+
+    A JLLW node plaintext is read through _node_body and the _node_* field
+    readers, so a malformed body that authenticates raises IntegrityError
+    naming the field and fails its node like a bad tag."""
 
     kind: str
     params: dict
@@ -397,52 +445,60 @@ class FeFunction:
     def canonical(self) -> dict:
         return {"kind": self.kind, "params": self.params}
 
+    @functools.cached_property
+    def _pk_next(self) -> FePk:  # an expand key's next-level public key, parsed once per key
+        return FePk.from_json(self.params["pk_next"])
+
     def apply(self, plaintext: bytes) -> bytes:
-        body = json.loads(plaintext.decode())
+        body = _node_body(plaintext)
         flag = body.get("flag", "normal")
         if self.kind == "circuit":
             circuit = CircuitDesc.from_canonical(self.params["circuit"])
             return bytes([circuit.eval_bits(tuple(int(b) for b in body["x"]))])
         if self.kind == "jllw-eval":
             if flag == "normal":
-                circuit = CircuitDesc.from_canonical(body["info"]["circuit"])
-                return bytes([circuit.eval_bits(tuple(int(b) for b in body["chi"]))])
+                info = _node_field(body, "info", dict)
+                return bytes([_node_parse("circuit", _leaf_bit, info.get("circuit"), _node_chi(body))])
             if flag == "sim":
-                return bytes([int(body["info"]["y"])])
+                return _node_parse("y", lambda y: bytes([int(y)]), _node_field(body, "info", dict).get("y"))
             raise IntegrityError(f"eval got unsupported flag {flag!r}")
         if self.kind == "jllw-expand":
             if flag == "normal":
-                return self._expand_normal(body)
+                return self._expand_normal(_node_chi(body), _node_field(body, "info", dict))
             raise IntegrityError(f"expand got unsupported flag {flag!r}")
         raise ValueError(f"unknown FE function kind {self.kind!r}")
 
-    def _expand_normal(self, body: dict) -> bytes:
+    def _expand_normal(self, chi: str, info: dict) -> bytes:
         p = self.params
         d, big_d, blocks, seg = p["level"], p["D"], p["B"], p["L"]
-        chi = body["chi"]
-        info = body["info"]
-        seed = bytes.fromhex(info["seed"])
+        keys = _node_field(info, "keys", dict)
+        if "circuit" not in info:
+            raise IntegrityError("node field 'circuit' is missing")
+        seed = _node_parse("seed", bytes.fromhex, info.get("seed"))
+        deeper = _node_parse("keys", lambda: {k: v for k, v in keys.items() if int(k.split(",")[0]) >= d + 1})
         grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", seed), 4 * 16)
         s0, r0, s1, r1 = (grow[i * 16 : (i + 1) * 16] for i in range(4))
-        pk_next = FePk.from_json(p["pk_next"])
-        cts = []
-        for eta, (s_child, r_child) in enumerate(((s0, r0), (s1, r1))):
-            child = {
-                "flag": "normal",
-                "chi": chi + str(eta),
-                "info": {
-                    "circuit": info["circuit"],
-                    "keys": {kk: vv for kk, vv in info["keys"].items() if int(kk.split(",")[0]) >= d + 1},
-                    "seed": s_child.hex(),
-                },
-            }
-            cts.append(fe_enc(pk_next, _dumps(child).encode(), r_child))
+        # child eta's text is _dumps of {"flag": "normal", "chi": chi + eta, "info":
+        # {"circuit", "keys": deeper, "seed"}} (keys sorted at every level),
+        # assembled around the one serialization of what both children share
+        shared = f'","flag":"normal","info":{{"circuit":{_dumps(info["circuit"])},"keys":{_dumps(deeper)},"seed":"'
+        cts = b"".join(
+            fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{s_child.hex()}"}}}}'.encode(), r_child)
+            for eta, s_child, r_child in ((0, s0, r0), (1, s1, r1))
+        )
         pad_input = (chi + "0" * (big_d - d)).encode()
         otp = b"".join(
-            qpro_prf(p["instance"], int(info["keys"][f"{d},{j}"], 16), pad_input, seg)
+            qpro_prf(p["instance"], _node_parse("keys", _pad_key, keys, f"{d},{j}"), pad_input, seg)
             for j in range(1, blocks + 1)
         )
-        return toycrypto.xor_bytes(cts[0] + cts[1], otp)
+        return toycrypto.xor_bytes(cts, otp)
+
+
+def _pad_key(keys: dict, name: str) -> int:
+    key = int(keys[name], 16)
+    if not 0 <= key < 1 << 64:
+        raise ValueError(f"pad key {name} outside [0, 2**64)")
+    return key
 
 
 @dataclass(frozen=True)
@@ -503,13 +559,17 @@ class JLLWObfuscation:
     """The tree obfuscation: the root ciphertext, one FE key per level, and
     the QPrO handles of each level's B pad keys.
 
-    ``_nodes`` memoizes the tree walk: ``_nodes[qpro][chi]`` is node chi's
-    unpadded child-ciphertext pair, its leaf byte, or _FAILED.  Only a
-    QPrOSim is a memo key, because its answers are a pure function of its
-    compared fields; an oracle of any other type walks uncached.  It holds at
-    most 2**(D+1) - 1 nodes per oracle and is freed with the obfuscation.  It
-    is a cached property, not a field, so dataclasses.replace starts the new
-    obfuscation with an empty memo; an obfuscation is never changed in place.
+    Two memos serve the tree walk, both keyed by a node's label chi, so
+    each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is the last
+    ciphertext decrypted at node chi with its ``fe_dec`` output (or _FAILED):
+    decryption is a pure function of the ciphertext, so a walk with any
+    oracle reuses the entry when its ciphertext is equal.  ``_nodes[qpro][chi]``
+    is node chi's unpadded (child 0, child 1) ciphertext pair, its leaf byte,
+    or _FAILED, for one QPrOSim, whose answers are a pure function of its
+    compared fields; an oracle of any other type walks without this memo
+    and is asked every pad query.  Both are cached properties, not fields,
+    freed with the obfuscation, and dataclasses.replace starts the new
+    obfuscation with empty memos; an obfuscation is never changed in place.
     """
 
     instance: int
@@ -520,6 +580,10 @@ class JLLWObfuscation:
     ct_root: bytes
     sks: tuple[FeSk, ...]
     handles: dict
+
+    @functools.cached_property
+    def _decs(self) -> dict:
+        return {}
 
     @functools.cached_property
     def _nodes(self) -> dict:
@@ -624,15 +688,18 @@ def jllw_eval_table(
     labels every leaf below it _FAILED, which is exactly the set of pointwise
     walks through it.  A node already in the obfuscation's memo for this
     QPrOSim is neither decrypted nor queried again, so any number of walks
-    over one obfuscation decrypt each node at most once per oracle.  An
-    oracle of another type (a tampering or logging proxy) gets a memo that
-    lives for this walk only, where no node is met twice, so it sees every
-    query of every walk in the uncached order.  The walk keeps its own
-    stack rather than recursing through a closure, so a call leaves no
-    reference cycle behind."""
+    with one QPrOSim query each node's pads once.  Any other node reuses the
+    obfuscation's decryption of an equal ciphertext at its label, whichever
+    oracle made it, so the walks of all oracles decrypt each node once while
+    its ciphertext stays the same.  An oracle of another type (a tampering
+    or logging proxy) gets a pad memo that lives for this walk only, where
+    no node is met twice, so it sees every pad query of every walk in the
+    uncached order.  The walk keeps its own stack rather than recursing
+    through a closure, so a call leaves no reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
     memo = o._nodes.setdefault(qpro, {}) if type(qpro) is QPrOSim else {}
+    decs = o._decs
     ct_len = o.ptlen + toycrypto.CIPHERTEXT_OVERHEAD
     out = np.full(2**suffix_arity, _FAILED, dtype=np.int16)
     stack = [(o.ct_root, "")]
@@ -641,19 +708,28 @@ def jllw_eval_table(
         d = len(chi)
         node = memo.get(chi)
         if node is None:
-            try:
-                v = fe_dec(o.sks[d], ct)
-                if d == o.D:
-                    node = v[0]
-                else:
-                    pad_input = (chi + "0" * (o.D - d)).encode()
+            dec = decs.get(chi)
+            if dec is None or dec[0] != ct:
+                try:
+                    dec = decs[chi] = (ct, fe_dec(o.sks[d], ct))
+                except IntegrityError:
+                    dec = decs[chi] = (ct, _FAILED)
+            v = dec[1]
+            if v == _FAILED:
+                node = _FAILED
+            elif d == o.D:
+                node = v[0]
+            else:
+                pad_input = (chi + "0" * (o.D - d)).encode()
+                try:
                     otp = b"".join(
                         qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
                         for j in range(1, o.B + 1)
                     )
-                    node = toycrypto.xor_bytes(v, otp)
-            except IntegrityError:
-                node = _FAILED
+                    pair = toycrypto.xor_bytes(v, otp)
+                    node = (pair[:ct_len], pair[ct_len:])
+                except IntegrityError:
+                    node = _FAILED
             memo[chi] = node
         if node == _FAILED:
             continue
@@ -662,7 +738,7 @@ def jllw_eval_table(
             continue
         # pushed child 1 first, so that child 0's subtree is walked first
         for bit in (int(prefix[d]) & 1,) if d < len(prefix) else (1, 0):
-            stack.append((node[:ct_len] if bit == 0 else node[ct_len:], chi + str(bit)))
+            stack.append((node[bit], chi + str(bit)))
     return out
 
 

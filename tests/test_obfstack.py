@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -586,10 +587,11 @@ def test_a_logged_oracle_sees_every_query_of_every_walk(monkeypatch):
     assert jllw_eval(o, logged, x) == c.eval_bits(x)
     first = list(log)
     assert len(first) == o.D * (1 + o.B) + 1
-    # a second walk with the same proxy queries it again, in the same order
+    # a second walk with the same proxy queries it again, in the same order,
+    # and decrypts nothing: every node's ciphertext is the one already decrypted
     assert jllw_eval(o, logged, x) == c.eval_bits(x)
-    assert log == first + first
-    assert not o._nodes
+    assert log == first + [e for e in first if e[0] == "eval"]
+    assert not o._nodes and len(o._decs) == o.D + 1
 
 
 def test_jllw_tamper_probe_detects_at_every_level_after_memoized_walks():
@@ -608,6 +610,236 @@ def test_jllw_tamper_probe_detects_at_every_level_after_memoized_walks():
             with pytest.raises(IntegrityError):
                 jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
     assert list(o._nodes) == [qpro] and len(o._nodes[qpro]) == 2 ** (o.D + 1) - 1
+
+
+def _node_bytes(node) -> bytes:
+    """A pad-memo entry as bytes: the child pair joined, or the leaf byte."""
+    return b"".join(node) if isinstance(node, tuple) else bytes([node])
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (3, "c0dfe0c7a08d78fcb59acd1ccdf1b60d11acb2d6c02f84afb09fb26c8a7ce587"),
+        (4, "e7ad15a6b92112194d3a5d79ddfa54dd4f7a67dbd635720ed8ee0ebfa247c0ac"),
+    ],
+    ids=["seed-3", "seed-4"],
+)
+def test_jllw_tree_bytes_pinned(seed, digest):
+    """The serialized obfuscations of arities 1-5 and every node of their
+    full walks are byte-identical to the reference digest."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(seed)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    for d in range(1, 6):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        assert obfstack.jllw_eval_table(o, qpro, (), d).tolist() == c.table_for_prefix((), d).astype(int).tolist()
+        h.update(o.serialize())
+        for chi, node in sorted(o._nodes[qpro].items()):
+            h.update(chi.encode() + b":" + _node_bytes(node))
+    assert h.hexdigest() == digest
+
+
+def test_jllw_scenario_oracle_query_log_pinned(monkeypatch):
+    """Every QPrOSim.eval query of the seed-1 jllw-correctness run, the tamper
+    proxy's included, in order, matches the reference digest."""
+    from qmalab.cli import RunConfig, run_scenario
+
+    log: list = []
+    real = QPrOSim.eval
+    monkeypatch.setattr(
+        QPrOSim, "eval",
+        lambda self, instance, handle, x, n: log.append([instance, handle, x.hex(), n]) or real(self, instance, handle, x, n),
+    )
+    report = run_scenario(RunConfig.from_json({"scenario": "jllw-correctness", "seed": 1, "trials": 50}))
+    assert report["passed"] and len(log) == 840
+    assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == (
+        "633aa0a1486521cd67c45b4fe8e36723576a1c7b7f72a6730a891d0f4a99e970"
+    )
+
+
+def test_qpro_prf_matches_the_digest_framing():
+    rng = np.random.default_rng(23)
+    keys = [0, 1, 2**16 - 1, 2**62 - 1] + [int(k) for k in rng.integers(0, 2**62, size=4)]
+    for instance in range(obfstack.DEFAULT_LAMBDA_CC + 1):
+        for key in keys:
+            for n in (0, 1, 8, 17, 40):
+                x = rng.bytes(n)
+                seed = toycrypto.digest(b"qmalab-qpro-prf", instance.to_bytes(4, "big"), key.to_bytes(8, "big"), x)
+                for out_len in (1, 64, 97):
+                    assert obfstack.qpro_prf(instance, key, x, out_len) == toycrypto.stream(seed, out_len)
+
+
+def _node_plaintext(sk, ct: bytes) -> dict:
+    return json.loads(toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct)))
+
+
+def test_jllw_child_texts_are_the_canonical_dumps_of_each_child():
+    rng = np.random.default_rng(24)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    for d in range(1, 6):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        obfstack.jllw_eval_table(o, qpro, (), d)
+        nodes = o._nodes[qpro]
+        cts = {"": o.ct_root} | {chi + str(b): pair[b] for chi, pair in nodes.items() if len(chi) < d for b in (0, 1)}
+        for chi, pair in nodes.items():
+            if len(chi) == d:
+                continue
+            body = _node_plaintext(o.sks[len(chi)], cts[chi])
+            info = body["info"]
+            grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", bytes.fromhex(info["seed"])), 64)
+            pk_next = obfstack.FePk(o.sks[len(chi) + 1].master, o.ptlen)
+            for b in (0, 1):
+                child = {
+                    "flag": "normal",
+                    "chi": chi + str(b),
+                    "info": {
+                        "circuit": info["circuit"],
+                        "keys": {k: v for k, v in info["keys"].items() if int(k.split(",")[0]) > len(chi)},
+                        "seed": grow[32 * b : 32 * b + 16].hex(),
+                    },
+                }
+                text = obfstack._dumps(child).encode()
+                assert pair[b] == fe_enc(pk_next, text, grow[32 * b + 16 : 32 * b + 32]), (d, chi, b)
+                assert toycrypto.unframe(toycrypto.auth_decrypt(pk_next.master, pair[b])) == text
+
+
+_MALFORMED_NODES = {
+    "not JSON": (0, b"{not json", "not JSON"),
+    "no info": (0, b'{"chi":"","flag":"normal"}', "'info'"),
+    "list body": (0, b'["chi","info"]', "not a JSON object"),
+    "leaf table not a power of two": (
+        -1,
+        b'{"chi":"000","flag":"normal","info":{"circuit":{"arity":1,"kind":"table","table":[0,1,1]}}}',
+        "'circuit'.*power of two",
+    ),
+    "chi not a bit string": (0, b'{"chi":"0x","flag":"normal","info":{}}', "'chi'"),
+    "seed not hex": (
+        0, b'{"chi":"","flag":"normal","info":{"circuit":{},"keys":{},"seed":"zz"}}', "'seed'"
+    ),
+    "negative pad key": (
+        0,
+        b'{"chi":"","flag":"normal","info":{"circuit":{},"keys":{"0,1":"-1","0,2":"0"},"seed":"00"}}',
+        "'keys'",
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", list(_MALFORMED_NODES))
+def test_a_malformed_node_plaintext_fails_its_node(probe):
+    level, plaintext, field = _MALFORMED_NODES[probe]
+    rng = np.random.default_rng(25)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit([0, 1, 1, 0, 1, 0, 0, 1])
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    sk = o.sks[level]
+    ct = fe_enc(obfstack.FePk(sk.master, o.ptlen), plaintext, rng.bytes(16))
+    with pytest.raises(IntegrityError, match=field):
+        fe_dec(sk, ct)
+    if level == 0:
+        # the root fails, and with it every leaf of the tree
+        broken = dataclasses.replace(o, ct_root=ct)
+        assert obfstack.jllw_eval_table(broken, qpro, (), 3).tolist() == [obfstack._FAILED] * 8
+        with pytest.raises(IntegrityError):
+            jllw_eval(broken, qpro, (0, 1, 0))
+    else:
+        # a root whose circuit is this leaf's expands normally; every leaf fails
+        root = _node_plaintext(o.sks[0], o.ct_root)
+        root["info"]["circuit"] = json.loads(plaintext)["info"]["circuit"]
+        text = obfstack._dumps(root).encode()
+        broken = dataclasses.replace(o, ct_root=fe_enc(obfstack.FePk(o.sks[0].master, o.ptlen), text, rng.bytes(16)))
+        assert obfstack.jllw_eval_table(broken, qpro, (), 3).tolist() == [obfstack._FAILED] * 8
+        assert len(broken._decs) == 2 ** (o.D + 1) - 1
+
+
+def test_a_proxy_walk_before_any_trusted_walk_shares_its_decryptions(monkeypatch):
+    rng = np.random.default_rng(26)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=16))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    x = (1, 1, 0, 1)
+    log: list = []
+    _log_decryptions(monkeypatch, o, log)
+    assert jllw_eval(o, _LoggedQPrO(qpro, log), x) == c.eval_bits(x)
+    assert not o._nodes and len(o._decs) == o.D + 1
+    log.clear()
+    # the trusted walk decrypts only the 26 nodes off the proxy's path, and
+    # still queries every pad of its own oracle's memo
+    assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == c.table_for_prefix((), 4).tolist()
+    assert sum(e[0] == "dec" for e in log) == 2 ** (o.D + 1) - 1 - (o.D + 1)
+    assert len(o._nodes[qpro]) == len(o._decs) == 2 ** (o.D + 1) - 1
+
+
+def test_a_tamper_at_every_level_is_detected_before_and_after_the_memos_fill():
+    from qmalab.cli import _TamperedQPrO
+
+    rng = np.random.default_rng(27)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=16))
+    truth = c.table_for_prefix((), 4).tolist()
+    for filled in (False, True):
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        if filled:
+            assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == truth
+        for x in range(16):
+            probe = bits(x, 4)
+            for level in range(o.D):
+                with pytest.raises(IntegrityError):
+                    jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
+                # a flip in the pad of the child the walk does not take is harmless
+                assert jllw_eval(o, _TamperedQPrO(qpro, o.B * level + 1 - probe[level]), probe) == truth[x]
+                assert len(o._decs) <= 2 ** (o.D + 1) - 1
+        # trusted walks still read the circuit after every tamper
+        assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == truth
+        assert [jllw_eval(o, qpro, bits(x, 4)) for x in range(16)] == truth
+
+
+def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):
+    rng = np.random.default_rng(28)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=8))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    obfstack.jllw_eval_table(o, qpro, (), 3)
+    copy = dataclasses.replace(o)
+    assert "_decs" not in vars(copy) and "_nodes" not in vars(copy)
+    calls = _count_fe_dec(monkeypatch)
+    assert obfstack.jllw_eval_table(copy, qpro, (), 3).tolist() == c.table_for_prefix((), 3).tolist()
+    assert len(calls) == 2 ** (o.D + 1) - 1
+
+
+def test_jllw_memos_stay_bounded_whatever_proxies_walk():
+    from qmalab.cli import _TamperedQPrO
+
+    rng = np.random.default_rng(29)
+    oracles = [QPrOSim.from_seed(rng, instance_count=2) for _ in range(2)]
+    for d in (1, 3, 5):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, oracles[0], 1, rng)
+        bound = 2 ** (d + 1) - 1
+        for _ in range(40):
+            inner = oracles[int(rng.integers(0, 2))]
+            proxy = [inner, _TamperedQPrO(inner, int(rng.integers(0, 2 * d))), _LoggedQPrO(inner, [])][
+                int(rng.integers(0, 3))
+            ]
+            k = int(rng.integers(0, d + 1))
+            obfstack.jllw_eval_table(o, proxy, bits(int(rng.integers(0, 2 ** (d - k))), d - k), k)
+            assert len(o._decs) <= bound
+            assert all(len(m) <= bound for m in o._nodes.values()) and len(o._nodes) <= 2
+        assert obfstack.jllw_eval_table(o, oracles[0], (), d).tolist() == c.table_for_prefix((), d).tolist()
+
+
+def test_table_circuit_canonical_form_and_errors():
+    for n in (1, 2, 4, 32):
+        table = np.random.default_rng(n).integers(0, 4, size=n)
+        c = table_circuit(table)
+        assert c.input_arity == n.bit_length() - 1
+        assert c.canonical["table"] == [int(v) & 1 for v in table]
+        assert all(type(v) is int for v in c.canonical["table"])
+    for bad in ([], [0, 1, 1], [0] * 6, [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError):
+            table_circuit(bad)
 
 
 # -- provably-correct obfuscation -------------------------------------------------
