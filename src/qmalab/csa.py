@@ -136,10 +136,10 @@ class CSAKey:
     @classmethod
     def from_json(cls, data: dict) -> CSAKey:
         width = 2 * int(data["lambda_code"]) + 1
-        return cls(
-            tuple(CSARecord.from_json(r, width) for r in data["records"]),
-            int(data["lambda_code"]),
-        )
+        records = tuple(CSARecord.from_json(r, width) for r in data["records"])
+        if data["n"] != len(records):
+            raise ValueError("n differs from the number of records")
+        return cls(records, int(data["lambda_code"]))
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,9 @@ class BitVector:
 
     @classmethod
     def from_string(cls, s: str) -> BitVector:
-        return cls(tuple(int(ch) for ch in s))
+        if type(s) is not str or s.strip("01"):
+            raise ValueError(f"expected a string of 0s and 1s, got {s!r}")
+        return cls(tuple(map(int, s)))
 
     @classmethod
     def zeros(cls, n: int) -> BitVector:

@@ -50,7 +50,8 @@ class CircuitDesc:
     """Deterministic classical circuit with a serializable canonical form.
 
     The canonical form is what phi checks, the NP relation compares and
-    pc_extract returns; from_canonical builds this module's four kinds.
+    pc_extract returns; from_canonical builds this module's four kinds and
+    raises ValueError, and only that, on a malformed description.
     table(prefix, suffix_arity) is the circuit's one evaluation: the truth
     table over the last suffix_arity input bits with the leading bits fixed
     to prefix; eval_bits is its zero-width case.
@@ -86,9 +87,7 @@ class CircuitDesc:
 
     @classmethod
     def from_canonical(cls, canonical: dict) -> CircuitDesc:
-        if not isinstance(canonical, dict):
-            raise ValueError("circuit canonical form must be a dict")
-        kind = canonical.get("kind")
+        kind = _wire_field(canonical, "kind", str)
         if kind not in _KIND_BUILDERS:
             raise ValueError(f"unknown circuit kind {kind!r}")
         return _KIND_BUILDERS[kind](canonical)
@@ -147,6 +146,8 @@ def point_circuit(arity: int, x: int | None) -> CircuitDesc:
 
 def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
     """(i, x) -> C_i(x); out-of-range selectors reject."""
+    if not subs:
+        raise ValueError("need at least one subcircuit")
     arity = subs[0].input_arity
     if any(c.input_arity != arity for c in subs):
         raise ValueError("subcircuits must share an input arity")
@@ -173,11 +174,12 @@ def combine_circuits(subs: list[CircuitDesc], index_bits: int) -> CircuitDesc:
 
 
 _KIND_BUILDERS: dict[str, Callable[[dict], CircuitDesc]] = {
-    "null": lambda c: null_circuit(int(c["arity"])),
-    "table": lambda c: table_circuit(c["table"]),
-    "point": lambda c: point_circuit(int(c["arity"]), c["x"]),
+    "null": lambda c: null_circuit(_wire_field(c, "arity", _wire_int)),
+    "table": lambda c: table_circuit(_wire_field(c, "table", _wire_list, 1)),
+    "point": lambda c: point_circuit(_wire_field(c, "arity", _wire_int), _wire_field(c, "x")),
     "combine": lambda c: combine_circuits(
-        [CircuitDesc.from_canonical(s) for s in c["subs"]], int(c["index_bits"])
+        [CircuitDesc.from_canonical(s) for s in _wire_field(c, "subs", _wire_list)],
+        _wire_field(c, "index_bits", _wire_int),
     ),
 }
 
@@ -195,16 +197,51 @@ class ObfHandle:
 
     @classmethod
     def from_json(cls, data: dict) -> ObfHandle:
-        return cls(_wire_hex(data["uid"]).hex(), _wire_int(data["arity"]))
+        return cls(_wire_field(data, "uid", _wire_hex).hex(), _wire_field(data, "arity", _wire_int))
 
 
-# -- transcript fields --------------------------------------------------------
+# -- fields read from the prover: transcripts, blobs, FE keys, node texts -----
+
+
+def _wire_field(obj, name: str, read: Callable | type | None = None, *args):
+    """Field name of the JSON object obj: the value itself when read is None,
+    the value checked to be of exactly type read, or read(value, *args).  A
+    non-object, a missing field or a value read refuses raises ValueError
+    naming the field; a reader of an inner field nests its name."""
+    if type(obj) is not dict:
+        raise ValueError(f"{type(obj).__name__} is not a JSON object, so it has no field {name!r}")
+    if name not in obj:
+        raise ValueError(f"field {name!r} is missing")
+    value = obj[name]
+    try:
+        if read is None or type(value) is read:  # no value's type is a reader function
+            return value
+        if isinstance(read, type):
+            raise ValueError(f"expected a {read.__name__}, got {value!r}")
+        return read(value, *args)
+    except ValueError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
+
+
+def _wire_json(data: bytes):
+    """The JSON value of UTF-8 text."""
+    try:
+        return json.loads(data.decode())
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+        raise ValueError("not JSON text") from None
 
 
 def _wire_int(v, bits: int | None = None) -> int:
-    """A JSON integer (a bool is not one), in [0, 2**bits) when bits is given."""
-    if type(v) is not int or (bits is not None and not 0 <= v < 1 << bits):
+    """A JSON integer (a bool is not one) of at least 0, below 2**bits when bits is given."""
+    if type(v) is not int or v < 0 or (bits is not None and v >> bits):
         raise ValueError(f"expected an integer in range, got {v!r}")
+    return v
+
+
+def _wire_list(v, bits: int | None = None) -> list:
+    """A JSON list; with bits, a list of integers in [0, 2**bits) (a negative w has w >> bits == -1)."""
+    if type(v) is not list or (bits is not None and not all(type(w) is int and not w >> bits for w in v)):
+        raise ValueError(f"expected a list{' of integers in range' if bits else ''}, got {v!r}")
     return v
 
 
@@ -216,10 +253,19 @@ def _wire_hex(v) -> bytes:
     return raw
 
 
-def _wire_list(v) -> list:
-    if type(v) is not list:
-        raise ValueError(f"expected a list, got {v!r}")
+def _wire_bits(v) -> str:
+    """A string of 0s and 1s, such as a tree node's label."""
+    if type(v) is not str or v.strip("01"):
+        raise ValueError(f"expected a bit string, got {v!r}")
     return v
+
+
+def _wire_key(v) -> int:
+    """A 64-bit oracle key from the hex text a node plaintext carries ({key:08x})."""
+    key = int(v, 16) if type(v) is str else -1
+    if f"{key:08x}" != v or not 0 <= key < 1 << 64:
+        raise ValueError(f"expected a key in hex, got {v!r}")
+    return key
 
 
 def _wire_index(v) -> int:
@@ -394,111 +440,68 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _node_body(plaintext: bytes) -> dict:
-    """The JSON object of a node plaintext; the one reader of its text."""
-    try:
-        body = json.loads(plaintext.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise IntegrityError("node plaintext is not JSON") from None
-    if type(body) is not dict:
-        raise IntegrityError("node plaintext is not a JSON object")
-    return body
-
-
-def _node_field(obj: dict, name: str, kind: type):
-    value = obj.get(name)
-    if type(value) is not kind:
-        raise IntegrityError(f"node field {name!r} is missing or not a {kind.__name__}")
-    return value
-
-
-def _node_chi(body: dict) -> str:
-    chi = _node_field(body, "chi", str)
-    if chi.strip("01"):
-        raise IntegrityError("node field 'chi' is not a bit string")
-    return chi
-
-
-def _node_parse(name: str, parse: Callable, *args):
-    """parse(*args), a malformed field raising IntegrityError that names it."""
-    try:
-        return parse(*args)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise IntegrityError(f"node field {name!r} is malformed: {exc}") from None
-
-
-def _leaf_bit(canonical, chi: str) -> int:
-    return CircuitDesc.from_canonical(canonical).eval_bits(tuple(map(int, chi)))
-
-
 @dataclass(frozen=True)
 class FeFunction:
-    """Function attached to a decryption key; dispatches on a canonical kind.
-
-    A JLLW node plaintext is read through _node_body and the _node_* field
-    readers, so a malformed body that authenticates raises IntegrityError
-    naming the field and fails its node like a bad tag."""
+    """The function of a JLLW decryption key: "jllw-eval" at the leaves, or
+    "jllw-expand" above them with its level's parameters and the next level's
+    public key.  It is checked, and pk_next parsed, once when it is built."""
 
     kind: str
     params: dict
 
+    def __post_init__(self):
+        if self.kind not in ("jllw-eval", "jllw-expand"):
+            raise ValueError(f"unknown FE function kind {self.kind!r}")
+        if self.kind == "jllw-expand":
+            for name, bits in (("level", 8), ("D", 8), ("B", 8), ("L", 16), ("instance", 32)):
+                _wire_field(self.params, name, _wire_int, bits)
+            object.__setattr__(self, "_pk_next", _wire_field(self.params, "pk_next", FePk.from_json))
+
     def canonical(self) -> dict:
         return {"kind": self.kind, "params": self.params}
 
-    @functools.cached_property
-    def _pk_next(self) -> FePk:  # an expand key's next-level public key, parsed once per key
-        return FePk.from_json(self.params["pk_next"])
-
     def apply(self, plaintext: bytes) -> bytes:
-        body = _node_body(plaintext)
-        flag = body.get("flag", "normal")
-        if self.kind == "circuit":
-            circuit = CircuitDesc.from_canonical(self.params["circuit"])
-            return bytes([circuit.eval_bits(tuple(int(b) for b in body["x"]))])
-        if self.kind == "jllw-eval":
-            if flag == "normal":
-                info = _node_field(body, "info", dict)
-                return bytes([_node_parse("circuit", _leaf_bit, info.get("circuit"), _node_chi(body))])
-            if flag == "sim":
-                return _node_parse("y", lambda y: bytes([int(y)]), _node_field(body, "info", dict).get("y"))
-            raise IntegrityError(f"eval got unsupported flag {flag!r}")
-        if self.kind == "jllw-expand":
-            if flag == "normal":
-                return self._expand_normal(_node_chi(body), _node_field(body, "info", dict))
-            raise IntegrityError(f"expand got unsupported flag {flag!r}")
-        raise ValueError(f"unknown FE function kind {self.kind!r}")
+        """f of a node plaintext.  This is the one place where a reader's
+        ValueError (or a child's frame overflow) becomes IntegrityError, so
+        a malformed node that authenticates fails like a bad tag."""
+        try:
+            body = _wire_json(plaintext)
+            flag = _wire_field(body, "flag", str)
+            if flag == "sim" and self.kind == "jllw-eval":
+                return bytes([_wire_field(body, "info", _wire_field, "y", _wire_int, 8)])
+            if flag != "normal":
+                raise ValueError(f"{self.kind} got unsupported flag {flag!r}")
+            chi = _wire_field(body, "chi", _wire_bits)
+            info = _wire_field(body, "info", dict)
+            if self.kind == "jllw-eval":
+                circuit = _wire_field(info, "circuit", CircuitDesc.from_canonical)
+                return bytes([circuit.eval_bits(tuple(map(int, chi)))])
+            return self._expand_normal(chi, info)
+        except ValueError as exc:
+            raise IntegrityError(f"malformed node: {exc}") from None
 
     def _expand_normal(self, chi: str, info: dict) -> bytes:
         p = self.params
         d, big_d, blocks, seg = p["level"], p["D"], p["B"], p["L"]
-        keys = _node_field(info, "keys", dict)
-        if "circuit" not in info:
-            raise IntegrityError("node field 'circuit' is missing")
-        seed = _node_parse("seed", bytes.fromhex, info.get("seed"))
-        deeper = _node_parse("keys", lambda: {k: v for k, v in keys.items() if int(k.split(",")[0]) >= d + 1})
+        keys = _wire_field(info, "keys", dict)
+        seed = _wire_field(info, "seed", _wire_hex)
         grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", seed), 4 * 16)
         s0, r0, s1, r1 = (grow[i * 16 : (i + 1) * 16] for i in range(4))
         # child eta's text is _dumps of {"flag": "normal", "chi": chi + eta, "info":
-        # {"circuit", "keys": deeper, "seed"}} (keys sorted at every level),
-        # assembled around the one serialization of what both children share
-        shared = f'","flag":"normal","info":{{"circuit":{_dumps(info["circuit"])},"keys":{_dumps(deeper)},"seed":"'
+        # {"circuit", "keys": every key but this level's, "seed"}} (keys sorted at
+        # every level), assembled around the one serialization both children share
+        deeper = {k: v for k, v in keys.items() if not k.startswith(f"{d},")}
+        shared = f'","flag":"normal","info":{{"circuit":{_dumps(_wire_field(info, "circuit"))},"keys":{_dumps(deeper)},"seed":"'
         cts = b"".join(
             fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{s_child.hex()}"}}}}'.encode(), r_child)
             for eta, s_child, r_child in ((0, s0, r0), (1, s1, r1))
         )
         pad_input = (chi + "0" * (big_d - d)).encode()
         otp = b"".join(
-            qpro_prf(p["instance"], _node_parse("keys", _pad_key, keys, f"{d},{j}"), pad_input, seg)
+            qpro_prf(p["instance"], _wire_field(info, "keys", _wire_field, f"{d},{j}", _wire_key), pad_input, seg)
             for j in range(1, blocks + 1)
         )
         return toycrypto.xor_bytes(cts, otp)
-
-
-def _pad_key(keys: dict, name: str) -> int:
-    key = int(keys[name], 16)
-    if not 0 <= key < 1 << 64:
-        raise ValueError(f"pad key {name} outside [0, 2**64)")
-    return key
 
 
 @dataclass(frozen=True)
@@ -511,7 +514,7 @@ class FePk:
 
     @classmethod
     def from_json(cls, data: dict) -> FePk:
-        return cls(bytes.fromhex(data["master"]), int(data["ptlen"]))
+        return cls(_wire_field(data, "master", _wire_hex), _wire_field(data, "ptlen", _wire_int, 16))
 
 
 @dataclass(frozen=True)
@@ -521,18 +524,13 @@ class FeSk:
     function: FeFunction
 
     def to_json(self) -> dict:
-        return {
-            "master": self.master.hex(),
-            "ptlen": self.ptlen,
-            "function": self.function.canonical(),
-        }
+        return {"master": self.master.hex(), "ptlen": self.ptlen, "function": self.function.canonical()}
 
     @classmethod
     def from_json(cls, data: dict) -> FeSk:
-        fn = data["function"]
-        return cls(
-            bytes.fromhex(data["master"]), int(data["ptlen"]), FeFunction(fn["kind"], fn["params"])
-        )
+        fn = _wire_field(data, "function", dict)
+        function = FeFunction(_wire_field(fn, "kind", str), _wire_field(fn, "params", dict))
+        return cls(_wire_field(data, "master", _wire_hex), _wire_field(data, "ptlen", _wire_int, 16), function)
 
 
 def fe_gen(f: FeFunction, ptlen: int, rng: np.random.Generator) -> tuple[FePk, FeSk]:
@@ -596,13 +594,20 @@ class JLLWObfuscation:
 
     @classmethod
     def deserialize(cls, data: bytes) -> JLLWObfuscation:
-        d = json.loads(data.decode())
-        return cls(
-            **{name: int(d[name]) for name in ("instance", "D", "B", "L", "ptlen")},
-            ct_root=bytes.fromhex(d["ct_root"]),
-            sks=tuple(FeSk.from_json(s) for s in d["sks"]),
-            handles={k: int(v) for k, v in d["handles"].items()},
+        """Parse a blob; a field out of type or range, an FE key that does not
+        parse, or FE keys and handles that do not fit D and B raise ValueError."""
+        d = _wire_json(data)
+        handles = _wire_field(d, "handles", dict)
+        ints = (("instance", 32), ("D", 8), ("B", 8), ("L", 16), ("ptlen", 16))  # each with its bits
+        o = cls(
+            **{name: _wire_field(d, name, _wire_int, bits) for name, bits in ints},
+            ct_root=_wire_field(d, "ct_root", _wire_hex),
+            sks=tuple(FeSk.from_json(s) for s in _wire_field(d, "sks", _wire_list)),
+            handles={k: _wire_field(handles, k, _wire_int, 64) for k in handles},
         )
+        if len(o.sks) != o.D + 1 or set(handles) != {f"{i},{j}" for i, j in _bundle_shape(o.D, o.B)}:
+            raise ValueError("the blob's FE keys or handles do not fit its D and B")
+        return o
 
 
 def jllw_obfuscate(
@@ -610,13 +615,13 @@ def jllw_obfuscate(
     qpro: QPrOSim,
     instance: int,
     rng: np.random.Generator,
-    key_handle_pairs: dict | None = None,
+    bundle: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> JLLWObfuscation:
     """Build the tree obfuscation of c (flag normal throughout).
 
-    key_handle_pairs, when given, supplies {(i, j): (key, handle)} externally
-    per the cut-and-choose usage, in which case the QPrO Gen interface is not
-    queried; otherwise keys are sampled and handles fetched from the oracle.
+    bundle, when given, is a cut-and-choose bundle (keys, handles), a key and
+    its handle for each pad in _bundle_shape order, and the QPrO's Gen is not
+    queried; otherwise the keys are sampled and their handles fetched.
     """
     big_d = c.input_arity
     if big_d > JLLW_ARITY_CAP:
@@ -624,12 +629,13 @@ def jllw_obfuscate(
     if big_d < 1:
         raise ValueError("need at least one input bit")
     blocks = JLLW_BLOCKS
-    if key_handle_pairs is None:
-        shape = _bundle_shape(big_d)
-        drawn = qpro.sample_keys(rng, len(shape))
-        key_handle_pairs = dict(zip(shape, zip(drawn, qpro.gen_many(instance, drawn))))
-    keys = {f"{i},{j}": kh[0] for (i, j), kh in key_handle_pairs.items()}
-    handles = {f"{i},{j}": kh[1] for (i, j), kh in key_handle_pairs.items()}
+    names = [f"{i},{j}" for i, j in _bundle_shape(big_d)]
+    if bundle is None:
+        drawn = qpro.sample_keys(rng, len(names))
+        bundle = drawn, qpro.gen_many(instance, drawn)
+    if any(len(part) != len(names) for part in bundle):
+        raise ValueError("a bundle holds one key and one handle for each pad")
+    keys, handles = (dict(zip(names, part)) for part in bundle)
 
     # The seed's hex width is fixed, so the zero-seed root sizes the plaintext.
     root = {
@@ -649,18 +655,8 @@ def jllw_obfuscate(
     sks: list[FeSk | None] = [None] * (big_d + 1)
     pks[big_d], sks[big_d] = fe_gen(FeFunction("jllw-eval", {}), ptlen, rng)
     for d in range(big_d - 1, -1, -1):
-        fn = FeFunction(
-            "jllw-expand",
-            {
-                "level": d,
-                "D": big_d,
-                "B": blocks,
-                "L": seg,
-                "instance": instance,
-                "pk_next": pks[d + 1].to_json(),
-            },
-        )
-        pks[d], sks[d] = fe_gen(fn, ptlen, rng)
+        params = {"level": d, "D": big_d, "B": blocks, "L": seg, "instance": instance, "pk_next": pks[d + 1].to_json()}
+        pks[d], sks[d] = fe_gen(FeFunction("jllw-expand", params), ptlen, rng)
 
     s_eps = rng.bytes(16)
     r_eps = rng.bytes(16)
@@ -686,14 +682,10 @@ def jllw_eval_table(
     subtree depth first, child 0 before child 1.  Each node decrypts, then
     strips its B oracle pads; a node whose decryption or pad check fails
     labels every leaf below it _FAILED, which is exactly the set of pointwise
-    walks through it.  A node already in the obfuscation's memo for this
-    QPrOSim is neither decrypted nor queried again, so any number of walks
-    with one QPrOSim query each node's pads once.  Any other node reuses the
-    obfuscation's decryption of an equal ciphertext at its label, whichever
-    oracle made it, so the walks of all oracles decrypt each node once while
-    its ciphertext stays the same.  An oracle of another type (a tampering
-    or logging proxy) gets a pad memo that lives for this walk only, where
-    no node is met twice, so it sees every pad query of every walk in the
+    walks through it.  The obfuscation's memos spare a QPrOSim's walks every
+    repeated decryption and pad query, and any oracle's walk the decryption
+    of an equal ciphertext; a proxy oracle (tampering or logging) gets a pad
+    memo for this walk only, so it sees every pad query of every walk in the
     uncached order.  The walk keeps its own stack rather than recursing
     through a closure, so a call leaves no reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
@@ -801,8 +793,18 @@ class PCObfuscation:
         return _open_set(self.chal, self.lam_cc)
 
     @functools.cached_property
-    def _trees(self) -> dict:  # t -> the parsed JLLWObfuscation of unopened instance t
-        return {t: JLLWObfuscation.deserialize(blob) for t, blob in self.unopened.items()}
+    def _trees(self) -> dict:
+        """t -> the JLLWObfuscation of unopened instance t, or _FAILED for a
+        blob that does not parse or is not a tree of instance t and of the
+        transcript's arity; each blob is parsed, or fails, once."""
+        trees = {}
+        for t, blob in self.unopened.items():
+            try:
+                tree = JLLWObfuscation.deserialize(blob)
+            except ValueError:
+                tree = None
+            trees[t] = tree if tree is not None and (tree.instance, tree.D) == (t, self.arity) else _FAILED
+        return trees
 
     def to_json(self) -> dict:
         return {
@@ -827,33 +829,27 @@ class PCObfuscation:
     def from_json(cls, data: dict) -> PCObfuscation:
         """Parse a transcript; a missing field or a field of the wrong type
         or form raises ValueError, so what parses is what to_json writes."""
-        try:
-            backend = data["backend"]
-            if backend not in BACKENDS:
-                raise ValueError(f"unknown obfuscation backend {backend!r}")
-            if type(data["phi_id"]) is not str:
-                raise ValueError("phi_id must be a string")
-            unopened_blob = ObfHandle.from_json if backend == "ideal" else _wire_hex
-
-            def words(v) -> tuple[int, ...]:  # keys and handles travel as 8-byte words
-                return tuple(_wire_int(w, 64) for w in _wire_list(v))
-
-            return cls(
-                backend=backend,
-                arity=_wire_int(data["arity"]),
-                lam_cc=_wire_int(data["lam_cc"]),
-                commitments=tuple(_wire_hex(c) for c in _wire_list(data["commitments"])),
-                handle_bundles=tuple(words(b) for b in _wire_list(data["handle_bundles"])),
-                chal=_wire_int(data["chal"]),
-                unopened={_wire_index(t): unopened_blob(b) for t, b in data["unopened"].items()},
-                opened={
-                    _wire_index(t): (words(d["keys"]), _wire_hex(d["r"])) for t, d in data["opened"].items()
-                },
-                proof=NpProof.from_json(data["proof"]),
-                phi_id=data["phi_id"],
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed transcript: {exc!r}") from exc
+        backend = _wire_field(data, "backend")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown obfuscation backend {backend!r}")
+        unopened_blob = ObfHandle.from_json if backend == "ideal" else _wire_hex
+        return cls(
+            backend=backend,
+            arity=_wire_field(data, "arity", _wire_int),
+            lam_cc=_wire_field(data, "lam_cc", _wire_int),
+            commitments=tuple(_wire_hex(c) for c in _wire_field(data, "commitments", _wire_list)),
+            # keys and handles travel as 8-byte words
+            handle_bundles=tuple(tuple(_wire_list(b, 64)) for b in _wire_field(data, "handle_bundles", _wire_list)),
+            chal=_wire_field(data, "chal", _wire_int),
+            unopened={_wire_index(t): unopened_blob(b) for t, b in _wire_field(data, "unopened", dict).items()},
+            opened={
+                _wire_index(t): (tuple(_wire_field(d, "keys", _wire_list, 64)), _wire_field(d, "r", _wire_hex))
+                for t, d in _wire_field(data, "opened", dict).items()
+            },
+            # NpProof.from_json reads its two fields bare, so they are read here first
+            proof=_wire_field(data, "proof", lambda p: NpProof.from_json({k: _wire_field(p, k) for k in ("ct", "inner")})),
+            phi_id=_wire_field(data, "phi_id", str),
+        )
 
 
 def _open_set(chal: int, lam_cc: int) -> set[int]:
@@ -891,17 +887,16 @@ def pc_sim_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> t
     return pc_ext_setup(rng, lam_cc)
 
 
-def _bundle_shape(arity: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(arity) for j in range(1, JLLW_BLOCKS + 1)]
+def _bundle_shape(arity: int, blocks: int = JLLW_BLOCKS) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(arity) for j in range(1, blocks + 1)]
 
 
 def _jllw_blob(c: CircuitDesc, qpro: QPrOSim, t: int, keys, handles, seed: bytes) -> bytes:
     """Serialized JLLW instance t of c over bundle t's keys and posted
     handles; the prover derives it and the relation re-derives it from the
     same seed, so the two agree byte for byte."""
-    pairs = {ij: (keys[idx], handles[idx]) for idx, ij in enumerate(_bundle_shape(c.input_arity))}
     rng = np.random.default_rng(np.frombuffer(seed, dtype=np.uint8))
-    return jllw_obfuscate(c, qpro, t, rng, key_handle_pairs=pairs).serialize()
+    return jllw_obfuscate(c, qpro, t, rng, bundle=(keys, handles)).serialize()
 
 
 def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, bytes], bool]:
@@ -1144,7 +1139,10 @@ def _instance_table(
     vote's sort cheap."""
     if o.backend == "ideal":
         return ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity).astype(np.int16)
-    return jllw_eval_table(o._trees[t], qpro, prefix, suffix_arity)
+    tree = o._trees[t]
+    if tree == _FAILED:  # a blob that does not parse fails as a bad tag at its root does
+        return np.full(2**suffix_arity, _FAILED, dtype=np.int16)
+    return jllw_eval_table(tree, qpro, prefix, suffix_arity)
 
 
 def _votes(o: PCObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:

@@ -61,6 +61,22 @@ def test_key_json_round_trip():
     assert CSAKey.from_json(key.to_json()).to_json() == key.to_json()
 
 
+def test_key_json_refuses_an_n_other_than_its_record_count():
+    data = csa.keygen(1, 2, np.random.default_rng(3)).to_json()
+    for n in (1, 3, "2"):
+        with pytest.raises(ValueError, match="n differs"):
+            CSAKey.from_json({**data, "n": n})
+
+
+def test_key_json_refuses_a_non_bit_character():
+    data = csa.keygen(1, 2, np.random.default_rng(3)).to_json()
+    first = data["records"][0]
+    for field, value in (("x", "2" + first["x"][1:]), ("delta", first["delta"] + " "), ("s", ["21" + first["s"][0][2:]])):
+        bad = {**data, "records": [{**first, field: value}] + data["records"][1:]}
+        with pytest.raises(ValueError):
+            CSAKey.from_json(bad)
+
+
 def test_enc_hand_amplitudes():
     key = fixed_key_lambda1()
     r = 1 / np.sqrt(2)

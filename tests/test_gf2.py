@@ -123,6 +123,15 @@ def test_membership_invariant_under_basis_row_addition():
         assert gf2.coset_member(v ^ BitVector.from_string(row), s, shift) == base
 
 
+def test_bit_strings_refuse_any_character_but_0_and_1():
+    assert BitVector.from_string("0110").bits == (0, 1, 1, 0)
+    for bad in ("21", "0 1", "0x1", "-1", ["0", "1"]):
+        with pytest.raises(ValueError):
+            BitVector.from_string(bad)
+    with pytest.raises(ValueError):
+        Subspace.from_json(["012"], 3)
+
+
 def test_coset_pair_rejects_inside_delta():
     s = Subspace.from_rows([[1, 0, 0]], 3)
     with pytest.raises(ValueError):

@@ -330,27 +330,31 @@ def test_key_swap_game_advantage_small():
 # -- toy FE ---------------------------------------------------------------------
 
 
+def _leaf_text(chi: str, c: CircuitDesc) -> bytes:
+    """A JLLW leaf plaintext: the leaf's label and the circuit it evaluates."""
+    return json.dumps({"flag": "normal", "chi": chi, "info": {"circuit": c.canonical}}).encode()
+
+
 def test_fe_circuit_function_examples():
     rng = np.random.default_rng(4)
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng)
     parity = table_circuit([0, 1, 1, 0, 1, 0, 0, 1])
-    pk, sk = fe_gen(FeFunction("circuit", {"circuit": parity.canonical}), 256, rng)
-    pt = json.dumps({"x": "101"}).encode()
-    ct = fe_enc(pk, pt, rng.bytes(16))
+    ct = fe_enc(pk, _leaf_text("101", parity), rng.bytes(16))
     assert fe_dec(sk, ct) == bytes([0])
 
     const = table_circuit([1, 1, 1, 1])
-    pk2, sk2 = fe_gen(FeFunction("circuit", {"circuit": const.canonical}), 256, rng)
     for x in ("00", "11"):
-        ct2 = fe_enc(pk2, json.dumps({"x": x}).encode(), rng.bytes(16))
-        assert fe_dec(sk2, ct2) == bytes([1])
+        ct2 = fe_enc(pk, _leaf_text(x, const), rng.bytes(16))
+        assert fe_dec(sk, ct2) == bytes([1])
 
 
 def test_fe_wrong_key_and_tamper_fail():
     rng = np.random.default_rng(5)
     ident = table_circuit([0, 1])
-    pk, sk = fe_gen(FeFunction("circuit", {"circuit": ident.canonical}), 128, rng)
-    _, sk_other = fe_gen(FeFunction("circuit", {"circuit": ident.canonical}), 128, rng)
-    ct = fe_enc(pk, json.dumps({"x": "1"}).encode(), rng.bytes(16))
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 128, rng)
+    _, sk_other = fe_gen(FeFunction("jllw-eval", {}), 128, rng)
+    ct = fe_enc(pk, _leaf_text("1", ident), rng.bytes(16))
+    assert fe_dec(sk, ct) == bytes([1])
     with pytest.raises(IntegrityError):
         fe_dec(sk_other, ct)
     broken = ct[:-1] + bytes([ct[-1] ^ 1])
@@ -706,6 +710,22 @@ def test_jllw_child_texts_are_the_canonical_dumps_of_each_child():
                 assert toycrypto.unframe(toycrypto.auth_decrypt(pk_next.master, pair[b])) == text
 
 
+def _overflowing_root() -> bytes:
+    """The seed-25 tree's root with its level-0 pad keys dropped and its
+    circuit padded until the text fills the frame: each child text is then
+    one byte longer than the root's and overflows the next level's frame."""
+    rng = np.random.default_rng(25)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    o = jllw_obfuscate(table_circuit([0, 1, 1, 0, 1, 0, 0, 1]), qpro, 1, rng)
+    root = _node_plaintext(o.sks[0], o.ct_root)
+    root["info"]["keys"] = {k: v for k, v in root["info"]["keys"].items() if not k.startswith("0,")}
+    root["info"]["circuit"]["pad"] = ""
+    root["info"]["circuit"]["pad"] = "x" * (o.ptlen - 4 - len(obfstack._dumps(root)))
+    text = obfstack._dumps(root).encode()
+    assert len(text) == o.ptlen - 4
+    return text
+
+
 _MALFORMED_NODES = {
     "not JSON": (0, b"{not json", "not JSON"),
     "no info": (0, b'{"chi":"","flag":"normal"}', "'info'"),
@@ -724,6 +744,7 @@ _MALFORMED_NODES = {
         b'{"chi":"","flag":"normal","info":{"circuit":{},"keys":{"0,1":"-1","0,2":"0"},"seed":"00"}}',
         "'keys'",
     ),
+    "child overflows its frame": (0, _overflowing_root(), "exceeds the 318-byte frame"),
 }
 
 
@@ -1252,6 +1273,33 @@ def test_pointwise_pc_evals_share_each_parsed_jllw_tree(monkeypatch):
     calls.clear()
     assert pc_eval_table(dataclasses.replace(o), qpro, (), 2).tolist() == [False, True, True, False]
     assert len(calls) == 14
+
+
+def test_a_blob_whose_fe_key_lacks_a_parameter_fails_its_instance():
+    qpro, o = _seed41_jllw_transcript()
+    data = o.to_json()
+    t = max(o.unopened)
+    blob = json.loads(o.unopened[t])
+    del blob["sks"][0]["function"]["params"]["pk_next"]
+    data["unopened"][str(t)] = obfstack._dumps(blob).encode().hex()
+    mutated = PCObfuscation.from_json(data)
+    with pytest.raises(ValueError, match="'pk_next' is missing"):
+        JLLWObfuscation.deserialize(mutated.unopened[t])
+    # the blob fails its instance once; the other instance outvotes it on ties
+    assert obfstack._instance_table(mutated, qpro, t, (), 2).tolist() == [obfstack._FAILED] * 4
+    assert mutated._trees[t] == obfstack._FAILED and mutated._trees[min(o.unopened)] != obfstack._FAILED
+    assert pc_eval_table(mutated, qpro, (), 2).tolist() == [False, True, True, False]
+
+
+@pytest.mark.parametrize("field, value", [("instance", 2), ("D", 3), ("ct_root", "zz"), ("B", 3), ("sks", [])])
+def test_a_blob_that_does_not_fit_its_transcript_votes_failed(field, value):
+    qpro, o = _seed41_jllw_transcript()
+    t = max(o.unopened)
+    blob = json.loads(o.unopened[t])
+    blob[field] = value
+    mutated = dataclasses.replace(o, unopened={**o.unopened, t: obfstack._dumps(blob).encode()})
+    assert mutated._trees[t] == obfstack._FAILED
+    assert obfstack._instance_table(mutated, qpro, t, (1,), 1).tolist() == [obfstack._FAILED] * 2
 
 
 def test_replaced_transcript_starts_with_no_parsed_trees(monkeypatch):

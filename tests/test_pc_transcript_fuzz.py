@@ -1,20 +1,24 @@
 """Mutated cut-and-choose transcripts of either backend:
 PCObfuscation.from_json followed by pc_verify raises ValueError at parse time
-or rejects with a diagnostic; it never accepts."""
+or rejects with a diagnostic; it never accepts.  A JLLW transcript that
+parses also evaluates: a blob that does not parse votes failed."""
 
 from __future__ import annotations
 
 import base64
 import copy
+import json
 
 import numpy as np
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from qmalab.obfstack import (
+    _FAILED,
     PCObfuscation,
     PHI_ANY,
     QPrOSim,
+    pc_eval_table,
     pc_obfuscate,
     pc_setup,
     pc_verify,
@@ -139,12 +143,29 @@ def bad_header(draw, data):
     return "header", field, value
 
 
+@st.composite
+def blob_field(draw, data):
+    """Delete or retype one field, at any depth (FE key params included), of
+    one unopened JLLW blob, and re-encode the blob."""
+    t = draw(st.sampled_from(sorted(data["unopened"])))
+    blob = json.loads(bytes.fromhex(data["unopened"][t]))
+    path, key = draw(st.sampled_from(list(_paths(blob))))
+    parent = _at(blob, path)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(parent[key])]))
+    data["unopened"][t] = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode().hex()
+    return "blob", t, path + (key,)
+
+
 MUTATIONS = [delete_field, swap_type, flip_bit, reorder_bundles, bad_header]
+JLLW_MUTATIONS = MUTATIONS + [blob_field]
 
 
-def _refused_or_rejected(data, honest, pp, qpro) -> None:
+def _refused_or_rejected(data, honest, pp, qpro, mutations=MUTATIONS) -> None:
     mutated = copy.deepcopy(honest)
-    data.draw(data.draw(st.sampled_from(MUTATIONS))(mutated))
+    data.draw(data.draw(st.sampled_from(mutations))(mutated))
     assert mutated != honest
     try:
         o = PCObfuscation.from_json(mutated)
@@ -154,6 +175,10 @@ def _refused_or_rejected(data, honest, pp, qpro) -> None:
     ok, diagnostics = pc_verify(pp, PHI_ANY, o, qpro)
     event(f"rejected: {diagnostics[0].split(':')[0] if diagnostics else 'none'}")
     assert not ok and diagnostics
+    if o.backend == "jllw":
+        # an unverified transcript still evaluates: every instance that fails votes failed
+        assert pc_eval_table(o, qpro, (), o.arity).shape == (2**o.arity,)
+        event(f"blobs failed at parse or fit: {sum(tree == _FAILED for tree in o._trees.values())}")
 
 
 def test_the_honest_transcript_parses_and_verifies_with_bundles_on_both_sides():
@@ -172,4 +197,4 @@ def test_a_mutated_transcript_is_refused_or_rejected_never_accepted(data):
 @settings(max_examples=400, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_a_mutated_jllw_transcript_is_refused_or_rejected_never_accepted(data):
-    _refused_or_rejected(data, JLLW_HONEST, JLLW_PP, JLLW_QPRO)
+    _refused_or_rejected(data, JLLW_HONEST, JLLW_PP, JLLW_QPRO, JLLW_MUTATIONS)

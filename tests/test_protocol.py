@@ -122,6 +122,9 @@ def test_combined_circuit_canonical_round_trip():
     sim_circ = protocol.combined_circuit(key, pv, CFG.prg_bits, null_m=True)
     assert not protocol.PROTOCOL_PHI.check(sim_circ.canonical)
     assert not protocol.PROTOCOL_PHI.check(5)
+    # a key whose bit string holds another character is no key
+    canon["key"]["records"][0]["x"] = "2" + canon["key"]["records"][0]["x"][1:]
+    assert not protocol.PROTOCOL_PHI.check(canon)
 
 
 def test_combined_circuit_splits_inside_physical_register_match_pointwise():
