@@ -79,7 +79,10 @@ class RunConfig:
                 path = Path(ref)
                 if not path.exists():
                     raise ValueError(f"instance file {ref} does not exist")
-                data[key] = ref = json.loads(path.read_text())
+                try:
+                    data[key] = ref = json.loads(path.read_text())
+                except RecursionError:  # a JSONDecodeError is a ValueError already
+                    raise ValueError(f"instance file {ref} nests too deep") from None
             if ref is not None:
                 zxham.HamiltonianInstance.from_json(ref)  # shape check; the dict is echoed
         cfg = cls(**data)
@@ -241,7 +244,7 @@ def _e2e_run(cfg: RunConfig, h: zxham.HamiltonianInstance, i: int, g, pcfg):
     rng = np.random.default_rng([cfg.seed, i])
     qpro = QPrOSim.from_seed(rng, instance_count=cfg.lambda_cc + 1)
     _, gs = zxham.ground_state(h)
-    crs, td = protocol.ext0(rng, pcfg)  # setup is ext0 with the trapdoor dropped
+    crs, td = protocol.ext0(rng, pcfg)
     proof = protocol.prove(crs, h, gs, pcfg, qpro, rng)
     accept, residual, info = protocol.verify(crs, g, h, proof, pcfg, qpro, rng)
     return accept, residual, info, crs, td, qpro
@@ -573,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         data = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or JSON, or nested too deep
         print(json.dumps({"error": f"config unreadable: {exc}"}), file=sys.stderr)
         return 2
 

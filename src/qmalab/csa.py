@@ -25,6 +25,7 @@ from .simstate import (
     zx_apply,
     zx_projector,
 )
+from .toycrypto import _wire_field, _wire_int, _wire_list
 
 CODESPACE_CHECK_CAP = 12
 ADJOINT_LEAKAGE_TOL = 1e-6
@@ -51,7 +52,9 @@ class CSARecord:
     z: BitVector
 
     def __post_init__(self):
-        CosetPair(self.s, self.delta)  # validates delta outside S
+        CosetPair(self.s, self.delta)  # validates delta's width and delta outside S
+        if len(self.x) != self.width or len(self.z) != self.width:
+            raise ValueError("pads x and z must span the block width")
 
     @property
     def width(self) -> int:
@@ -96,10 +99,8 @@ class CSARecord:
     @classmethod
     def from_json(cls, data: dict, width: int) -> CSARecord:
         return cls(
-            Subspace.from_json(data["s"], width),
-            BitVector.from_string(data["delta"]),
-            BitVector.from_string(data["x"]),
-            BitVector.from_string(data["z"]),
+            Subspace.from_json(_wire_field(data, "s", _wire_list), width),
+            *(_wire_field(data, name, BitVector.from_string) for name in ("delta", "x", "z")),
         )
 
 
@@ -135,11 +136,13 @@ class CSAKey:
 
     @classmethod
     def from_json(cls, data: dict) -> CSAKey:
-        width = 2 * int(data["lambda_code"]) + 1
-        records = tuple(CSARecord.from_json(r, width) for r in data["records"])
-        if data["n"] != len(records):
+        """Parse a key object; a malformed one raises ValueError naming the field."""
+        lambda_code = _wire_field(data, "lambda_code", _wire_int)
+        width = 2 * lambda_code + 1
+        records = tuple(CSARecord.from_json(r, width) for r in _wire_field(data, "records", _wire_list))
+        if _wire_field(data, "n") != len(records):
             raise ValueError("n differs from the number of records")
-        return cls(records, int(data["lambda_code"]))
+        return cls(records, lambda_code)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import toycrypto
+from .toycrypto import _wire_field
 
 CRS_BASE_LEN = 32
 PKE_KEY_LEN = 32
@@ -44,7 +45,7 @@ class NpProof:
 
     @classmethod
     def from_json(cls, data: dict) -> NpProof:
-        return cls(_b64(data["ct"]), _b64(data["inner"]))
+        return cls(_wire_field(data, "ct", _b64), _wire_field(data, "inner", _b64))
 
 
 def _b64(text) -> bytes:
@@ -52,7 +53,7 @@ def _b64(text) -> bytes:
     or a non-string, raises ValueError."""
     if type(text) is not str:
         raise ValueError(f"expected base64 text, got {text!r}")
-    raw = base64.b64decode(text, validate=True)
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
     if base64.b64encode(raw).decode() != text:
         raise ValueError("base64 text is not in canonical form")
     return raw
@@ -62,9 +63,6 @@ def _b64(text) -> bytes:
 class NpCrs:
     base: bytes
     pk: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.base + self.pk
 
 
 # -- toy PKE ---------------------------------------------------------------
@@ -104,13 +102,8 @@ def _statement_tag(crs_base: bytes, relation_id: str, instance: bytes, ct: bytes
 # -- compiler --------------------------------------------------------------
 
 
-def np_setup(rng: np.random.Generator) -> NpCrs:
-    """Extraction-mode setup with the trapdoor dropped."""
-    return np_ext0(rng)[0]
-
-
 def np_ext0(rng: np.random.Generator) -> tuple[NpCrs, bytes]:
-    """Extraction-mode setup: same crs distribution, trapdoor = decryption key."""
+    """Extraction-mode setup: the crs and its trapdoor, the decryption key."""
     base = rng.bytes(CRS_BASE_LEN)
     pk, sk = pke_gen(rng)
     return NpCrs(base, pk), sk

@@ -32,7 +32,9 @@ import numpy as np
 from . import nizknp, toycrypto
 from .gf2 import bits_to_index
 from .nizknp import NpCrs, NpProof, NpStatement
-from .toycrypto import IntegrityError
+from .toycrypto import (  # the field readers every wire format parses through
+    IntegrityError, _wire_bits, _wire_field, _wire_hex, _wire_index, _wire_int, _wire_json, _wire_key, _wire_list,
+)
 
 JLLW_ARITY_CAP = 5
 JLLW_BLOCKS = 2
@@ -198,81 +200,6 @@ class ObfHandle:
     @classmethod
     def from_json(cls, data: dict) -> ObfHandle:
         return cls(_wire_field(data, "uid", _wire_hex).hex(), _wire_field(data, "arity", _wire_int))
-
-
-# -- fields read from the prover: transcripts, blobs, FE keys, node texts -----
-
-
-def _wire_field(obj, name: str, read: Callable | type | None = None, *args):
-    """Field name of the JSON object obj: the value itself when read is None,
-    the value checked to be of exactly type read, or read(value, *args).  A
-    non-object, a missing field or a value read refuses raises ValueError
-    naming the field; a reader of an inner field nests its name."""
-    if type(obj) is not dict:
-        raise ValueError(f"{type(obj).__name__} is not a JSON object, so it has no field {name!r}")
-    if name not in obj:
-        raise ValueError(f"field {name!r} is missing")
-    value = obj[name]
-    try:
-        if read is None or type(value) is read:  # no value's type is a reader function
-            return value
-        if isinstance(read, type):
-            raise ValueError(f"expected a {read.__name__}, got {value!r}")
-        return read(value, *args)
-    except ValueError as exc:
-        raise ValueError(f"field {name!r}: {exc}") from None
-
-
-def _wire_json(data: bytes):
-    """The JSON value of UTF-8 text."""
-    try:
-        return json.loads(data.decode())
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
-        raise ValueError("not JSON text") from None
-
-
-def _wire_int(v, bits: int | None = None) -> int:
-    """A JSON integer (a bool is not one) of at least 0, below 2**bits when bits is given."""
-    if type(v) is not int or v < 0 or (bits is not None and v >> bits):
-        raise ValueError(f"expected an integer in range, got {v!r}")
-    return v
-
-
-def _wire_list(v, bits: int | None = None) -> list:
-    """A JSON list; with bits, a list of integers in [0, 2**bits) (a negative w has w >> bits == -1)."""
-    if type(v) is not list or (bits is not None and not all(type(w) is int and not w >> bits for w in v)):
-        raise ValueError(f"expected a list{' of integers in range' if bits else ''}, got {v!r}")
-    return v
-
-
-def _wire_hex(v) -> bytes:
-    """Bytes from lowercase hex without separators, the form to_json writes."""
-    raw = bytes.fromhex(v) if type(v) is str else None
-    if raw is None or raw.hex() != v:
-        raise ValueError(f"expected lowercase hex, got {v!r}")
-    return raw
-
-
-def _wire_bits(v) -> str:
-    """A string of 0s and 1s, such as a tree node's label."""
-    if type(v) is not str or v.strip("01"):
-        raise ValueError(f"expected a bit string, got {v!r}")
-    return v
-
-
-def _wire_key(v) -> int:
-    """A 64-bit oracle key from the hex text a node plaintext carries ({key:08x})."""
-    key = int(v, 16) if type(v) is str else -1
-    if f"{key:08x}" != v or not 0 <= key < 1 << 64:
-        raise ValueError(f"expected a key in hex, got {v!r}")
-    return key
-
-
-def _wire_index(v) -> int:
-    """A bundle index written as a JSON object key."""
-    if type(v) is not str or not v.isdecimal() or str(int(v)) != v:
-        raise ValueError(f"expected a decimal bundle index, got {v!r}")
-    return int(v)
 
 
 def ideal_obf(qpro: QPrOSim, c: CircuitDesc, rng: np.random.Generator) -> ObfHandle:
@@ -767,9 +694,6 @@ class PcParams:
     h_star: int
     lam_cc: int
 
-    def to_bytes(self) -> bytes:
-        return self.crs.to_bytes() + self.h_star.to_bytes(8, "big") + bytes([self.lam_cc])
-
 
 @dataclass(frozen=True)
 class PCObfuscation:
@@ -846,8 +770,7 @@ class PCObfuscation:
                 _wire_index(t): (tuple(_wire_field(d, "keys", _wire_list, 64)), _wire_field(d, "r", _wire_hex))
                 for t, d in _wire_field(data, "opened", dict).items()
             },
-            # NpProof.from_json reads its two fields bare, so they are read here first
-            proof=_wire_field(data, "proof", lambda p: NpProof.from_json({k: _wire_field(p, k) for k in ("ct", "inner")})),
+            proof=_wire_field(data, "proof", NpProof.from_json),
             phi_id=_wire_field(data, "phi_id", str),
         )
 
@@ -876,15 +799,10 @@ def pc_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> PcPar
 
 
 def pc_ext_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> tuple[PcParams, bytes]:
-    """Extraction-mode setup; same pp distribution, trapdoor kept."""
+    """The one setup: public parameters and the NIZK trapdoor the extractor uses."""
     crs, td = nizknp.np_ext0(rng)
     h_star = int(rng.integers(0, 1 << 16))
     return PcParams(crs, h_star, lam_cc), td
-
-
-def pc_sim_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> tuple[PcParams, bytes]:
-    """Simulation-mode setup; the trapdoor authorizes simulated NIZK tags."""
-    return pc_ext_setup(rng, lam_cc)
 
 
 def _bundle_shape(arity: int, blocks: int = JLLW_BLOCKS) -> list[tuple[int, int]]:
@@ -905,41 +823,45 @@ def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, 
     The witness's circuit description must satisfy phi and be in canonical
     form, and the witness must open every unopened commitment and re-derive
     the posted obfuscation (its bytes against the oracle's table in the ideal
-    model; literal re-execution for the JLLW backend).  A malformed witness
-    is a rejection; any other error, such as a RuntimeError inside phi,
-    propagates."""
+    model; literal re-execution for the JLLW backend).  A malformed witness,
+    an index beyond the posted bundles or a handle the oracle never issued is
+    a rejection; any other error, such as a RuntimeError inside phi, propagates."""
 
     def _relation(instance: bytes, witness: bytes) -> bool:
         try:
-            inst = json.loads(instance.decode())
-            wit = json.loads(witness.decode())
-            desc = wit["circuit"]
-            if not (inst["phi"] == phi.phi_id and isinstance(desc, dict) and phi.check(desc)):
+            inst, wit = _wire_json(instance), _wire_json(witness)
+            desc = _wire_field(wit, "circuit", dict)
+            if not (_wire_field(inst, "phi") == phi.phi_id and phi.check(desc)):
                 return False
             canon = _dumps(desc).encode()
             if backend == "jllw":
                 circuit = CircuitDesc.from_canonical(desc)
                 if circuit.canonical_bytes() != canon:
                     return False
-            for t_str, entry in inst["unopened"].items():
-                t = int(t_str)
-                opening = wit["openings"][t_str]
-                keys = tuple(int(k) for k in opening["keys"])
+            commitments = _wire_field(inst, "commitments", _wire_list)
+            handle_bundles = _wire_field(inst, "handles", _wire_list)
+            for t_str, entry in _wire_field(inst, "unopened", dict).items():
+                t = _wire_index(t_str)
+                if not 1 <= t <= min(len(commitments), len(handle_bundles)):
+                    return False
+                opening = _wire_field(wit, "openings", _wire_field, t_str, dict)
+                keys = tuple(_wire_field(opening, "keys", _wire_list, 64))
                 if not qpro._in_key_space(keys):
                     return False
-                r = bytes.fromhex(opening["r"])
-                if toycrypto.commit(_bundle_bytes(keys), r) != bytes.fromhex(inst["commitments"][t - 1]):
+                r = _wire_field(opening, "r", _wire_hex)
+                if toycrypto.commit(_bundle_bytes(keys), r).hex() != commitments[t - 1]:
                     return False
-                handles = tuple(int(h) for h in inst["handles"][t - 1])
                 if backend == "ideal":
-                    if _lookup(qpro, ObfHandle.from_json(entry)).canonical_bytes() != canon:
+                    registered = qpro.circuits.get(ObfHandle.from_json(entry).uid)
+                    if registered is None or registered.canonical_bytes() != canon:
                         return False
                 else:
-                    blob = _jllw_blob(circuit, qpro, t, keys, handles, bytes.fromhex(opening["seed"]))
+                    handles = tuple(_wire_list(handle_bundles[t - 1], 64))
+                    blob = _jllw_blob(circuit, qpro, t, keys, handles, _wire_field(opening, "seed", _wire_hex))
                     if toycrypto.digest(b"blob", blob).hex() != entry:
                         return False
             return True
-        except (KeyError, IndexError, TypeError, ValueError, IntegrityError):
+        except (ValueError, IntegrityError):
             return False
 
     return _relation
@@ -1134,15 +1056,19 @@ def _instance_table(
     o: PCObfuscation, qpro: QPrOSim, t: int, prefix: tuple[int, ...], suffix_arity: int
 ) -> np.ndarray:
     """Output labels of unopened instance t over the trailing suffix_arity
-    input bits; a JLLW walk that fails its integrity checks votes _FAILED.
-    Labels are output bytes or _FAILED: int16 holds both and keeps the
-    vote's sort cheap."""
+    input bits; a failed JLLW walk, and an instance the oracle cannot evaluate
+    (a handle it never issued or of another arity, a blob that does not parse
+    or is on an oracle instance it lacks), votes _FAILED.  Labels are output
+    bytes or _FAILED: int16 holds both and keeps the vote's sort cheap."""
     if o.backend == "ideal":
-        return ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity).astype(np.int16)
-    tree = o._trees[t]
-    if tree == _FAILED:  # a blob that does not parse fails as a bad tag at its root does
-        return np.full(2**suffix_arity, _FAILED, dtype=np.int16)
-    return jllw_eval_table(tree, qpro, prefix, suffix_arity)
+        registered = qpro.circuits.get(o.unopened[t].uid)
+        if registered is not None and registered.input_arity == o.arity:
+            return ideal_eval_table(qpro, o.unopened[t], prefix, suffix_arity).astype(np.int16)
+    else:
+        tree = o._trees[t]
+        if tree != _FAILED and tree.instance < qpro.instance_count:
+            return jllw_eval_table(tree, qpro, prefix, suffix_arity)
+    return np.full(2**suffix_arity, _FAILED, dtype=np.int16)
 
 
 def _votes(o: PCObfuscation, qpro: QPrOSim, prefix: tuple[int, ...], suffix_arity: int) -> np.ndarray:
@@ -1174,9 +1100,10 @@ def pc_extract(
     pp: PcParams, td: bytes, phi: PhiSpec, o: PCObfuscation, qpro: QPrOSim
 ) -> dict:
     """Knowledge extractor: gated on verification, then decrypt the witness
-    ciphertext and return its circuit description, unbuilt."""
+    ciphertext and return its circuit description, unbuilt; a payload that
+    carries no description object raises ValueError."""
     ok, diagnostics = pc_verify(pp, phi, o, qpro)
     if not ok:
         raise ValueError(f"extraction attempted on a rejecting transcript: {diagnostics}")
     witness = nizknp.np_ext1(pp.crs, td, _pc_statement(qpro, phi, o), o.proof)
-    return json.loads(witness.decode())["circuit"]
+    return _wire_field(_wire_json(witness), "circuit", dict)

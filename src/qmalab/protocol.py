@@ -33,6 +33,7 @@ from .simstate import (
     tensor_many,
     zx_apply,
 )
+from .toycrypto import _wire_field
 from .zxham import HamiltonianInstance, acceptance_operator
 
 PHYSICAL_QUBIT_CAP = 14
@@ -66,11 +67,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class QmaCrs:
-    pp: PcParams
-
-
-@dataclass(frozen=True)
 class QmaProof:
     encoded: StateVector
     obf: PCObfuscation
@@ -84,14 +80,9 @@ class QmaProof:
         return out
 
 
-def setup(rng: np.random.Generator, cfg: ProtocolConfig) -> QmaCrs:
-    """Extraction-mode setup with the trapdoor dropped."""
-    return ext0(rng, cfg)[0]
-
-
-def ext0(rng: np.random.Generator, cfg: ProtocolConfig) -> tuple[QmaCrs, bytes]:
-    pp, td = obfstack.pc_ext_setup(rng, cfg.lambda_cc)
-    return QmaCrs(pp), td
+def ext0(rng: np.random.Generator, cfg: ProtocolConfig) -> tuple[PcParams, bytes]:
+    """The one setup: the crs (the obfuscator's public parameters) and the trapdoor."""
+    return obfstack.pc_ext_setup(rng, cfg.lambda_cc)
 
 
 # -- seeded measurement selection ---------------------------------------------
@@ -226,9 +217,9 @@ def _phi_check(canon) -> bool:
     if not isinstance(canon, dict) or canon.get("kind") != "csa-ver-mcirc" or canon.get("null_m"):
         return False
     try:
-        CSAKey.from_json(canon["key"])
-        HamiltonianInstance.from_json(canon["ham"])
-    except (KeyError, TypeError, ValueError):
+        _wire_field(canon, "key", CSAKey.from_json)
+        _wire_field(canon, "ham", HamiltonianInstance.from_json)
+    except ValueError:
         return False
     return True
 
@@ -255,7 +246,7 @@ def witness_registers(h: HamiltonianInstance, cfg: ProtocolConfig) -> tuple[Perm
 
 
 def prove(
-    crs: QmaCrs,
+    crs: PcParams,
     h: HamiltonianInstance,
     witness_copy: StateVector,
     cfg: ProtocolConfig,
@@ -269,7 +260,7 @@ def prove(
     key = csa.keygen(cfg.lambda_code, m, rng)
     encoded = csa.enc(key, full)
     circuit = combined_circuit(key, pv, cfg.prg_bits)
-    obf = obfstack.pc_obfuscate(crs.pp, PROTOCOL_PHI, circuit, qpro, rng)
+    obf = obfstack.pc_obfuscate(crs, PROTOCOL_PHI, circuit, qpro, rng)
     return QmaProof(encoded, obf)
 
 
@@ -319,7 +310,7 @@ def assemble_verifier_povm(
 
 
 def verify(
-    crs: QmaCrs,
+    crs: PcParams,
     g: GammaParams,
     h: HamiltonianInstance,
     proof: QmaProof,
@@ -331,7 +322,7 @@ def verify(
     1 - gamma_prime/2; returns (accept, residual proof, diagnostics)."""
     pv, m, phys = witness_registers(h, cfg)
     info: dict = {}
-    ok, diags = obfstack.pc_verify(crs.pp, PROTOCOL_PHI, proof.obf, qpro)
+    ok, diags = obfstack.pc_verify(crs, PROTOCOL_PHI, proof.obf, qpro)
     info["transcript_ok"] = ok
     info["transcript_diagnostics"] = diags
     if not ok:
@@ -359,7 +350,7 @@ def verify(
 
 def ext1(
     g: GammaParams,
-    crs: QmaCrs,
+    crs: PcParams,
     td: bytes,
     h: HamiltonianInstance,
     residual: QmaProof,
@@ -368,8 +359,8 @@ def ext1(
 ) -> StateVector:
     """Post-verified extraction: recover the key from the transcript, run the
     two codespace projections, and invert the encoding isometry."""
-    desc = obfstack.pc_extract(crs.pp, td, PROTOCOL_PHI, residual.obf, qpro)
-    key = CSAKey.from_json(desc["key"])
+    desc = obfstack.pc_extract(crs, td, PROTOCOL_PHI, residual.obf, qpro)
+    key = _wire_field(desc, "key", CSAKey.from_json)
     state = residual.encoded
     _, post0, _ = project_predicate(state, csa.ver_predicate(key, BitVector.zeros(key.n)))
     if post0 is None:
@@ -404,13 +395,13 @@ def simulate(
     cfg: ProtocolConfig,
     qpro: QPrOSim,
     rng: np.random.Generator,
-) -> tuple[QmaCrs, bytes, QmaProof]:
-    """Zero-knowledge simulator: simulation-mode setup, then a proof built
-    from an encoded zero state and a null decoder branch (no witness input)."""
+) -> tuple[PcParams, bytes, QmaProof]:
+    """Zero-knowledge simulator: a fresh setup, then a proof built from an
+    encoded zero state and a null decoder branch (no witness input)."""
     pv, m, _ = witness_registers(h, cfg)
-    pp, td = obfstack.pc_sim_setup(rng, cfg.lambda_cc)
+    pp, td = obfstack.pc_ext_setup(rng, cfg.lambda_cc)  # simulation has no trapdoor of its own yet
     key = csa.keygen(cfg.lambda_code, m, rng)
     encoded = csa.enc(key, StateVector.basis(m, 0))
     circuit = combined_circuit(key, pv, cfg.prg_bits, null_m=True)
     obf = obfstack.pc_sim_obfuscate(pp, td, PROTOCOL_PHI, circuit, qpro, rng)
-    return QmaCrs(pp), td, QmaProof(encoded, obf)
+    return pp, td, QmaProof(encoded, obf)

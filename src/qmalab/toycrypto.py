@@ -3,12 +3,18 @@
 Everything here is a fidelity-only stand-in built on BLAKE2b: deterministic,
 seedable, with authenticated encryption and binding commitments at test
 scale.  No cryptographic security is claimed anywhere in this module.
+
+It also holds the ``_wire_*`` field readers, the one parse rule through
+which every wire format reads outside input: a malformed field raises
+ValueError naming it, and nothing else.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import json
+from typing import Callable
 
 
 class IntegrityError(Exception):
@@ -113,3 +119,78 @@ def unframe(data: bytes) -> bytes:
     if n + 4 > len(data):
         raise IntegrityError("corrupt frame length")
     return data[4 : 4 + n]
+
+
+# -- fields read from the prover --------------------------------------------
+
+
+def _wire_field(obj, name: str, read: Callable | type | None = None, *args):
+    """Field name of the JSON object obj: the value itself when read is None,
+    the value checked to be of exactly type read, or read(value, *args).  A
+    non-object, a missing field or a value read refuses raises ValueError
+    naming the field; a reader of an inner field nests its name."""
+    if type(obj) is not dict:
+        raise ValueError(f"{type(obj).__name__} is not a JSON object, so it has no field {name!r}")
+    if name not in obj:
+        raise ValueError(f"field {name!r} is missing")
+    value = obj[name]
+    try:
+        if read is None or type(value) is read:  # no value's type is a reader function
+            return value
+        if isinstance(read, type):
+            raise ValueError(f"expected a {read.__name__}, got {value!r}")
+        return read(value, *args)
+    except ValueError as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
+
+
+def _wire_json(data: bytes):
+    """The JSON value of UTF-8 text; text nested too deep to decode is refused too."""
+    try:
+        return json.loads(data.decode())
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError both are ValueErrors
+        raise ValueError("not JSON text") from None
+
+
+def _wire_int(v, bits: int | None = None) -> int:
+    """A JSON integer (a bool is not one) of at least 0, below 2**bits when bits is given."""
+    if type(v) is not int or v < 0 or (bits is not None and v >> bits):
+        raise ValueError(f"expected an integer in range, got {v!r}")
+    return v
+
+
+def _wire_list(v, bits: int | None = None) -> list:
+    """A JSON list; with bits, a list of integers in [0, 2**bits) (a negative w has w >> bits == -1)."""
+    if type(v) is not list or (bits is not None and not all(type(w) is int and not w >> bits for w in v)):
+        raise ValueError(f"expected a list{' of integers in range' if bits else ''}, got {v!r}")
+    return v
+
+
+def _wire_hex(v) -> bytes:
+    """Bytes from lowercase hex without separators, the form to_json writes."""
+    raw = bytes.fromhex(v) if type(v) is str else None
+    if raw is None or raw.hex() != v:
+        raise ValueError(f"expected lowercase hex, got {v!r}")
+    return raw
+
+
+def _wire_bits(v) -> str:
+    """A string of 0s and 1s, such as a tree node's label."""
+    if type(v) is not str or v.strip("01"):
+        raise ValueError(f"expected a bit string, got {v!r}")
+    return v
+
+
+def _wire_key(v) -> int:
+    """A 64-bit oracle key from the hex text a node plaintext carries ({key:08x})."""
+    key = int(v, 16) if type(v) is str else -1
+    if f"{key:08x}" != v or not 0 <= key < 1 << 64:
+        raise ValueError(f"expected a key in hex, got {v!r}")
+    return key
+
+
+def _wire_index(v) -> int:
+    """A bundle index written as a JSON object key."""
+    if type(v) is not str or not v.isdecimal() or str(int(v)) != v:
+        raise ValueError(f"expected a decimal bundle index, got {v!r}")
+    return int(v)

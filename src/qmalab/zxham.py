@@ -17,6 +17,7 @@ import numpy as np
 
 from .gf2 import BitVector
 from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
+from .toycrypto import _wire_field, _wire_int, _wire_list
 
 SPECTRAL_QUBIT_CAP = 10
 _TERM_FIELDS = ("i", "j", "basis", "beta", "p")  # HamTerm's fields, in order
@@ -100,15 +101,10 @@ class HamiltonianInstance:
     @classmethod
     def from_json(cls, data: dict) -> HamiltonianInstance:
         """Parse an instance object; a malformed one raises ValueError."""
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-            raise ValueError("an instance must be an object with a list of terms")
-        for d in data["terms"]:
-            if not isinstance(d, dict) or not all(k in d for k in _TERM_FIELDS):
-                raise ValueError(f"each term must be an object with fields {_TERM_FIELDS}")
-        if not isinstance(data.get("qubits"), numbers.Integral):
-            raise ValueError("an instance must give its qubit count as an integer")
-        terms = tuple(HamTerm(*(d[k] for k in _TERM_FIELDS)) for d in data["terms"])
-        return cls(int(data["qubits"]), terms)
+        terms = tuple(
+            HamTerm(*(_wire_field(d, k) for k in _TERM_FIELDS)) for d in _wire_field(data, "terms", _wire_list)
+        )
+        return cls(_wire_field(data, "qubits", _wire_int), terms)
 
     @classmethod
     def loads(cls, text: str) -> HamiltonianInstance:

@@ -245,6 +245,19 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_main_refuses_a_config_nested_deeper_than_the_decoder_recurses(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(deep)
+    assert cli.main(["run", "--scenario", "ati-check", "--config", str(cfg_path)]) == 2
+    assert "config unreadable" in capsys.readouterr().err
+    # an instance file is read the same way
+    (tmp_path / "h.json").write_text(deep)
+    cfg_path.write_text(json.dumps({"seed": 1, "instance": str(tmp_path / "h.json")}))
+    assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
+    assert "nests too deep" in capsys.readouterr().err
+
+
 def test_main_unknown_scenario_exit(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 1}))
@@ -296,7 +309,7 @@ def test_runs_leave_module_globals_unchanged():
     run_scenario(small("cutchoose-detect", trials=5))
     rng = np.random.default_rng(9)
     qpro = obfstack.QPrOSim.from_seed(rng)
-    pp, td = obfstack.pc_sim_setup(rng)
+    pp, td = obfstack.pc_ext_setup(rng)
     phi = obfstack.PhiSpec("fresh", lambda c: True)
     o = obfstack.pc_sim_obfuscate(pp, td, phi, obfstack.table_circuit([0, 1]), qpro, rng)
     assert obfstack.pc_verify(pp, phi, o, qpro)[0]

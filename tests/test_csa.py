@@ -77,6 +77,30 @@ def test_key_json_refuses_a_non_bit_character():
             CSAKey.from_json(bad)
 
 
+def test_key_json_raises_value_error_on_a_malformed_shape():
+    data = csa.keygen(1, 2, np.random.default_rng(3)).to_json()
+    first = data["records"][0]
+    for bad, name in (
+        ({"lambda_code": 1, "n": 0}, "records"),
+        ({**data, "records": [5]}, "s"),
+        ({**data, "lambda_code": "1"}, "lambda_code"),
+        ({**data, "records": [{**first, "s": "101"}] + data["records"][1:]}, "s"),
+        ([data], "lambda_code"),
+    ):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            CSAKey.from_json(bad)
+
+
+def test_key_json_refuses_a_pad_of_another_width():
+    data = csa.keygen(1, 2, np.random.default_rng(3)).to_json()
+    first = data["records"][0]
+    for field in ("x", "z"):
+        for value in ("01", first[field] + "0"):
+            bad = {**data, "records": [{**first, field: value}] + data["records"][1:]}
+            with pytest.raises(ValueError, match="pads"):
+                CSAKey.from_json(bad)
+
+
 def test_enc_hand_amplitudes():
     key = fixed_key_lambda1()
     r = 1 / np.sqrt(2)

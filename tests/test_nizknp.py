@@ -35,18 +35,18 @@ def test_pke_round_trip_and_failures():
 
 
 def test_setup_and_ext0_distributions():
-    crs_a = nizknp.np_setup(np.random.default_rng(5))
+    crs_a, _ = nizknp.np_ext0(np.random.default_rng(5))
     crs_b, td = nizknp.np_ext0(np.random.default_rng(5))
-    assert crs_a.to_bytes() == crs_b.to_bytes()
+    assert crs_a == crs_b
     # trapdoor decrypts ciphertexts made under the crs public key
     ct = nizknp.pke_enc(crs_b.pk, b"payload", bytes(16))
     assert nizknp.pke_dec(td, ct) == b"payload"
-    assert len(crs_a.to_bytes()) == nizknp.CRS_BASE_LEN + nizknp.PKE_KEY_LEN
+    assert (len(crs_a.base), len(crs_a.pk)) == (nizknp.CRS_BASE_LEN, nizknp.PKE_KEY_LEN)
 
 
 def test_prove_verify_completeness_and_determinism():
     rng = np.random.default_rng(1)
-    crs = nizknp.np_setup(rng)
+    crs, _ = nizknp.np_ext0(rng)
     stmt = preimage_statement(b"witness-bytes")
     proof = nizknp.np_prove(crs, stmt, b"witness-bytes", np.random.default_rng(2))
     assert nizknp.np_verify(crs, stmt, proof)
@@ -56,7 +56,7 @@ def test_prove_verify_completeness_and_determinism():
 
 def test_non_witness_rejected_at_prove_time():
     rng = np.random.default_rng(3)
-    crs = nizknp.np_setup(rng)
+    crs, _ = nizknp.np_ext0(rng)
     stmt = preimage_statement(b"real")
     with pytest.raises(ValueError):
         nizknp.np_prove(crs, stmt, b"fake", rng)
@@ -64,7 +64,7 @@ def test_non_witness_rejected_at_prove_time():
 
 def test_ciphertext_swap_rejected():
     rng = np.random.default_rng(4)
-    crs = nizknp.np_setup(rng)
+    crs, _ = nizknp.np_ext0(rng)
     stmt = preimage_statement(b"real-witness")
     proof = nizknp.np_prove(crs, stmt, b"real-witness", rng)
     garbage_ct = nizknp.pke_enc(crs.pk, b"garbage", rng.bytes(16))
@@ -73,7 +73,7 @@ def test_ciphertext_swap_rejected():
 
 def test_truncated_proof_rejected():
     rng = np.random.default_rng(6)
-    crs = nizknp.np_setup(rng)
+    crs, _ = nizknp.np_ext0(rng)
     stmt = preimage_statement(b"w")
     proof = nizknp.np_prove(crs, stmt, b"w", rng)
     assert not nizknp.np_verify(crs, stmt, NpProof(proof.ct, proof.inner[:-3]))
@@ -106,7 +106,7 @@ def test_extraction_integrity_failure_surfaces():
 
 def test_simulated_proof_verifies_and_is_statement_bound():
     rng = np.random.default_rng(9)
-    crs = nizknp.np_setup(rng)
+    crs, _ = nizknp.np_ext0(rng)
     stmt = preimage_statement(b"whatever")
     sim = nizknp.np_prove_simulated(crs, stmt, b"not-a-witness", rng)
     assert nizknp.np_verify(crs, stmt, sim)
@@ -116,7 +116,7 @@ def test_simulated_proof_verifies_and_is_statement_bound():
 
 def test_proof_json_round_trip():
     rng = np.random.default_rng(10)
-    crs = nizknp.np_setup(rng)
+    crs, _ = nizknp.np_ext0(rng)
     stmt = preimage_statement(b"w3")
     proof = nizknp.np_prove(crs, stmt, b"w3", rng)
     assert NpProof.from_json(proof.to_json()) == proof

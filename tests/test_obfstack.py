@@ -41,7 +41,6 @@ from qmalab.obfstack import (
     pc_obfuscate,
     pc_setup,
     pc_sim_obfuscate,
-    pc_sim_setup,
     pc_verify,
     point_circuit,
     table_circuit,
@@ -869,9 +868,9 @@ def test_table_circuit_canonical_form_and_errors():
 def test_pc_setup_properties():
     a = pc_setup(np.random.default_rng(20))
     b = pc_setup(np.random.default_rng(20))
-    assert a.to_bytes() == b.to_bytes()
+    assert a == b
     c = pc_setup(np.random.default_rng(21))
-    assert c.to_bytes() != a.to_bytes()
+    assert c != a
     # setup is the extraction-mode setup with the trapdoor dropped: same pp, same draws
     rng_s, rng_e = np.random.default_rng(20), np.random.default_rng(20)
     assert pc_setup(rng_s) == pc_ext_setup(rng_e)[0] == a
@@ -1101,7 +1100,7 @@ def test_pc_transcript_with_unknown_backend_is_refused():
 def test_pc_sim_obfuscate_verifies_without_phi():
     rng = np.random.default_rng(30)
     qpro = QPrOSim.from_seed(rng)
-    pp, td = pc_sim_setup(rng)
+    pp, td = pc_ext_setup(rng)
     never = obfstack.PhiSpec("never2", lambda c: False)
     c = table_circuit([0, 1])
     o = pc_sim_obfuscate(pp, td, never, c, qpro, rng)
@@ -1313,6 +1312,46 @@ def test_replaced_transcript_starts_with_no_parsed_trees(monkeypatch):
     assert len(calls) == 14
 
 
+def test_a_blob_nested_deeper_than_the_decoder_recurses_votes_failed():
+    qpro, o = _seed41_jllw_transcript()
+    t = max(o.unopened)
+    deep = b"[" * 100000 + b"]" * 100000
+    with pytest.raises(ValueError, match="not JSON"):
+        JLLWObfuscation.deserialize(deep)
+    mutated = dataclasses.replace(o, unopened={**o.unopened, t: deep})
+    assert pc_eval_table(mutated, qpro, (), 2).tolist() == [False, True, True, False]
+    assert mutated._trees[t] == obfstack._FAILED
+
+
+def test_a_blob_reposted_on_an_instance_the_oracle_lacks_votes_failed():
+    qpro, o = _seed41_jllw_transcript()
+    blob = json.loads(o.unopened[max(o.unopened)])
+    blob["instance"] = 20  # the oracle has instances 0..8
+    mutated = dataclasses.replace(o, unopened={**o.unopened, 20: obfstack._dumps(blob).encode()})
+    assert mutated._trees[20] != obfstack._FAILED  # it parses and fits the transcript
+    assert obfstack._instance_table(mutated, qpro, 20, (), 2).tolist() == [obfstack._FAILED] * 4
+    assert pc_eval_table(mutated, qpro, (), 2).tolist() == [False, True, True, False]
+
+
+def test_an_ideal_handle_the_oracle_never_issued_votes_failed():
+    rng = np.random.default_rng(41)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    o = pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng)
+    t = max(o.unopened)
+    data = o.to_json()
+    data["unopened"][str(t)]["uid"] = "00" * 16
+    mutated = PCObfuscation.from_json(data)
+    assert pc_verify(pp, PHI_ANY, mutated, qpro) == (False, ["nizk_invalid"])
+    assert obfstack._instance_table(mutated, qpro, t, (), 2).tolist() == [obfstack._FAILED] * 4
+    # the failed vote ties with the honest one, and the smaller index wins
+    assert pc_eval_table(mutated, qpro, (), 2).tolist() == [False, True, True, False]
+    # a handle of this oracle for a circuit of another arity fails its vote too
+    other = ideal_obf(qpro, table_circuit([0, 1]), rng)
+    data["unopened"][str(t)] = other.to_json()
+    assert obfstack._instance_table(PCObfuscation.from_json(data), qpro, t, (), 2).tolist() == [obfstack._FAILED] * 4
+
+
 def test_combine_circuit_dispatch():
     c = combine_circuits([table_circuit([0, 1]), table_circuit([1, 0])], index_bits=1)
     assert c.eval_bits((0, 1)) == 1
@@ -1375,9 +1414,12 @@ def test_pc_relation_rejects_malformed_witnesses():
     bad_r = dict(honest["openings"][t], r="00" * 16)
     wrong_commitment = {**honest, "openings": {**honest["openings"], t: bad_r}}
 
-    def with_first_key(k: int) -> bytes:
-        opening = dict(honest["openings"][t], keys=[k, *honest["openings"][t]["keys"][1:]])
+    def with_opening(**fields) -> bytes:
+        opening = dict(honest["openings"][t], **fields)
         return json.dumps({**honest, "openings": {**honest["openings"], t: opening}}).encode()
+
+    def with_first_key(k: int) -> bytes:
+        return with_opening(keys=[k, *honest["openings"][t]["keys"][1:]])
     witnesses = {
         "non-utf8": b"\xff\xfe",
         "non-json": b"{not json",
@@ -1392,9 +1434,18 @@ def test_pc_relation_rejects_malformed_witnesses():
         "negative key": with_first_key(-1),
         "key of 2**64": with_first_key(2**64),
         "key of 2**lam_bits": with_first_key(2**qpro.lam_bits),
+        "openings not an object": json.dumps({**honest, "openings": [honest["openings"][t]]}).encode(),
+        "keys not a list": with_opening(keys=5),
+        "r not hex": with_opening(r="zz"),
     }
     for name, w in witnesses.items():
         assert stmt.relation(stmt.instance, w) is False, name
+    # an unopened index beyond the posted commitments, opened like instance t
+    inst = json.loads(stmt.instance)
+    beyond = str(len(inst["commitments"]) + 1)
+    inst["unopened"][beyond] = inst["unopened"][t]
+    opened_beyond = {**honest, "openings": {**honest["openings"], beyond: honest["openings"][t]}}
+    assert stmt.relation(json.dumps(inst).encode(), json.dumps(opened_beyond).encode()) is False
     # unknown handle: the same relation checked by an oracle that issued nothing
     foreign = obfstack._pc_relation(QPrOSim(qpro.master), "ideal", PHI_ANY)
     assert foreign(stmt.instance, witness) is False

@@ -125,6 +125,11 @@ def test_combined_circuit_canonical_round_trip():
     # a key whose bit string holds another character is no key
     canon["key"]["records"][0]["x"] = "2" + canon["key"]["records"][0]["x"][1:]
     assert not protocol.PROTOCOL_PHI.check(canon)
+    # nor is one whose pad is narrower than its block
+    canon["key"]["records"][0]["x"] = circ.canonical["key"]["records"][0]["x"]
+    assert protocol.PROTOCOL_PHI.check(canon)
+    canon["key"]["records"][0]["z"] = "1"
+    assert not protocol.PROTOCOL_PHI.check(canon)
 
 
 def test_combined_circuit_splits_inside_physical_register_match_pointwise():
@@ -191,7 +196,7 @@ def test_combined_circuit_tables_are_read_only_and_built_once_per_branch(monkeyp
 
 def test_prove_rejects_oversized_configuration():
     rng, qpro = fresh(2)
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     big_cfg = ProtocolConfig(k=4)  # 4 registers x 2 qubits x 3 = 24 physical
     with pytest.raises(ValueError, match="physical"):
         protocol.prove(crs, REFERENCE, ground(REFERENCE), big_cfg, qpro, rng)
@@ -204,7 +209,7 @@ def test_simulate_and_verify_reject_oversized_configuration_before_work():
     with pytest.raises(ValueError, match="physical"):
         protocol.simulate(REFERENCE, big_cfg, qpro, rng)
     assert rng.bit_generator.state == before  # no setup draw was spent
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     with pytest.raises(ValueError, match="physical"):
         protocol.verify(crs, GAMMAS, REFERENCE, proof, big_cfg, qpro, rng)
@@ -214,7 +219,7 @@ def test_structured_povm_matches_raw_three_step_checks():
     """The factored mixture V L V^dag must act exactly like the sequential
     projector product P_r = Pi3(r) * Had Ver1 Had * Ver0 averaged over r."""
     rng, qpro = fresh(3)
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     pv = permver.build(REFERENCE, CFG.k)
     mixture = protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)
@@ -285,7 +290,7 @@ def test_post_verified_extraction_is_exact_over_the_accept_eigenspace():
 def test_honest_run_accepts_with_certainty_on_frustration_free_instance():
     for seed in range(6):
         rng, qpro = fresh(100 + seed)
-        crs = protocol.setup(rng, CFG)
+        crs, _ = protocol.ext0(rng, CFG)
         proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
         accept, residual, info = protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
         if "povm_unavailable" in str(info.get("transcript_diagnostics")):
@@ -300,7 +305,7 @@ def test_verify_names_a_challenge_that_opened_every_bundle():
     cfg = dataclasses.replace(CFG, lambda_cc=1)
     for seed in range(20):
         rng, qpro = fresh(500 + seed)
-        crs = protocol.setup(rng, cfg)
+        crs, _ = protocol.ext0(rng, cfg)
         proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), cfg, qpro, rng)
         if proof.obf.unopened:
             continue
@@ -313,7 +318,7 @@ def test_verify_names_a_challenge_that_opened_every_bundle():
 
 def test_verify_names_an_arity_that_disagrees_with_the_configuration():
     rng, qpro = fresh(4)
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     other = dataclasses.replace(CFG, prg_bits=CFG.prg_bits + 1)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), other, qpro, rng)
     assert proof.obf.unopened
@@ -324,7 +329,7 @@ def test_verify_names_an_arity_that_disagrees_with_the_configuration():
 
 def test_verify_propagates_errors_of_the_povm(monkeypatch):
     rng, qpro = fresh(4)
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
 
     def broken(*args):
@@ -340,7 +345,7 @@ def test_garbage_encoded_state_mostly_rejected():
     runs = 40
     for seed in range(runs):
         rng, qpro = fresh(200 + seed)
-        crs = protocol.setup(rng, CFG)
+        crs, _ = protocol.ext0(rng, CFG)
         proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
         garbage = StateVector.from_amplitudes(np.ones(2**12) / 2**6)
         fake = protocol.QmaProof(garbage, proof.obf)
@@ -351,7 +356,7 @@ def test_garbage_encoded_state_mostly_rejected():
 
 def test_tampered_transcript_rejected_deterministically():
     rng, qpro = fresh(4)
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     bad_obf = dataclasses.replace(proof.obf, chal=proof.obf.chal ^ 1)
     fake = protocol.QmaProof(proof.encoded, bad_obf)
@@ -366,7 +371,7 @@ def test_extraction_recovers_key_and_quality():
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     accept, residual, _ = protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
     assert accept == 1
-    extracted = obfstack.pc_extract(crs.pp, td, protocol.PROTOCOL_PHI, residual.obf, qpro)
+    extracted = obfstack.pc_extract(crs, td, protocol.PROTOCOL_PHI, residual.obf, qpro)
     assert type(extracted) is dict
     prover_key = None
     for t in sorted(residual.obf.unopened):
@@ -430,6 +435,23 @@ def test_simulated_proofs_verify_and_extract_to_zero():
         assert abs(state.amplitudes[0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
+def test_an_accepted_proof_whose_description_carries_no_key_fails_extraction_with_value_error():
+    # a simulated tag over the protocol circuit with its key field emptied: the
+    # transcript audits clean and the POVM, built from the real tables, accepts
+    rng, qpro = fresh(7)
+    crs, td = protocol.ext0(rng, CFG)
+    pv, m, _ = protocol.witness_registers(REFERENCE, CFG)
+    key = csa.keygen(CFG.lambda_code, m, rng)
+    circuit = protocol.combined_circuit(key, pv, CFG.prg_bits)
+    forged = dataclasses.replace(circuit, canonical={**circuit.canonical, "key": {}})
+    obf = obfstack.pc_sim_obfuscate(crs, td, protocol.PROTOCOL_PHI, forged, qpro, rng)
+    proof = protocol.QmaProof(csa.enc(key, tensor_many([ground(REFERENCE)] * pv.list_len)), obf)
+    accept, residual, info = protocol.verify(crs, GAMMAS, REFERENCE, proof, CFG, qpro, rng)
+    assert accept == 1, info
+    with pytest.raises(ValueError, match="'lambda_code' is missing"):
+        protocol.ext1(GAMMAS, crs, td, REFERENCE, residual, CFG, qpro)
+
+
 def test_simulator_takes_no_witness_input():
     import inspect
 
@@ -476,14 +498,14 @@ def test_prg_selection_matches_uniform_selection():
 
 
 def test_setup_determinism_and_distinctness():
-    a = protocol.setup(np.random.default_rng(50), CFG)
-    b = protocol.setup(np.random.default_rng(50), CFG)
-    c = protocol.setup(np.random.default_rng(51), CFG)
-    assert a.pp.to_bytes() == b.pp.to_bytes() != c.pp.to_bytes()
-    # setup is ext0 with the trapdoor dropped: same crs, same draws
-    rng_s, rng_e = np.random.default_rng(50), np.random.default_rng(50)
-    assert protocol.setup(rng_s, CFG) == protocol.ext0(rng_e, CFG)[0]
-    assert rng_s.bit_generator.state == rng_e.bit_generator.state
+    a = protocol.ext0(np.random.default_rng(50), CFG)
+    b = protocol.ext0(np.random.default_rng(50), CFG)
+    c = protocol.ext0(np.random.default_rng(51), CFG)
+    assert a == b and a[0] != c[0]
+    # the crs is the obfuscator's public parameters, drawn by its one setup
+    rng_p, rng_o = np.random.default_rng(50), np.random.default_rng(50)
+    assert protocol.ext0(rng_p, CFG) == obfstack.pc_ext_setup(rng_o, CFG.lambda_cc)
+    assert rng_p.bit_generator.state == rng_o.bit_generator.state
 
 
 def test_m_branch_outputs_zero_on_undecodable_blocks():
@@ -512,7 +534,7 @@ def test_m_branch_outputs_zero_on_undecodable_blocks():
 def test_prove_classical_components_deterministic_under_seed():
     def run():
         rng, qpro = fresh(10)
-        crs = protocol.setup(rng, CFG)
+        crs, _ = protocol.ext0(rng, CFG)
         return protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
 
     a, b = run(), run()
@@ -532,7 +554,7 @@ def test_proof_transcript_serialization():
     import json
 
     rng, qpro = fresh(8)
-    crs = protocol.setup(rng, CFG)
+    crs, _ = protocol.ext0(rng, CFG)
     proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
     classical = proof.to_json()
     assert "encoded_amplitudes" not in classical

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,3 +140,38 @@ def test_digest_state_with_the_next_length_absorbed_finishes_digest(out_len):
     assert toycrypto.digest_state(tag, tuple(parts), out_len).digest() == toycrypto.digest(
         tag, *parts, out_len=out_len
     )
+
+
+def _handled(node: ast.expr | None) -> list[str]:
+    """The exception names an except clause lists; a bare except lists none."""
+    if node is None:
+        return []
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _handled(elt)]
+    return [node.attr if isinstance(node, ast.Attribute) else ast.unparse(node)]
+
+
+def test_no_except_clause_can_turn_a_bug_into_a_rejection():
+    """Malformed input raises ValueError (or IntegrityError) at its reader, so
+    no handler in the package is bare or catches a broad or lookup error."""
+    broad = {"Exception", "BaseException", "KeyError", "IndexError", "TypeError", "AttributeError"}
+    offending = []
+    for path in sorted(Path(toycrypto.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler):
+                names = _handled(node.type)
+                if not names or broad & set(names):
+                    offending.append(f"{path.name}:{node.lineno} except {', '.join(names) or '(bare)'}")
+    assert not offending
+
+
+def test_the_field_readers_raise_value_error_naming_the_field():
+    with pytest.raises(ValueError, match="field 'a' is missing"):
+        toycrypto._wire_field({}, "a")
+    with pytest.raises(ValueError, match="list is not a JSON object"):
+        toycrypto._wire_field([], "a")
+    with pytest.raises(ValueError, match="field 'a': field 'b': expected an integer"):
+        toycrypto._wire_field({"a": {"b": True}}, "a", toycrypto._wire_field, "b", toycrypto._wire_int)
+    for text in (b"\xff", b"{", b"[" * 100000 + b"]" * 100000):
+        with pytest.raises(ValueError, match="not JSON text"):
+            toycrypto._wire_json(text)
