@@ -10,7 +10,7 @@ applied coherently they realize logical ZX measurements on the codespace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -172,11 +172,15 @@ def keygen(lambda_code: int, n: int, rng: np.random.Generator) -> CSAKey:
     return CSAKey(tuple(records), lambda_code)
 
 
+@lru_cache(maxsize=1)
 def enc_isometry(key: CSAKey) -> np.ndarray:
-    """Dense 2^(n*width) x 2^n encoding isometry (kron of block isometries)."""
+    """Dense 2^(n*width) x 2^n encoding isometry (kron of block isometries),
+    read-only.  The one cached entry serves a trial's enc and the
+    enc_adjoint of the key extracted from its transcript, an equal key."""
     out = np.array([[1.0 + 0.0j]])
     for r in key.records:
         out = np.kron(out, r.block_isometry)
+    out.flags.writeable = False
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,9 +108,12 @@ class PermutingVerifier:
         """Accept when at least k*(a+b)/2 sub-measurements accept."""
         return self.k * (self.a + self.b) / 2.0
 
+
+@lru_cache(maxsize=32)
 def spectral_thresholds(h: HamiltonianInstance) -> tuple[float, float]:
     """Desk-scale (a, b) from the exact acceptance spectrum: a is the best
-    acceptance probability, b the next distinct eigenvalue below it."""
+    acceptance probability, b the next distinct eigenvalue below it.
+    Cached per instance: prove and verify each build the verifier."""
     evals = np.linalg.eigvalsh(acceptance_operator(h))
     a = float(evals[-1])
     below = evals[evals < a - 1e-9]

@@ -267,6 +267,34 @@ def prove(
 # -- verifier --------------------------------------------------------------------
 
 
+def _probe_matrix(seed: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """normal + 1j*normal from a generator seeded by the transcript, drawn
+    in that order and summed into the one complex temporary."""
+    rng_local = np.random.default_rng(
+        np.frombuffer(toycrypto.digest(b"qmalab-povm-basis", seed), dtype=np.uint8)
+    )
+    real = rng_local.normal(size=shape)
+    g = np.multiply(1j, rng_local.normal(size=shape))
+    return np.add(real, g, out=g)
+
+
+def _codespace_image(obf: PCObfuscation, qpro: QPrOSim, m: int, ctrl: int, phys: int) -> np.ndarray:
+    """Had Ver1 Had Ver0 applied to 2**m + 4 probes; Ver0 masks the probe
+    matrix in place."""
+    pad = (0,) * (ctrl - m)
+    ver0 = obfstack.pc_eval_table(obf, qpro, (0,) + (0,) * m + pad, phys)
+    ver1 = obfstack.pc_eval_table(obf, qpro, (0,) + (1,) * m + pad, phys)
+    g = _probe_matrix(obf.proof.inner, (2**phys, 2**m + 4))
+    np.multiply(g, ver0[:, None], out=g)
+    return zx_apply(g, (1,) * phys, ver1)
+
+
+def _column_basis(image: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of image's column space from its QR factors."""
+    q, r = np.linalg.qr(image)
+    return np.ascontiguousarray(q[:, np.abs(np.diag(r)) > 1e-8])
+
+
 def assemble_verifier_povm(
     obf: PCObfuscation,
     qpro: QPrOSim,
@@ -283,19 +311,8 @@ def assemble_verifier_povm(
     ctrl = max(m, cfg.prg_bits)
     if obf.arity != 1 + ctrl + phys:
         raise ValueError("transcript circuit arity disagrees with the configuration")
-    pad = (0,) * (ctrl - m)
-    ver0 = obfstack.pc_eval_table(obf, qpro, (0,) + (0,) * m + pad, phys)
-    ver1 = obfstack.pc_eval_table(obf, qpro, (0,) + (1,) * m + pad, phys)
-    dim = 2**phys
-    probes = 2**m + 4
-    rng_local = np.random.default_rng(
-        np.frombuffer(toycrypto.digest(b"qmalab-povm-basis", obf.proof.inner), dtype=np.uint8)
-    )
-    g = rng_local.normal(size=(dim, probes)) + 1j * rng_local.normal(size=(dim, probes))
-    image = zx_apply(g * ver0[:, None], (1,) * phys, ver1)
-    q, r = np.linalg.qr(image)
-    keep = np.abs(np.diag(r)) > 1e-8
-    isometry = np.ascontiguousarray(q[:, keep])
+    # each large temporary is freed as soon as the next step has consumed it
+    isometry = _column_basis(_codespace_image(obf, qpro, m, ctrl, phys))
 
     block = np.zeros((isometry.shape[1], isometry.shape[1]), dtype=np.complex128)
     adjoint = isometry.conj().T

@@ -146,33 +146,34 @@ def _popcount_parity(a: np.ndarray) -> np.ndarray:
     return (v & 1).astype(bool)
 
 
-def hadamard_layer(a: np.ndarray, mask) -> np.ndarray:
-    """H on every qubit q with mask[q] = 1, along axis 0 of a.
-
-    a is one amplitude vector of length 2**len(mask) or a batch of such
-    columns; the result is a fresh array and a is left unchanged.
-
-    The result has the same bytes as the plain butterfly: for each masked
-    qubit in order q = 0 ... m-1, the pair (lo, hi) becomes
-    ((lo + hi) * _SQRT2_INV, (lo - hi) * _SQRT2_INV).  Each pass writes
-    into the other of two buffers (the result and one scratch buffer), and
-    the passes of the low-order half of the qubits run on a transposed copy,
-    so that they read long contiguous rows instead of short strided ones.
-    """
+def _layer_input(a: np.ndarray, mask) -> tuple[np.ndarray, list[int]]:
+    """(rows view, masked qubits): a as a complex (2**len(mask), cols) array."""
     m = len(mask)
     if a.shape[0] != 2**m:
         raise ValueError("axis 0 must have length 2**len(mask)")
     src = np.asarray(a, dtype=np.complex128)
-    qubits = [q for q, bit in enumerate(mask) if bit]
-    if not qubits:
-        return np.array(src, order="C")
-    cols = src.size >> m
+    return src.reshape(2**m, src.size >> m), [q for q, bit in enumerate(mask) if bit]
+
+
+def _hadamard_passes(src: np.ndarray, qubits: list[int], bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The butterfly passes of H on every qubit in qubits over the rows of
+    src, a complex (2**m, cols) array; the one Hadamard kernel.
+
+    For each qubit in increasing order q = 0 ... m-1, the pair (lo, hi)
+    becomes ((lo + hi) * _SQRT2_INV, (lo - hi) * _SQRT2_INV).  Each pass
+    writes into the other of the two (2**m, cols) buffers in bufs, and the
+    passes of the low-order half of the qubits run on a transposed copy, so
+    that they read long contiguous rows instead of short strided ones.  src
+    may itself be one of the two buffers; it is then overwritten.  Returns
+    the array that holds the result: src when qubits is empty, else one of
+    bufs.
+    """
+    rows, cols = src.shape
+    m = rows.bit_length() - 1
     low = m // 2
     high = m - low
-    rows = 2**m
-    bufs = [np.empty((rows, cols), dtype=np.complex128) for _ in range(2)]
-    cur = src.reshape(rows, cols)
-    turn = 0  # index of the buffer the next pass writes; never the one it reads
+    cur = src
+    turn = 1 if np.may_share_memory(src, bufs[0]) else 0  # the buffer the next pass writes
     transposed = False
     for q in qubits:
         if q >= high and not transposed:
@@ -197,12 +198,45 @@ def hadamard_layer(a: np.ndarray, mask) -> np.ndarray:
             cur.reshape(2**low, 2**high, cols).transpose(1, 0, 2),
         )
         cur = dst
-    return cur.reshape(a.shape)
+    return cur
+
+
+def _buffer_pair(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+
+
+def hadamard_layer(a: np.ndarray, mask) -> np.ndarray:
+    """H on every qubit q with mask[q] = 1, along axis 0 of a.
+
+    a is one amplitude vector of length 2**len(mask) or a batch of such
+    columns; the result is a fresh array and a is left unchanged.  The
+    passes run in _hadamard_passes within a pair of fresh buffers of a's
+    size, one of which is returned.
+    """
+    src, qubits = _layer_input(a, mask)
+    if not qubits:
+        return np.array(src, order="C").reshape(a.shape)
+    return _hadamard_passes(src, qubits, _buffer_pair(src.shape)).reshape(a.shape)
 
 
 def zx_apply(a: np.ndarray, mask, accept: np.ndarray) -> np.ndarray:
-    """H^mask diag(accept) H^mask applied to the columns of a."""
-    return hadamard_layer(hadamard_layer(a, mask) * accept[:, None], mask)
+    """H^mask diag(accept) H^mask applied to the columns of a.
+
+    accept is one entry per row of a.  Both layers share one pair of fresh
+    buffers of a's size: the first layer runs into the pair, the diagonal
+    scales its result in place, and the second layer runs within the same
+    pair, which also holds the result; a is left unchanged.  The bytes equal
+    those of hadamard_layer(hadamard_layer(a, mask) * accept[:, None], mask).
+    """
+    accept = np.asarray(accept)
+    if accept.shape != (2 ** len(mask),):
+        raise ValueError("accept must be a vector of length 2**len(mask)")
+    src, qubits = _layer_input(a, mask)
+    bufs = _buffer_pair(src.shape)
+    mid = _hadamard_passes(src, qubits, bufs)
+    scaled = bufs[0] if mid is src else mid  # never write into a
+    np.multiply(mid, accept[:, None], out=scaled)
+    return _hadamard_passes(scaled, qubits, bufs).reshape(a.shape)
 
 
 def apply_hadamard(s: StateVector, theta_mask: BitVector) -> StateVector:

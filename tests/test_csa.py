@@ -250,6 +250,20 @@ def test_codespace_identity_random_keys():
         assert csa.codespace_projector_check(key) <= 1e-9
 
 
+def test_enc_isometry_is_a_read_only_one_entry_cache():
+    key = csa.keygen(1, 4, np.random.default_rng(12))
+    e = csa.enc_isometry(key)
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0, 0] = 1.0
+    assert e.tobytes() == csa.enc_isometry.__wrapped__(key).tobytes()
+    # the key a transcript carries parses to an equal key, which hits
+    hits = csa.enc_isometry.cache_info().hits
+    assert csa.enc_isometry(CSAKey.from_json(key.to_json())) is e
+    assert csa.enc_isometry.cache_info().hits == hits + 1
+    assert csa.enc_isometry.cache_info().maxsize == 1
+
+
 def test_codespace_projector_action():
     rng = np.random.default_rng(9)
     key = csa.keygen(1, 1, rng)

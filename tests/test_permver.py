@@ -20,6 +20,7 @@ from qmalab.permver import (
     recommended_k,
     samp_perm,
     sample_permutation,
+    spectral_thresholds,
     thresholds_from_energy,
     verify_entangled,
     verify_product,
@@ -82,6 +83,15 @@ def test_build_spectral_thresholds():
     assert v.a == pytest.approx(1.0)
     assert v.b == pytest.approx(0.0, abs=1e-12)
     assert v.k * v.b < v.threshold < v.k * v.a
+
+
+def test_spectral_thresholds_cache_is_bounded_and_exact():
+    for h in (SINGLE_Z, FULL_PAIR):
+        assert spectral_thresholds(h) == spectral_thresholds.__wrapped__(h)
+    hits = spectral_thresholds.cache_info().hits
+    spectral_thresholds(HamiltonianInstance.from_json(FULL_PAIR.to_json()))
+    assert spectral_thresholds.cache_info().hits == hits + 1
+    assert isinstance(spectral_thresholds.cache_info().maxsize, int)
 
 
 def test_permuted_spec_of_identical_entries_is_permutation_invariant():

@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmalab import csa, obfstack, permver, protocol, zxham
+from qmalab import ati, csa, obfstack, permver, protocol, toycrypto, zxham
 from qmalab.gf2 import BitVector
 from qmalab.obfstack import QPrOSim
 from qmalab.protocol import GammaParams, ProtocolConfig
@@ -254,6 +255,70 @@ def test_structured_povm_matches_raw_three_step_checks():
         v /= np.linalg.norm(v)
         worst = max(worst, float(np.max(np.abs(raw_mixture_apply(v) - dense_block @ v))))
     assert worst < 1e-9
+
+
+def _inline_verifier_povm(obf, qpro, pv, cfg) -> ati.SpectralMixture:
+    """The verifier POVM written out step by step: probe draws, the Ver0
+    mask, the two Hadamard-layer chains, QR, and one adjoint product per
+    permutation, each as a fresh array."""
+    m = pv.list_len * pv.ell
+    width = 2 * cfg.lambda_code + 1
+    phys = m * width
+    ctrl = max(m, cfg.prg_bits)
+    pad = (0,) * (ctrl - m)
+    ver0 = obfstack.pc_eval_table(obf, qpro, (0,) + (0,) * m + pad, phys)
+    ver1 = obfstack.pc_eval_table(obf, qpro, (0,) + (1,) * m + pad, phys)
+    dim, probes = 2**phys, 2**m + 4
+    rng_local = np.random.default_rng(
+        np.frombuffer(toycrypto.digest(b"qmalab-povm-basis", obf.proof.inner), dtype=np.uint8)
+    )
+    g = rng_local.normal(size=(dim, probes)) + 1j * rng_local.normal(size=(dim, probes))
+    ones = (1,) * phys
+    image = hadamard_layer(hadamard_layer(g * ver0[:, None], ones) * ver1[:, None], ones)
+    q, r = np.linalg.qr(image)
+    isometry = np.ascontiguousarray(q[:, np.abs(np.diag(r)) > 1e-8])
+    block = np.zeros((isometry.shape[1],) * 2, dtype=np.complex128)
+    adjoint = isometry.conj().T
+    for perm, weight, rep in protocol.permutation_weights(cfg.prg_bits, pv.list_len):
+        theta_big, _ = permver.permuted_spec(pv, perm)
+        mask = tuple(b for bit in theta_big.bits for b in (bit,) * width)
+        mdec = obfstack.pc_eval_table(obf, qpro, (1,) + rep + (0,) * (ctrl - cfg.prg_bits), phys)
+        chain = hadamard_layer(hadamard_layer(isometry, mask) * (~mdec)[:, None], mask)
+        block += weight * (adjoint @ chain)
+    block = (block + block.conj().T) / 2.0
+    return ati.SpectralMixture.from_isometry_block(isometry, block)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verifier_povm_bytes_equal_the_inline_formula(seed):
+    rng, qpro = fresh(10 + seed)
+    crs, _ = protocol.ext0(rng, CFG)
+    proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
+    pv = permver.build(REFERENCE, CFG.k)
+    mixture = protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)
+    inline = _inline_verifier_povm(proof.obf, qpro, pv, CFG)
+    assert mixture.eigvals.tobytes() == inline.eigvals.tobytes()
+    assert mixture.eigvecs.tobytes() == inline.eigvecs.tobytes()
+
+
+def test_verifier_povm_peak_memory_is_bounded_by_four_probe_matrices():
+    """Once the transcript's branch tables are filled, one POVM build holds
+    at most four probe-sized complex arrays at a time."""
+    rng, qpro = fresh(4)
+    crs, _ = protocol.ext0(rng, CFG)
+    proof = protocol.prove(crs, REFERENCE, ground(REFERENCE), CFG, qpro, rng)
+    pv = permver.build(REFERENCE, CFG.k)
+    protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)  # fills the tables
+    m = pv.list_len * pv.ell
+    probe_bytes = 2 ** (m * (2 * CFG.lambda_code + 1)) * (2**m + 4) * 16  # 1.25 MiB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        protocol.assemble_verifier_povm(proof.obf, qpro, pv, CFG)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * probe_bytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_post_verified_extraction_is_exact_over_the_accept_eigenspace():

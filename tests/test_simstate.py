@@ -143,11 +143,12 @@ def test_hadamard_layer_bytes_equal_butterfly_reference(m):
                 assert a.tobytes() == before
 
 
-@pytest.mark.parametrize("m", range(11))
+@pytest.mark.parametrize("m", range(13))
 def test_zx_apply_bytes_equal_two_layer_chains(m):
     """zx_apply against the inline chains it replaced: the verifier POVM's
-    codespace closure and per-permutation check, the codespace check, and
-    the dense ZX projector."""
+    codespace closure and per-permutation check (up to the 12-qubit
+    reference register), the codespace check, and the dense ZX projector
+    (up to 10 qubits, as a 2**m x 2**m matrix)."""
     rng = np.random.default_rng(200 + m)
     masks = [(0,) * m, (1,) * m, tuple(int(b) for b in rng.integers(0, 2, size=m))]
     first = rng.integers(0, 2, size=2**m).astype(bool)
@@ -174,11 +175,19 @@ def test_zx_apply_bytes_equal_two_layer_chains(m):
             assert zx_apply(a * first[:, None], ones, accept).tobytes() == rhs.tobytes()
     # the former zx_projector: the layer on the columns of diag(accept), then
     # on the rows through a transpose
-    for mask in masks:
+    for mask in masks if m <= 10 else ():
         left = hadamard_layer(np.diag(accept.astype(np.complex128)), mask)
         dense = hadamard_layer(left.T, mask).T
         out = zx_projector(BitVector(mask), BasisPredicate(accept))
         assert out.tobytes() == dense.tobytes(), mask
+
+
+def test_zx_apply_refuses_an_accept_vector_of_the_wrong_shape():
+    a = np.ones((8, 2))
+    for accept in (np.array([True]), np.ones((8, 1), dtype=bool), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError, match="accept"):
+            zx_apply(a, (1, 1, 1), accept)
+    assert zx_apply(a, (1, 1, 1), np.ones(8, dtype=bool)).shape == (8, 2)
 
 
 def test_register_blocks_equal_index_to_bits_slices():

@@ -165,6 +165,36 @@ def test_no_except_clause_can_turn_a_bug_into_a_rejection():
     assert not offending
 
 
+def _unbounded_cache(node: ast.AST) -> bool:
+    """node, a call or a decorator, is functools.cache or an lru_cache
+    without an integer maxsize."""
+    func = node.func if isinstance(node, ast.Call) else node
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "lru_cache":
+        return name == "cache"
+    if not isinstance(node, ast.Call):
+        return True  # a bare @lru_cache states no maxsize
+    sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+    return not (
+        len(sizes) == 1 and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+    )
+
+
+def test_no_module_level_cache_grows_with_its_inputs():
+    """Every function cache in the package states a finite integer maxsize."""
+    offending = []
+    for path in sorted(Path(toycrypto.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a called decorator is itself a Call node
+            sites = [d for d in getattr(node, "decorator_list", []) if not isinstance(d, ast.Call)]
+            if isinstance(node, ast.Call):
+                sites.append(node)
+            for site in sites:
+                if _unbounded_cache(site):
+                    offending.append(f"{path.name}:{site.lineno} {ast.unparse(site)}")
+    assert not offending
+
+
 def test_the_field_readers_raise_value_error_naming_the_field():
     with pytest.raises(ValueError, match="field 'a' is missing"):
         toycrypto._wire_field({}, "a")
