@@ -86,12 +86,12 @@ class RunConfig:
             if ref is not None:
                 zxham.HamiltonianInstance.from_json(ref)  # shape check; the dict is echoed
         cfg = cls(**data)
-        if cfg.trials < 0:
-            raise ValueError("trial count must be nonnegative")
-        if cfg.budget < 0:
-            raise ValueError("query budget must be nonnegative")
-        if cfg.lambda_cc < 1:
-            raise ValueError("lambda_cc must be at least 1")
+        for name in ("seed", "trials", "k", "prg_bits", "budget"):
+            if getattr(cfg, name) < 0:
+                raise ValueError(f"config field {name!r} must be nonnegative")
+        for name in ("lambda_code", "lambda_cc"):
+            if getattr(cfg, name) < 1:
+                raise ValueError(f"config field {name!r} must be at least 1")
         return cfg
 
     def trials_or(self, default: int) -> int:
@@ -408,9 +408,8 @@ def scenario_cutchoose_detect(cfg: RunConfig) -> dict:
 
 def _game_key_swap(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
     qpro = QPrOSim.from_seed(rng, instance_count=2)
-    k0 = qpro.sample_key(rng)
+    k0, k1 = qpro.sample_keys(rng, 2)
     handle = qpro.gen(1, k0)
-    k1 = qpro.sample_key(rng)
 
     def oracle(x: bytes) -> bytes:
         if world == 0:
@@ -419,8 +418,7 @@ def _game_key_swap(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
 
     probe = rng.bytes(8)
     seen = oracle(probe)
-    for _ in range(cfg.budget):
-        guess_key = qpro.sample_key(rng)
+    for guess_key in qpro.sample_keys(rng, cfg.budget):
         if qpro.gen(1, guess_key) == handle:
             return int(obfstack.qpro_prf(1, guess_key, probe, 16) != seen)
     return 0

@@ -148,11 +148,6 @@ class Subspace:
     def contains(self, v: BitVector) -> bool:
         return _reduce(self._index(v), self.rows) == 0
 
-    def reduce(self, v: BitVector) -> BitVector:
-        """Canonical coset representative of v + self (zeros at all pivots),
-        the lexicographically smallest member of the coset."""
-        return BitVector.from_index(_reduce(self._index(v), self.rows), self.ambient_dim)
-
     def elements(self) -> list[BitVector]:
         """Enumerate all 2^dim members (intended for small dim); the first
         row is the most significant coefficient."""
@@ -223,13 +218,6 @@ def sample_vector_outside(s: Subspace, rng: np.random.Generator) -> BitVector:
         v = BitVector.from_array(rng.integers(0, 2, size=s.ambient_dim, dtype=np.uint8))
         if not s.contains(v):
             return v
-
-
-def coset_member(v: BitVector, s: Subspace, shift: BitVector) -> bool:
-    """True iff v + shift lies in span(s)."""
-    if len(v) != s.ambient_dim or len(shift) != s.ambient_dim:
-        raise ValueError("length mismatch")
-    return s.contains(v ^ shift)
 
 
 def dual_decomposition(c: CosetPair) -> tuple[Subspace, BitVector]:

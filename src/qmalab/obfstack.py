@@ -356,9 +356,6 @@ class QPrOSim:
         same generator state as n scalar draws."""
         return tuple(rng.integers(0, 1 << self.lam_bits, size=n).tolist())
 
-    def sample_key(self, rng: np.random.Generator) -> int:
-        return self.sample_keys(rng, 1)[0]
-
 
 # -- toy 1-key functional encryption ------------------------------------------
 

@@ -19,8 +19,6 @@ from .gf2 import BitVector
 from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
 from .zxham import HamiltonianInstance, ZXMeasurementSpec, acceptance_operator, term_to_zx
 
-ENTANGLED_QUBIT_CAP = 14
-
 
 def thresholds_from_energy(
     a_prime: float, b_prime: float, weight_sum: float
@@ -196,13 +194,6 @@ def permuted_spec(
     return theta_big, BasisPredicate(count >= v.threshold)
 
 
-def samp_perm(
-    v: PermutingVerifier, rng: np.random.Generator
-) -> tuple[BitVector, BasisPredicate]:
-    """Sample a uniform permutation and return its concatenated ZX spec."""
-    return permuted_spec(v, sample_permutation(v.list_len, rng))
-
-
 def verify_product(
     v: PermutingVerifier, witness_copy: StateVector, rng: np.random.Generator
 ) -> int:
@@ -220,36 +211,6 @@ def verify_product(
         spec = v.specs[p]
         prob, _ = measure_zx(witness_copy, spec.theta, spec.f)
         count += int(rng.random() < prob)
-    return int(count >= v.threshold)
-
-
-def verify_entangled(
-    v: PermutingVerifier, full_state: StateVector, rng: np.random.Generator
-) -> int:
-    """Run the permuted sub-measurements sequentially on the disjoint
-    registers of a full (possibly entangled) state."""
-    total = v.list_len * v.ell
-    if full_state.num_qubits != total:
-        raise ValueError("state must span list_len * ell qubits")
-    if total > ENTANGLED_QUBIT_CAP:
-        raise ValueError(f"entangled check capped at {ENTANGLED_QUBIT_CAP} qubits")
-    perm = sample_permutation(v.list_len, rng)
-    blocks = register_blocks(total, v.ell)
-    state = full_state
-    count = 0
-    for t, p in enumerate(perm):
-        spec = v.specs[p]
-        before, after = (0,) * (t * v.ell), (0,) * (total - (t + 1) * v.ell)
-        theta_full = BitVector(before + spec.theta.bits + after)
-        f_full = BasisPredicate(spec.f.table()[blocks[t]])
-        prob, post_acc = measure_zx(state, theta_full, f_full)
-        if rng.random() < prob:
-            count += 1
-            state = post_acc
-        else:
-            state = measure_zx(state, theta_full, f_full.complement())[1]
-        if state is None:  # numerically dead branch; outcome already decided
-            break
     return int(count >= v.threshold)
 
 

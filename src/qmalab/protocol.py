@@ -37,6 +37,7 @@ from .toycrypto import _wire_field
 from .zxham import HamiltonianInstance, acceptance_operator
 
 PHYSICAL_QUBIT_CAP = 14
+PRG_BITS_CAP = 16  # permutation_weights enumerates 2**prg_bits seeds: under half a second at 16
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,13 @@ class ProtocolConfig:
     lambda_cc: int = 8
     prg_bits: int = 12
 
+    def __post_init__(self):
+        if not 0 <= self.prg_bits <= PRG_BITS_CAP:
+            raise ValueError(f"prg_bits must lie in 0..{PRG_BITS_CAP}, not {self.prg_bits}")
+        for name in ("k", "lambda_code", "lambda_cc"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class QmaProof:
@@ -86,15 +94,6 @@ def ext0(rng: np.random.Generator, cfg: ProtocolConfig) -> tuple[PcParams, bytes
 
 
 # -- seeded measurement selection ---------------------------------------------
-
-
-def prg_expand(seed_bits: tuple[int, ...], out_bits: int) -> BitVector:
-    """Deterministic expansion of a seed into measurement-selection bits."""
-    raw = _prg_bytes(*_prg_input(seed_bits), (out_bits + 7) // 8)
-    bits = []
-    for byte in raw:
-        bits.extend((byte >> (7 - i)) & 1 for i in range(8))
-    return BitVector(tuple(bits[:out_bits]))
 
 
 def _prg_input(seed_bits: tuple[int, ...]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .gf2 import BitVector, CosetPair, bits_to_index
+from .gf2 import BitVector, bits_to_index
 
 QUBIT_CAP = 22
 NORM_TOL = 1e-9
@@ -100,50 +100,16 @@ def _check_arity(arity: int) -> None:
         raise ValueError(f"predicate arity {arity} exceeds the {QUBIT_CAP}-qubit cap")
 
 
-def basis_indices(arity: int) -> np.ndarray:
-    """All 2**arity basis indices, for building a predicate's table; refuses
-    arities above the simulator cap before allocating."""
-    _check_arity(arity)
-    return np.arange(2**arity)
-
-
 def register_blocks(num_qubits: int, width: int) -> list[np.ndarray]:
     """Value of each consecutive width-qubit block (block 0 first) at every
-    basis index of a num_qubits register."""
+    basis index of a num_qubits register; refuses registers above the
+    simulator cap before allocating."""
     if width < 1 or num_qubits % width:
         raise ValueError("block width must divide the qubit count")
-    idxs = basis_indices(num_qubits)
+    _check_arity(num_qubits)
+    idxs = np.arange(2**num_qubits)
     mask = (1 << width) - 1
     return [(idxs >> (num_qubits - (i + 1) * width)) & mask for i in range(num_qubits // width)]
-
-
-def constant_predicate(arity: int, value: int) -> BasisPredicate:
-    return BasisPredicate(np.full(2**arity, bool(value)))
-
-
-def _mask_int(mask: BitVector, num_qubits: int) -> int:
-    if len(mask) != num_qubits:
-        raise ValueError("mask length must equal the qubit count")
-    return mask.to_index()
-
-
-def apply_pauli(s: StateVector, x_mask: BitVector, z_mask: BitVector) -> StateVector:
-    """X^x Z^z with the phase convention (-1)^(z . basis) applied before the flip."""
-    m = s.num_qubits
-    x = _mask_int(x_mask, m)
-    z = _mask_int(z_mask, m)
-    idx = np.arange(2**m, dtype=np.int64)
-    phases = np.where(_popcount_parity(idx & z), -1.0, 1.0)
-    out = np.empty_like(s.amplitudes)
-    out[idx ^ x] = s.amplitudes * phases
-    return StateVector(out, m)
-
-
-def _popcount_parity(a: np.ndarray) -> np.ndarray:
-    v = a.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (v & 1).astype(bool)
 
 
 def _layer_input(a: np.ndarray, mask) -> tuple[np.ndarray, list[int]]:
@@ -242,21 +208,9 @@ def zx_apply(a: np.ndarray, mask, accept: np.ndarray) -> np.ndarray:
 def apply_hadamard(s: StateVector, theta_mask: BitVector) -> StateVector:
     """Hadamard on every qubit i with theta_i = 1."""
     m = s.num_qubits
-    _mask_int(theta_mask, m)
+    if len(theta_mask) != m:
+        raise ValueError("mask length must equal the qubit count")
     return StateVector(hadamard_layer(s.amplitudes, theta_mask.bits), m)
-
-
-def coset_superposition(c: CosetPair, bit: int) -> StateVector:
-    """Uniform superposition over the coset S + bit*delta."""
-    m = c.ambient_dim
-    if m > QUBIT_CAP:
-        raise ValueError(f"ambient dimension exceeds the {QUBIT_CAP}-qubit cap")
-    amps = np.zeros(2**m, dtype=np.complex128)
-    shift = c.delta if bit else BitVector.zeros(m)
-    scale = 2 ** (-c.s.dim / 2)
-    for v in c.s.elements():
-        amps[(v ^ shift).to_index()] = scale
-    return StateVector(amps, m)
 
 
 def project_predicate(
@@ -312,11 +266,6 @@ def tensor_many(states: list[StateVector]) -> StateVector:
     for st in states[1:]:
         out = tensor(out, st)
     return out
-
-
-def trace_distance_pure(a: StateVector, b: StateVector) -> float:
-    """Trace distance between two pure states: sqrt(1 - |<a|b>|^2)."""
-    return float(np.sqrt(max(0.0, 1.0 - a.fidelity(b))))
 
 
 def zx_projector(theta: BitVector, f: BasisPredicate) -> np.ndarray:

@@ -20,7 +20,8 @@ from .simstate import BasisPredicate, StateVector, measure_zx, register_blocks
 from .toycrypto import _wire_field, _wire_int, _wire_list
 
 SPECTRAL_QUBIT_CAP = 10
-_TERM_FIELDS = ("i", "j", "basis", "beta", "p")  # HamTerm's fields, in order
+# HamTerm's fields in order, each with the reader of its JSON value (p is checked by HamTerm)
+_TERM_FIELDS = (("i", _wire_int), ("j", _wire_int), ("basis", str), ("beta", _wire_int), ("p", None))
 
 _PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -38,8 +39,8 @@ class HamTerm:
     p: float
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Real) for v in (self.i, self.j, self.p)):
-            raise ValueError("term indices and weight must be numbers")
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise ValueError(f"term weight p must be a number, not {self.p!r}")
         if self.basis not in ("Z", "X"):
             raise ValueError("basis must be 'Z' or 'X'")
         if not 0 <= self.i < self.j:
@@ -102,7 +103,7 @@ class HamiltonianInstance:
     def from_json(cls, data: dict) -> HamiltonianInstance:
         """Parse an instance object; a malformed one raises ValueError."""
         terms = tuple(
-            HamTerm(*(_wire_field(d, k) for k in _TERM_FIELDS)) for d in _wire_field(data, "terms", _wire_list)
+            HamTerm(*(_wire_field(d, *field) for field in _TERM_FIELDS)) for d in _wire_field(data, "terms", _wire_list)
         )
         return cls(_wire_field(data, "qubits", _wire_int), terms)
 

@@ -10,6 +10,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,14 @@ def test_ati_check_builds_its_two_mixtures_once(trials, monkeypatch):
         {"seed": 1, "trials": 2, "lambda_cc": 0},
         {"seed": 1, "instance": {"qubits": 2, "terms": [1]}},
         {"seed": 1, "instance_b": "list_instance.json"},
+        {"seed": -1},
+        {"seed": 1, "k": -1},
+        {"seed": 1, "prg_bits": -1},
+        {"seed": 1, "lambda_code": 0},
+        {"seed": 1, "instance": {"qubits": 2, "terms": [{"i": 0.0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]}},
+        {"seed": 1, "instance": {"qubits": 2, "terms": [{"i": False, "j": True, "basis": "Z", "beta": True, "p": 0.5}]}},
+        {"seed": 1, "instance": {"qubits": 3, "terms": [
+            {"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}, {"i": 1, "j": 2, "basis": "Z", "beta": 0, "p": False}]}},
     ],
 )
 def test_config_of_the_wrong_type_is_refused_before_any_work(data, tmp_path, capsys, monkeypatch):
@@ -107,6 +116,17 @@ def test_config_of_the_wrong_type_is_refused_before_any_work(data, tmp_path, cap
     cfg_path.write_text(json.dumps(data))
     assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scenario", ["e2e-complete", "e2e-extract", "e2e-simulate"])
+def test_prg_bits_above_the_cap_exit_2_before_the_first_trial(scenario, tmp_path, capsys):
+    # permutation_weights enumerates 2**prg_bits seeds: at 40 it would not return
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "trials": 1, "prg_bits": 40}))
+    start = time.monotonic()
+    assert cli.main(["run", "--scenario", scenario, "--config", str(cfg_path)]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "prg_bits" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_config_types_accept_every_declared_form():
@@ -163,8 +183,10 @@ def test_report_schema_and_reproducibility():
          "78c8a59920b1df67b51948b6a8b3d03db47e2999d271888ea23d77a607b2857d"),
         ({"scenario": "distinguish-game", "seed": 1, "trials": 200, "game": "evasive-comb"},
          "1fc5666b060716c22b8946ee3e064cf28fa9bb52ec51779f0e5655763e3ce580"),
+        ({"scenario": "distinguish-game", "seed": 1, "trials": 200, "game": "key-swap"},
+         "0b107fcd3d04e4a133afbd7015fa8340b5de19ac60955ca394caf14332b4dd9e"),
     ],
-    ids=["jllw-1", "jllw-108", "cutchoose-1", "evasive-comb-1"],
+    ids=["jllw-1", "jllw-108", "cutchoose-1", "evasive-comb-1", "key-swap-1"],
 )
 def test_seeded_report_bytes_pinned(config, digest):
     """Seeded reports without wall_clock_s are byte-identical to the

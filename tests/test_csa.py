@@ -12,7 +12,6 @@ from qmalab.simstate import (
     BasisPredicate,
     StateVector,
     apply_hadamard,
-    constant_predicate,
     project_predicate,
 )
 
@@ -132,7 +131,7 @@ def test_dec_predicate_standard_basis_cases():
     assert dec.eval((0, 1, 0)) == 1 and dec.eval((1, 1, 0)) == 1
     assert dec.eval((0, 0, 1)) == 0  # outside all four cosets -> bot -> 0
     parity = BasisPredicate([0, 1])
-    dec_const = csa.dec_predicate(DecSpec(key, BitVector((0,)), constant_predicate(1, 1)))
+    dec_const = csa.dec_predicate(DecSpec(key, BitVector((0,)), BasisPredicate(np.full(2, True))))
     assert dec_const.eval((0, 0, 1)) == 0  # bot clause beats the constant
 
 
@@ -184,7 +183,7 @@ def test_ver_is_dec_with_all_accept_f_and_both_match_reference_loops():
             for t in range(2**n):
                 theta = BitVector(index_to_bits(t, n))
                 ver = csa.ver_predicate(key, theta).table()
-                accept_all = csa.dec_predicate(DecSpec(key, theta, constant_predicate(n, 1)))
+                accept_all = csa.dec_predicate(DecSpec(key, theta, BasisPredicate(np.full(2**n, True))))
                 assert np.array_equal(ver, accept_all.table())
                 ref_dec, ref_ver = _reference_predicates(key, theta, f)
                 assert np.array_equal(csa.dec_predicate(DecSpec(key, theta, f)).table(), ref_dec)
@@ -301,4 +300,4 @@ def test_codespace_check_cap():
     with pytest.raises(ValueError):
         csa.codespace_projector_check(key)
     with pytest.raises(ValueError, match="capped"):
-        csa.correctness_deviation(key, BitVector.zeros(3), constant_predicate(3, 1))
+        csa.correctness_deviation(key, BitVector.zeros(3), BasisPredicate(np.full(8, True)))

@@ -99,7 +99,7 @@ def test_qpro_gen_eval_definitional():
     rng = np.random.default_rng(1)
     qpro = QPrOSim.from_seed(rng)
     for _ in range(100):
-        k = qpro.sample_key(rng)
+        (k,) = qpro.sample_keys(rng, 1)
         h = qpro.gen(1, k)
         x = rng.bytes(8)
         assert qpro.eval(1, h, x, 16) == obfstack.qpro_prf(1, k, x, 16)
@@ -266,12 +266,12 @@ def test_sample_keys_equal_scalar_draws(lam_bits, n):
     assert keys == tuple(int(scalar.integers(0, 1 << lam_bits)) for _ in range(n))
     assert all(type(k) is int for k in keys)
     assert bundle.bit_generator.state == scalar.bit_generator.state
-    assert qpro.sample_key(bundle) == int(scalar.integers(0, 1 << lam_bits))
+    assert qpro.sample_keys(bundle, 1)[0] == int(scalar.integers(0, 1 << lam_bits))
 
 
 def test_qpro_refuses_parameters_it_cannot_run():
     rng = np.random.default_rng(35)
-    # lam_bits=64 used to construct and then fail in sample_key ("high is out
+    # lam_bits=64 used to construct and then fail in sample_keys ("high is out
     # of bounds for int64"); 66 failed in gen's 4-byte half; 0 instances
     # failed every query
     for lam_bits in (64, 66, 6, 15):
@@ -280,7 +280,7 @@ def test_qpro_refuses_parameters_it_cannot_run():
     with pytest.raises(ValueError, match="instance_count"):
         QPrOSim.from_seed(rng, instance_count=0)
     widest = QPrOSim.from_seed(rng, lam_bits=62, instance_count=1)
-    k = widest.sample_key(rng)
+    (k,) = widest.sample_keys(rng, 1)
     assert widest.inv(0, widest.gen(0, k)) == k
     assert widest.gen(0, k) == _feistel_reference(widest, 0, k)
 

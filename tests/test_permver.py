@@ -1,4 +1,5 @@
-"""Permuting verifier construction, product/entangled runs, and bounds."""
+"""Permuting verifier construction, product runs, and bounds; the entangled
+run that verify_product is checked against lives here."""
 
 from __future__ import annotations
 
@@ -18,11 +19,9 @@ from qmalab.permver import (
     permutation_from_bytes,
     permuted_spec,
     recommended_k,
-    samp_perm,
     sample_permutation,
     spectral_thresholds,
     thresholds_from_energy,
-    verify_entangled,
     verify_product,
 )
 from qmalab.gf2 import BitVector
@@ -30,7 +29,9 @@ from qmalab.simstate import (
     BasisPredicate,
     StateVector,
     apply_hadamard,
+    measure_zx,
     project_predicate,
+    register_blocks,
     tensor_many,
 )
 from qmalab.zxham import HamTerm, HamiltonianInstance
@@ -48,6 +49,37 @@ FRUSTRATED = HamiltonianInstance(
         HamTerm(1, 2, "X", 0, 0.25),
     ),
 )
+
+ENTANGLED_QUBIT_CAP = 14
+
+
+def verify_entangled(v, full_state: StateVector, rng: np.random.Generator) -> int:
+    """Run the permuted sub-measurements sequentially on the disjoint
+    registers of a full (possibly entangled) state: the definition that
+    verify_product's independent copies are checked against."""
+    total = v.list_len * v.ell
+    if full_state.num_qubits != total:
+        raise ValueError("state must span list_len * ell qubits")
+    if total > ENTANGLED_QUBIT_CAP:
+        raise ValueError(f"entangled check capped at {ENTANGLED_QUBIT_CAP} qubits")
+    perm = sample_permutation(v.list_len, rng)
+    blocks = register_blocks(total, v.ell)
+    state = full_state
+    count = 0
+    for t, p in enumerate(perm):
+        spec = v.specs[p]
+        before, after = (0,) * (t * v.ell), (0,) * (total - (t + 1) * v.ell)
+        theta_full = BitVector(before + spec.theta.bits + after)
+        f_full = BasisPredicate(spec.f.table()[blocks[t]])
+        prob, post_acc = measure_zx(state, theta_full, f_full)
+        if rng.random() < prob:
+            count += 1
+            state = post_acc
+        else:
+            state = measure_zx(state, theta_full, f_full.complement())[1]
+        if state is None:  # numerically dead branch; outcome already decided
+            break
+    return int(count >= v.threshold)
 
 
 def test_thresholds_from_energy_examples():
@@ -125,7 +157,7 @@ def test_permutation_from_bytes_fixed_stream():
 
 def test_threshold_predicate_counts():
     v = build(FULL_PAIR, 2)
-    theta, f = samp_perm(v, np.random.default_rng(0))
+    theta, f = permuted_spec(v, sample_permutation(v.list_len, np.random.default_rng(0)))
     assert f.arity == len(theta) == 4
     # all sub-measurements accepting => accept
     table = f.table()

@@ -47,18 +47,28 @@ def test_gamma_params_validation():
         GammaParams(0.95, 0.1)
 
 
+def test_protocol_config_refuses_what_cannot_run():
+    bad = [("prg_bits", -1), ("prg_bits", protocol.PRG_BITS_CAP + 1), ("k", 0), ("lambda_code", 0), ("lambda_cc", 0)]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{field: value})
+    for bits in (0, protocol.PRG_BITS_CAP):
+        assert ProtocolConfig(prg_bits=bits).prg_bits == bits
+
+
 def test_prg_expand_properties():
-    a = protocol.prg_expand((0, 1, 1, 0), 64)
-    b = protocol.prg_expand((0, 1, 1, 0), 64)
-    assert a.bits == b.bits
+    # a seed's PRG expansion, the bytes _perm_for_seed draws its shuffle from
+    a = protocol._prg_bytes(*protocol._prg_input((0, 1, 1, 0)), 8)
+    b = protocol._prg_bytes(*protocol._prg_input((0, 1, 1, 0)), 8)
+    assert a == b
     seen = set()
     ones = 0
     total = 0
     for r in range(4096):
         bits = tuple((r >> (11 - i)) & 1 for i in range(12))
-        out = protocol.prg_expand(bits, 32)
-        seen.add(out.bits)
-        ones += sum(out.bits)
+        out = protocol._prg_bytes(*protocol._prg_input(bits), 4)
+        seen.add(out)
+        ones += bin(int.from_bytes(out, "big")).count("1")
         total += 32
     assert len(seen) == 4096  # distinct outputs w.h.p.
     assert abs(ones / total - 0.5) < 0.02

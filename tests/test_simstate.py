@@ -1,4 +1,6 @@
-"""Statevector kernel: Pauli/Hadamard application, projections, ZX measurement."""
+"""Statevector kernel: Hadamard application, projections, ZX measurement;
+the Pauli and coset-state references that the CSA block isometry is checked
+against live here."""
 
 from __future__ import annotations
 
@@ -7,21 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmalab import csa
 from qmalab.gf2 import BitVector, CosetPair, Subspace, bits_to_index, index_to_bits
 from qmalab.simstate import (
     BasisPredicate,
     StateVector,
     apply_hadamard,
     QUBIT_CAP,
-    apply_pauli,
-    coset_superposition,
-    constant_predicate,
     hadamard_layer,
     measure_zx,
     project_predicate,
     register_blocks,
     tensor,
-    trace_distance_pure,
     zx_apply,
     zx_projector,
 )
@@ -30,6 +29,54 @@ from qmalab.simstate import (
 def random_state(rng: np.random.Generator, m: int) -> StateVector:
     a = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
     return StateVector.from_amplitudes(a / np.linalg.norm(a))
+
+
+# -- references: the definitions CSARecord.block_isometry is checked against ---
+
+
+def apply_pauli(s: StateVector, x_mask: BitVector, z_mask: BitVector) -> StateVector:
+    """X^x Z^z with the phase convention (-1)^(z . basis) applied before the flip."""
+    m = s.num_qubits
+    if len(x_mask) != m or len(z_mask) != m:
+        raise ValueError("mask length must equal the qubit count")
+    x, z = x_mask.to_index(), z_mask.to_index()
+    idx = np.arange(2**m, dtype=np.int64)
+    phases = np.where(_popcount_parity(idx & z), -1.0, 1.0)
+    out = np.empty_like(s.amplitudes)
+    out[idx ^ x] = s.amplitudes * phases
+    return StateVector(out, m)
+
+
+def _popcount_parity(a: np.ndarray) -> np.ndarray:
+    v = a.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return (v & 1).astype(bool)
+
+
+def coset_superposition(c: CosetPair, bit: int) -> StateVector:
+    """Uniform superposition over the coset S + bit*delta."""
+    m = c.ambient_dim
+    if m > QUBIT_CAP:
+        raise ValueError(f"ambient dimension exceeds the {QUBIT_CAP}-qubit cap")
+    amps = np.zeros(2**m, dtype=np.complex128)
+    shift = c.delta if bit else BitVector.zeros(m)
+    scale = 2 ** (-c.s.dim / 2)
+    for v in c.s.elements():
+        amps[(v ^ shift).to_index()] = scale
+    return StateVector(amps, m)
+
+
+@pytest.mark.parametrize("lambda_code", [1, 2])
+def test_block_isometry_columns_are_padded_coset_states(lambda_code):
+    rng = np.random.default_rng([51, lambda_code])
+    records = [r for _ in range(3) for r in csa.keygen(lambda_code, 2, rng).records]
+    for r in records:
+        iso = r.block_isometry
+        assert iso.shape == (2**r.width, 2)
+        for b in (0, 1):
+            ref = apply_pauli(coset_superposition(CosetPair(r.s, r.delta), b), r.x, r.z)
+            assert np.max(np.abs(iso[:, b] - ref.amplitudes)) <= 1e-12
 
 
 def test_pauli_identity_and_flips():
@@ -246,11 +293,11 @@ def test_coset_superposition_examples():
 def test_project_predicate_constants_and_bell():
     rng = np.random.default_rng(3)
     s = random_state(rng, 2)
-    prob1, post1, post0 = project_predicate(s, constant_predicate(2, 1))
+    prob1, post1, post0 = project_predicate(s, BasisPredicate(np.full(4, True)))
     assert prob1 == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(post1.amplitudes, s.amplitudes)
     assert post0 is None
-    prob0, _, _ = project_predicate(s, constant_predicate(2, 0))
+    prob0, _, _ = project_predicate(s, BasisPredicate(np.full(4, False)))
     assert prob0 == pytest.approx(0.0, abs=1e-12)
 
     bell = StateVector.from_amplitudes([1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
@@ -274,7 +321,7 @@ def test_born_completeness(seed, m):
 
 def test_measure_zx_examples():
     ident = BasisPredicate([0, 1])
-    s0, _ = measure_zx(StateVector.basis(2, 1), BitVector((0, 0)), constant_predicate(2, 1))
+    s0, _ = measure_zx(StateVector.basis(2, 1), BitVector((0, 0)), BasisPredicate(np.full(4, True)))
     assert s0 == pytest.approx(1.0)
 
     plus = apply_hadamard(StateVector.basis(1, 0), BitVector((1,)))
@@ -312,7 +359,8 @@ def test_gentle_measurement_bound():
             if post is None or prob < 0.5:
                 continue
             delta = max(0.0, 1.0 - prob)
-            assert trace_distance_pure(s, post) <= 2 * np.sqrt(delta) + 1e-9
+            trace_distance = np.sqrt(max(0.0, 1.0 - s.fidelity(post)))  # of two pure states
+            assert trace_distance <= 2 * np.sqrt(delta) + 1e-9
             checked += 1
     assert checked > 30
 

@@ -75,6 +75,11 @@ def test_instance_rejects_a_repeated_term():
         {"qubits": [2], "terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]},
         {"qubits": 2, "terms": [{"i": "0", "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]},
         {"qubits": 2, "terms": [{"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": "1/2"}]},
+        {"qubits": 2, "terms": [{"i": 0.0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}]},
+        {"qubits": 2, "terms": [{"i": False, "j": True, "basis": "Z", "beta": True, "p": 0.5}]},
+        {"qubits": 2, "terms": [{"i": 0, "j": 1, "basis": ["Z"], "beta": 0, "p": 0.5}]},
+        {"qubits": 3, "terms": [
+            {"i": 0, "j": 1, "basis": "Z", "beta": 0, "p": 0.5}, {"i": 1, "j": 2, "basis": "Z", "beta": 0, "p": False}]},
     ],
 )
 def test_malformed_instance_json_raises_value_error(data):
