@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,10 @@ class SpectralMixture:
         evals, evecs = np.linalg.eigh(block)
         return cls(num_qubits, evals, isometry @ evecs, has_junk=rank < dim)
 
+    @cached_property
+    def _eigvecs_conj(self) -> np.ndarray:  # one copy for every threshold run and expectation
+        return self.eigvecs.conj()
+
     def eigenvalue_groups(self) -> list[tuple[float, np.ndarray]]:
         """Eigenvalues grouped to EIG_GROUP_TOL with their column indices."""
         groups: list[tuple[float, list[int]]] = []
@@ -111,7 +116,7 @@ def threshold_measure(
         raise ValueError("state size disagrees with the mixture")
     cutoff = 1.0 - gamma / 2.0
 
-    coeffs = spec.eigvecs.conj().T @ s.amplitudes
+    coeffs = spec._eigvecs_conj.T @ s.amplitudes
     groups = spec.eigenvalue_groups()
     weights = [float(np.sum(np.abs(coeffs[ix]) ** 2)) for _, ix in groups]
     values = [v for v, _ in groups]
@@ -148,7 +153,7 @@ def threshold_measure(
 def mixture_expectation(spec: SpectralMixture, s: StateVector) -> float:
     """Tr[E |s><s|] = sum_j lambda_j |<v_j|s>|^2 over the eigenpairs of E
     (the junk space has eigenvalue 0 and adds nothing)."""
-    coeffs = spec.eigvecs.conj().T @ s.amplitudes
+    coeffs = spec._eigvecs_conj.T @ s.amplitudes
     return float(np.real(np.sum(spec.eigvals * np.abs(coeffs) ** 2)))
 
 

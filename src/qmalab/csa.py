@@ -232,9 +232,12 @@ def dec_predicate(spec: DecSpec) -> BasisPredicate:
     return BasisPredicate(spec.f.table()[word] & ~bot)
 
 
+@lru_cache(maxsize=8)
 def ver_predicate(key: CSAKey, theta: BitVector) -> BasisPredicate:
     """Codespace membership test: per block, theta_i = 0 requires membership
-    in S_delta + x and theta_i = 1 membership in the shifted dual union."""
+    in S_delta + x and theta_i = 1 membership in the shifted dual union.
+    Cached per (key, theta), and read-only as every BasisPredicate is: ext1's
+    two tables are verify's, for the equal key parsed from the transcript."""
     return BasisPredicate(~_decode(key, theta)[1])
 
 

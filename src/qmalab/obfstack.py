@@ -245,11 +245,17 @@ def ideal_eval_table(qpro: QPrOSim, h: ObfHandle, prefix: tuple[int, ...], suffi
 _PRF_STATE = toycrypto.digest_state(b"qmalab-qpro-prf", (), next_len=4)  # awaits the instance
 
 
+@functools.lru_cache(maxsize=8, typed=True)  # at least 2 * JLLW_BLOCKS
 def qpro_prf(instance: int, key: int, x: bytes, out_len: int) -> bytes:
     """Public PRF family H underlying the QPrO (keyed per oracle instance):
     the keystream seeded by digest(b"qmalab-qpro-prf", instance, key, x).
     Each call copies one prepared personalized state, a constant, and
-    absorbs the three parts in digest's framing, so the bytes are the same."""
+    absorbs the three parts in digest's framing, so the bytes are the same.
+
+    The result is a pure function of the arguments, so a small memo returns
+    it again: a JLLW node's expand step hashes its B pads and the walk then
+    asks the oracle for the same B pads (QPrOSim.eval is still called, and
+    still inverts the handle, for each of them)."""
     h = _PRF_STATE.copy()
     h.update(instance.to_bytes(4, "big"))
     return toycrypto.stream(toycrypto.absorb(h, (key.to_bytes(8, "big"), x)).digest(), out_len)
@@ -360,8 +366,12 @@ class QPrOSim:
 # -- toy 1-key functional encryption ------------------------------------------
 
 
+# json.dumps with these arguments would build this encoder anew on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 @dataclass(frozen=True)
@@ -398,7 +408,7 @@ class FeFunction:
             chi = _wire_field(body, "chi", _wire_bits)
             info = _wire_field(body, "info", dict)
             if self.kind == "jllw-eval":
-                circuit = _wire_field(info, "circuit", CircuitDesc.from_canonical)
+                circuit = _wire_field(info, "circuit", _leaf_circuit)
                 return bytes([circuit.eval_bits(tuple(map(int, chi)))])
             return self._expand_normal(chi, info)
         except ValueError as exc:
@@ -426,6 +436,18 @@ class FeFunction:
             for j in range(1, blocks + 1)
         )
         return toycrypto.xor_bytes(cts, otp)
+
+
+def _leaf_circuit(canonical) -> CircuitDesc:
+    """CircuitDesc.from_canonical(canonical), built once per canonical text:
+    every leaf of a tree carries the same circuit."""
+    return _circuit_of_text(_dumps(canonical))
+
+
+@functools.lru_cache(maxsize=16)
+def _circuit_of_text(text: str) -> CircuitDesc:
+    # keyed by the exact text, so the JSON values 1, true and 1.0 never share an entry
+    return CircuitDesc.from_canonical(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -465,12 +487,30 @@ def fe_gen(f: FeFunction, ptlen: int, rng: np.random.Generator) -> tuple[FePk, F
     return FePk(master, ptlen), FeSk(master, ptlen, f)
 
 
+# (master, ciphertext) -> plaintext of the last _SEALED_CAP fe_enc calls, oldest
+# first: a JLLW walk decrypts each child ciphertext soon after its parent's
+# expand step encrypted it
+_SEALED: dict[tuple[bytes, bytes], bytes] = {}
+_SEALED_CAP = 64
+
+
 def fe_enc(pk: FePk, plaintext: bytes, r: bytes) -> bytes:
-    return toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
+    ct = toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
+    if len(_SEALED) >= _SEALED_CAP:
+        del _SEALED[next(iter(_SEALED))]
+    _SEALED[pk.master, ct] = plaintext
+    return ct
 
 
 def fe_dec(sk: FeSk, ct: bytes) -> bytes:
-    return sk.function.apply(toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct)))
+    """f of the ciphertext's plaintext.  A ciphertext that fe_enc made under
+    the same master in one of its last _SEALED_CAP calls is not opened
+    again: its tag checks and it decrypts to the plaintext fe_enc framed,
+    so the memo's entry is the bytes decryption would compute."""
+    plaintext = _SEALED.get((sk.master, ct))
+    if plaintext is None:
+        plaintext = toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct))
+    return sk.function.apply(plaintext)
 
 
 # -- JLLW tree obfuscator ------------------------------------------------------

@@ -137,12 +137,21 @@ def build(
         raise ValueError("pass both thresholds or neither")
     if a is None:
         a, b = spectral_thresholds(h)
+    return PermutingVerifier(h, k, a, b, _measurement_list(h, k))
+
+
+@lru_cache(maxsize=32)
+def _measurement_list(h: HamiltonianInstance, k: int) -> tuple[ZXMeasurementSpec, ...]:
+    """Each term's spec repeated floor(p*k) times, built once per (instance,
+    k): prove, verify and ext1 each build the verifier.  The specs are
+    immutable, and build keeps the caller's h as the verifier's base, so an
+    equal instance written with other JSON types keeps its own to_json."""
     specs: list[ZXMeasurementSpec] = []
     for t in h.terms:
         count = math.floor(t.p * k)
         spec = term_to_zx(t.i, t.j, t.basis, t.beta, h.num_qubits)
         specs.extend([spec] * count)
-    return PermutingVerifier(h, k, a, b, tuple(specs))
+    return tuple(specs)
 
 
 def _fisher_yates(n: int, draw) -> tuple[int, ...]:

@@ -267,14 +267,18 @@ def prove(
 
 
 def _probe_matrix(seed: bytes, shape: tuple[int, int]) -> np.ndarray:
-    """normal + 1j*normal from a generator seeded by the transcript, drawn
-    in that order and summed into the one complex temporary."""
+    """normal + 1j*normal from a generator seeded by the transcript, the two
+    draws written in that order into the real and imaginary parts of one
+    complex array.  The bytes are the formula's: numpy's normal(0, 1) is
+    0.0 + 1.0 * standard_normal, which np.add(0.0, draw) repeats, and
+    a + 1j*b is exactly (a, b) for draws that are never -0.0."""
     rng_local = np.random.default_rng(
         np.frombuffer(toycrypto.digest(b"qmalab-povm-basis", seed), dtype=np.uint8)
     )
-    real = rng_local.normal(size=shape)
-    g = np.multiply(1j, rng_local.normal(size=shape))
-    return np.add(real, g, out=g)
+    g = np.empty(shape, dtype=np.complex128)
+    for part in (g.real, g.imag):
+        np.add(0.0, rng_local.standard_normal(size=shape), out=part)
+    return g
 
 
 def _codespace_image(obf: PCObfuscation, qpro: QPrOSim, m: int, ctrl: int, phys: int) -> np.ndarray:

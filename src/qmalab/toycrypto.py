@@ -58,16 +58,14 @@ def stream(seed: bytes, n: int) -> bytes:
     64-byte personalized BLAKE2b of the 8-byte big-endian i followed by the
     seed.  Each block copies one prepared, empty personalized state instead
     of building a new one; BLAKE2b hashes a stream, so the bytes are the
-    same."""
-    out = bytearray()
-    ctr = 0
-    while len(out) < n:
+    same, and the blocks are joined once."""
+    blocks = []
+    for ctr in range(-(-n // 64)):
         h = _STREAM_STATE.copy()
         h.update(ctr.to_bytes(8, "big"))
         h.update(seed)
-        out += h.digest()
-        ctr += 1
-    return bytes(out[:n])
+        blocks.append(h.digest())
+    return b"".join(blocks)[:n]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -77,7 +75,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 
 
 def mac(key: bytes, message: bytes, out_len: int = 16) -> bytes:
-    return hmac.new(key, message, hashlib.sha256).digest()[:out_len]
+    return hmac.digest(key, message, "sha256")[:out_len]
 
 
 def commit(payload: bytes, r: bytes) -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,15 +168,19 @@ def hamiltonian_matrix(h: HamiltonianInstance) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
 def ground_state(h: HamiltonianInstance) -> tuple[float, StateVector]:
-    """Exact minimum eigenvalue and a unit ground eigenvector."""
+    """Exact minimum eigenvalue and a unit ground eigenvector (a read-only
+    StateVector), computed once per instance: every trial of a run asks."""
     mat = hamiltonian_matrix(h)
     evals, evecs = np.linalg.eigh(mat)
     return float(evals[0]), StateVector(evecs[:, 0], h.num_qubits)
 
 
+@lru_cache(maxsize=8)
 def acceptance_operator(h: HamiltonianInstance) -> np.ndarray:
-    """Hermitian E with Tr[E rho] = Pr[zxver accepts rho].
+    """Hermitian E with Tr[E rho] = Pr[zxver accepts rho], read-only and
+    computed once per instance.
 
     Term weights are normalized by their listed total so the operator agrees
     with the sampled verifier even when an instance lists only one of a
@@ -189,4 +194,5 @@ def acceptance_operator(h: HamiltonianInstance) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=np.complex128)
     for t in h.terms:
         out += (t.p / w) * (np.eye(dim) - _term_projector(t, h.num_qubits))
+    out.flags.writeable = False
     return out

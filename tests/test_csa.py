@@ -263,6 +263,15 @@ def test_enc_isometry_is_a_read_only_one_entry_cache():
     assert csa.enc_isometry.cache_info().maxsize == 1
 
 
+def test_ver_predicate_is_shared_by_an_equal_key_and_read_only():
+    key = csa.keygen(1, 4, np.random.default_rng(13))
+    parsed = CSAKey.from_json(key.to_json())  # what ext1 reads from the transcript
+    for theta in (BitVector.zeros(4), BitVector((1,) * 4)):
+        ver = csa.ver_predicate(key, theta)
+        assert csa.ver_predicate(parsed, theta) is ver and not ver.table().flags.writeable
+        assert ver.table().tobytes() == csa.ver_predicate.__wrapped__(key, theta).table().tobytes()
+
+
 def test_codespace_projector_action():
     rng = np.random.default_rng(9)
     key = csa.keygen(1, 1, rng)

@@ -494,15 +494,30 @@ def test_jllw_broken_node_fails_exactly_its_subtree():
 def test_jllw_full_table_decrypts_each_node_once(monkeypatch):
     rng = np.random.default_rng(16)
     qpro = QPrOSim.from_seed(rng, instance_count=2)
-    c = table_circuit(rng.integers(0, 2, size=16))
-    o = jllw_obfuscate(c, qpro, 1, rng)
-    log: list = []
-    _log_decryptions(monkeypatch, o, log)
-    table = obfstack.jllw_eval_table(o, _LoggedQPrO(qpro, log), (), 4)
-    assert table.tolist() == c.table_for_prefix((), 4).astype(int).tolist()
-    # 15 expand nodes and 16 leaves; two pad queries per expand node
-    assert sum(e[0] == "dec" for e in log) == 31
-    assert sum(e[0] == "eval" for e in log) == 30
+    for d in (4, 1, 2, 3, 5):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        truth = c.table_for_prefix((), d).astype(int).tolist()
+        log: list = []
+        with monkeypatch.context() as patch:
+            _log_decryptions(patch, o, log)
+            assert obfstack.jllw_eval_table(o, _LoggedQPrO(qpro, log), (), d).tolist() == truth
+        # 2**d - 1 expand nodes and 2**d leaves; B pad queries per expand node
+        assert sum(e[0] == "dec" for e in log) == 2 ** (d + 1) - 1
+        assert sum(e[0] == "eval" for e in log) == (2**d - 1) * o.B
+        # a trusted walk of a fresh copy asks its oracle every pad query, each
+        # inverting its handle, and the PRF memo answers each with the value
+        # the node's expand step has just computed
+        calls: list = []
+        with monkeypatch.context() as patch:
+            for name in ("eval", "inv"):
+                real = getattr(QPrOSim, name)
+                patch.setattr(QPrOSim, name, lambda self, *a, _r=real, _n=name: calls.append(_n) or _r(self, *a))
+            obfstack.qpro_prf.cache_clear()
+            assert obfstack.jllw_eval_table(dataclasses.replace(o), qpro, (), d).tolist() == truth
+        assert (calls.count("eval"), calls.count("inv")) == ((2**d - 1) * o.B,) * 2
+        info = obfstack.qpro_prf.cache_info()
+        assert (info.hits, info.misses) == ((2**d - 1) * o.B,) * 2
 
 
 def test_jllw_zero_width_walk_query_order(monkeypatch):
@@ -814,6 +829,110 @@ def test_a_tamper_at_every_level_is_detected_before_and_after_the_memos_fill():
         # trusted walks still read the circuit after every tamper
         assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == truth
         assert [jllw_eval(o, qpro, bits(x, 4)) for x in range(16)] == truth
+
+
+def test_the_tamper_probe_detects_with_the_prf_memo_warm():
+    """Every PRF a tampered walk needs is answered from the memo, which a
+    trusted walk of the same path has just filled; the proxy's flip still
+    fails the walk and never reaches the memo."""
+    from qmalab.cli import _TamperedQPrO
+
+    rng = np.random.default_rng(31)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=8))
+    truth = c.table_for_prefix((), 3).astype(int).tolist()
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    assert obfstack.jllw_eval_table(o, qpro, (), 3).tolist() == truth  # o decrypts nothing more
+    assert obfstack.qpro_prf.cache_info().maxsize >= o.D * o.B
+    for x in range(8):
+        probe = bits(x, 3)
+        for level in range(o.D):
+            assert jllw_eval(dataclasses.replace(o), qpro, probe) == truth[x]
+            before = obfstack.qpro_prf.cache_info()
+            with pytest.raises(IntegrityError):
+                jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
+            after = obfstack.qpro_prf.cache_info()
+            # at least the walk's B pads per level, and no PRF computed afresh
+            assert after.hits - before.hits >= o.B * (level + 1) and after.misses == before.misses
+    assert obfstack.jllw_eval_table(dataclasses.replace(o), qpro, (), 3).tolist() == truth
+
+
+def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
+    """fe_dec reads a ciphertext that fe_enc has just made from the seal
+    memo: the result equals opening it in full, a changed byte or another
+    master still fails, and the memo keeps at most _SEALED_CAP entries."""
+    rng = np.random.default_rng(32)
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 200, rng)
+    _, other = fe_gen(FeFunction("jllw-eval", {}), 200, rng)
+    texts = [
+        f'{{"chi":"{x:03b}","flag":"normal","info":{{"circuit":{{"arity":3,"kind":"point","x":5}}}}}}'.encode()
+        for x in range(8)
+    ]
+    cts = [fe_enc(pk, text, rng.bytes(16)) for text in texts]
+    from_memo = [fe_dec(sk, ct) for ct in cts]
+    obfstack._SEALED.clear()
+    assert [fe_dec(sk, ct) for ct in cts] == from_memo == [bytes([x == 5]) for x in range(8)]
+    ct = fe_enc(pk, texts[5], rng.bytes(16))
+    for i in (0, 20, len(ct) - 1):
+        with pytest.raises(IntegrityError):
+            fe_dec(sk, ct[:i] + bytes([ct[i] ^ 1]) + ct[i + 1 :])
+    with pytest.raises(IntegrityError):
+        fe_dec(other, ct)
+    for _ in range(2 * obfstack._SEALED_CAP):
+        fe_enc(pk, texts[0], rng.bytes(16))
+    assert len(obfstack._SEALED) == obfstack._SEALED_CAP and (sk.master, ct) not in obfstack._SEALED
+    assert fe_dec(sk, ct) == b"\x01"
+
+
+def _leaf_ciphertext(o: JLLWObfuscation, circuit_text: str, chi: str, rng) -> bytes:
+    """A leaf ciphertext of o whose plaintext carries the circuit text, in the walk's layout."""
+    text = f'{{"chi":"{chi}","flag":"normal","info":{{"circuit":{circuit_text},"keys":{{}},"seed":"{"00" * 16}"}}}}'
+    return fe_enc(obfstack.FePk(o.sks[o.D].master, o.ptlen), text.encode(), rng.bytes(16))
+
+
+def test_leaves_that_carry_different_circuits_each_evaluate_their_own():
+    """Leaves of one leaf key that carry different circuits, decrypted in
+    turn, and pointwise walks of more trees than the leaf build memo holds,
+    interleaved, each evaluate their own circuit."""
+    rng = np.random.default_rng(29)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    d = 3
+    circuits = [table_circuit(rng.integers(0, 2, size=2**d)) for _ in range(20)] + [
+        point_circuit(d, 5),
+        null_circuit(d),
+        combine_circuits([table_circuit([0, 1, 1, 0]), table_circuit([1, 1, 0, 0])], 1),
+    ]
+    trees = [jllw_obfuscate(c, qpro, 1, rng) for c in circuits]
+    for x in range(2**d):
+        chi = "".join(map(str, bits(x, d)))
+        for c in circuits:
+            leaf = _leaf_ciphertext(trees[0], obfstack._dumps(c.canonical), chi, rng)
+            assert fe_dec(trees[0].sks[d], leaf) == bytes([c.eval_bits(bits(x, d))])
+        for c, o in zip(circuits, trees):
+            assert jllw_eval(o, qpro, bits(x, d)) == c.eval_bits(bits(x, d))
+
+
+@pytest.mark.parametrize("other", ["true", "1.0"])
+def test_a_leaf_table_that_holds_another_json_one_fails_as_it_did_unmemoized(other):
+    """JSON's 1, true and 1.0 are equal Python values but different leaf
+    circuits: a table holding true or 1.0 fails with from_canonical's error,
+    whether or not the table holding 1 was built first."""
+    rng = np.random.default_rng(30)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    o = jllw_obfuscate(table_circuit([0, 1]), qpro, 1, rng)
+    good, bad = (f'{{"arity":1,"kind":"table","table":[0,{entry}]}}' for entry in ("1", other))
+    with pytest.raises(ValueError) as unmemoized:
+        CircuitDesc.from_canonical(json.loads(bad))
+    for first, second in ((good, bad), (bad, good)):
+        obfstack._circuit_of_text.cache_clear()
+        for text in (first, second, first, second):
+            leaf = _leaf_ciphertext(o, text, "1", rng)
+            if text == good:
+                assert fe_dec(o.sks[1], leaf) == b"\x01"
+            else:
+                with pytest.raises(IntegrityError) as failed:
+                    fe_dec(o.sks[1], leaf)
+                assert str(failed.value) == f"malformed node: field 'circuit': {unmemoized.value}"
 
 
 def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):

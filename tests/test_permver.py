@@ -126,6 +126,24 @@ def test_spectral_thresholds_cache_is_bounded_and_exact():
     assert isinstance(spectral_thresholds.cache_info().maxsize, int)
 
 
+def test_per_instance_constants_are_computed_once_and_read_only():
+    """An equal instance, as parsed from its JSON, gets the same ground state
+    and acceptance operator; build keeps the caller's instance, so instances
+    that are equal but write a weight as 0 and 0.0 keep their own JSON."""
+    parsed = HamiltonianInstance.from_json(FULL_PAIR.to_json())
+    assert zxham.ground_state(parsed) is zxham.ground_state(FULL_PAIR)
+    e = zxham.acceptance_operator(parsed)
+    assert e is zxham.acceptance_operator(FULL_PAIR) and not e.flags.writeable
+    assert e.tobytes() == zxham.acceptance_operator.__wrapped__(FULL_PAIR).tobytes()
+    as_float, as_int = (
+        HamiltonianInstance(3, (HamTerm(0, 1, "Z", 0, 0.5), HamTerm(1, 2, "X", 1, p))) for p in (0.0, 0)
+    )
+    assert as_float == as_int and as_float.dumps() != as_int.dumps()
+    for h in (as_float, as_int):
+        v = build(h, 4, 1.0, 0.5)
+        assert v.base is h and v.specs is build(as_float, 4, 1.0, 0.5).specs
+
+
 def test_permuted_spec_of_identical_entries_is_permutation_invariant():
     v = build(SINGLE_Z, 6)
     theta_id, f_id = permuted_spec(v, (0, 1, 2))

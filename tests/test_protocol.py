@@ -311,6 +311,16 @@ def test_verifier_povm_bytes_equal_the_inline_formula(seed):
     assert mixture.eigvecs.tobytes() == inline.eigvecs.tobytes()
 
 
+@pytest.mark.parametrize("seed", [b"", b"\x01", bytes(range(32))])
+def test_probe_matrix_bytes_equal_the_inline_formula(seed):
+    for shape in ((4096, 20), (8, 3)):
+        rng_local = np.random.default_rng(
+            np.frombuffer(toycrypto.digest(b"qmalab-povm-basis", seed), dtype=np.uint8)
+        )
+        inline = rng_local.normal(size=shape) + 1j * rng_local.normal(size=shape)
+        assert protocol._probe_matrix(seed, shape).tobytes() == inline.tobytes()
+
+
 def test_verifier_povm_peak_memory_is_bounded_by_four_probe_matrices():
     """Once the transcript's branch tables are filled, one POVM build holds
     at most four probe-sized complex arrays at a time."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import hmac
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,31 @@ def test_stream_is_counter_mode_and_a_prefix_of_every_longer_stream():
         for n in range(0, 200, 7):
             for k in (0, 1, 63, 64, 65, 100):
                 assert toycrypto.stream(seed, n) == toycrypto.stream(seed, n + k)[:n]
+
+
+def _stream_reference(seed: bytes, n: int) -> bytes:
+    out = bytearray()
+    ctr = 0
+    while len(out) < n:
+        out += hashlib.blake2b(ctr.to_bytes(8, "big") + seed, digest_size=64, person=b"qmalab-stream\0\0\0").digest()
+        ctr += 1
+    return bytes(out[:n])
+
+
+def _mac_reference(key: bytes, message: bytes, out_len: int = 16) -> bytes:
+    return hmac.new(key, message, hashlib.sha256).digest()[:out_len]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])
+def test_mac_and_stream_equal_their_reference_definitions(n):
+    """n is the keystream's length, and the length of the MAC's key and message."""
+    rng = np.random.default_rng(1000 + n)
+    for seed in (b"", rng.bytes(16), rng.bytes(n)):
+        assert toycrypto.stream(seed, n) == _stream_reference(seed, n)
+    key, message = rng.bytes(n), rng.bytes(n)
+    for out_len in (16, 32):
+        assert toycrypto.mac(key, message, out_len) == _mac_reference(key, message, out_len)
+    assert toycrypto.mac(key, message) == _mac_reference(key, message)
 
 
 @pytest.mark.parametrize("out_len", [1, 4, 32, 64])
