@@ -378,7 +378,17 @@ def _dumps(obj) -> str:
 class FeFunction:
     """The function of a JLLW decryption key: "jllw-eval" at the leaves, or
     "jllw-expand" above them with its level's parameters and the next level's
-    public key.  It is checked, and pk_next parsed, once when it is built."""
+    public key.  It is checked, and pk_next parsed, once when it is built.
+
+    ``_shared`` is the key's one entry of what its level's nodes share: at
+    the leaves the circuit object and its built CircuitDesc; above them the
+    circuit and keys objects, the deeper levels' keys, the text both children
+    share and the level's pad keys.  The values a tree's expand steps seal
+    share one circuit object and, per level, one keys object, so the entry
+    is compared with ``is`` and holds the objects it compares; a node with
+    other objects, such as a parsed one, computes it afresh.  Nothing
+    mutates a node's value.
+    """
 
     kind: str
     params: dict
@@ -390,16 +400,19 @@ class FeFunction:
             for name, bits in (("level", 8), ("D", 8), ("B", 8), ("L", 16), ("instance", 32)):
                 _wire_field(self.params, name, _wire_int, bits)
             object.__setattr__(self, "_pk_next", _wire_field(self.params, "pk_next", FePk.from_json))
+        object.__setattr__(self, "_shared", None)
 
     def canonical(self) -> dict:
         return {"kind": self.kind, "params": self.params}
 
-    def apply(self, plaintext: bytes) -> bytes:
-        """f of a node plaintext.  This is the one place where a reader's
-        ValueError (or a child's frame overflow) becomes IntegrityError, so
-        a malformed node that authenticates fails like a bad tag."""
+    def apply(self, plaintext: bytes, value=None) -> bytes:
+        """f of a node plaintext; value, when fe_enc sealed one with it, is
+        _wire_json(plaintext), and only a plaintext without one is parsed.
+        This is the one place where a reader's ValueError (or a child's
+        frame overflow) becomes IntegrityError, so a malformed node that
+        authenticates fails like a bad tag."""
         try:
-            body = _wire_json(plaintext)
+            body = _wire_json(plaintext) if value is None else value
             flag = _wire_field(body, "flag", str)
             if flag == "sim" and self.kind == "jllw-eval":
                 return bytes([_wire_field(body, "info", _wire_field, "y", _wire_int, 8)])
@@ -408,40 +421,55 @@ class FeFunction:
             chi = _wire_field(body, "chi", _wire_bits)
             info = _wire_field(body, "info", dict)
             if self.kind == "jllw-eval":
-                circuit = _wire_field(info, "circuit", _leaf_circuit)
+                circuit = _wire_field(info, "circuit", self._leaf_circuit)
                 return bytes([circuit.eval_bits(tuple(map(int, chi)))])
             return self._expand_normal(chi, info)
         except ValueError as exc:
             raise IntegrityError(f"malformed node: {exc}") from None
 
+    def _leaf_circuit(self, canonical) -> CircuitDesc:
+        """CircuitDesc.from_canonical(canonical), built once per circuit
+        object; a miss reads the text-keyed _circuit_of_text."""
+        entry = self._shared
+        if entry is None or entry[0] is not canonical:
+            entry = canonical, _circuit_of_text(_dumps(canonical))
+            object.__setattr__(self, "_shared", entry)
+        return entry[1]
+
     def _expand_normal(self, chi: str, info: dict) -> bytes:
         p = self.params
-        d, big_d, blocks, seg = p["level"], p["D"], p["B"], p["L"]
+        d, big_d, seg = p["level"], p["D"], p["L"]
         keys = _wire_field(info, "keys", dict)
         seed = _wire_field(info, "seed", _wire_hex)
+        circuit = _wire_field(info, "circuit")
+        entry = self._shared
+        if entry is None or entry[0] is not circuit or entry[1] is not keys:
+            # child eta's text is _dumps of {"flag": "normal", "chi": chi + eta, "info":
+            # {"circuit", "keys": every key but this level's, "seed"}} (keys sorted at
+            # every level), assembled around the one serialization both children share
+            deeper = {k: v for k, v in keys.items() if not k.startswith(f"{d},")}
+            shared = f'","flag":"normal","info":{{"circuit":{_dumps(circuit)},"keys":{_dumps(deeper)},"seed":"'
+            pads = None
+        else:
+            deeper, shared, pads = entry[2:]
         grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", seed), 4 * 16)
-        s0, r0, s1, r1 = (grow[i * 16 : (i + 1) * 16] for i in range(4))
-        # child eta's text is _dumps of {"flag": "normal", "chi": chi + eta, "info":
-        # {"circuit", "keys": every key but this level's, "seed"}} (keys sorted at
-        # every level), assembled around the one serialization both children share
-        deeper = {k: v for k, v in keys.items() if not k.startswith(f"{d},")}
-        shared = f'","flag":"normal","info":{{"circuit":{_dumps(_wire_field(info, "circuit"))},"keys":{_dumps(deeper)},"seed":"'
-        cts = b"".join(
-            fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{s_child.hex()}"}}}}'.encode(), r_child)
-            for eta, s_child, r_child in ((0, s0, r0), (1, s1, r1))
-        )
+        cts = []
+        for eta in (0, 1):
+            child_seed, r_child = grow[32 * eta : 32 * eta + 16].hex(), grow[32 * eta + 16 : 32 * eta + 32]
+            value = {"chi": f"{chi}{eta}", "flag": "normal",
+                     "info": {"circuit": circuit, "keys": deeper, "seed": child_seed}}
+            cts.append(fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{child_seed}"}}}}'.encode(), r_child, value))
+        if pads is None:  # read after the children, whose frame overflow fails the node first
+            pads = _wire_field(info, "keys", _pad_keys, d, p["B"])
+            object.__setattr__(self, "_shared", (circuit, keys, deeper, shared, pads))
         pad_input = (chi + "0" * (big_d - d)).encode()
-        otp = b"".join(
-            qpro_prf(p["instance"], _wire_field(info, "keys", _wire_field, f"{d},{j}", _wire_key), pad_input, seg)
-            for j in range(1, blocks + 1)
-        )
-        return toycrypto.xor_bytes(cts, otp)
+        otp = b"".join(qpro_prf(p["instance"], key, pad_input, seg) for key in pads)
+        return toycrypto.xor_bytes(b"".join(cts), otp)
 
 
-def _leaf_circuit(canonical) -> CircuitDesc:
-    """CircuitDesc.from_canonical(canonical), built once per canonical text:
-    every leaf of a tree carries the same circuit."""
-    return _circuit_of_text(_dumps(canonical))
+def _pad_keys(keys: dict, level: int, blocks: int) -> tuple[int, ...]:
+    """The oracle keys of one level's B pads, read from a node's keys."""
+    return tuple(_wire_field(keys, f"{level},{j}", _wire_key) for j in range(1, blocks + 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -487,18 +515,22 @@ def fe_gen(f: FeFunction, ptlen: int, rng: np.random.Generator) -> tuple[FePk, F
     return FePk(master, ptlen), FeSk(master, ptlen, f)
 
 
-# (master, ciphertext) -> plaintext of the last _SEALED_CAP fe_enc calls, oldest
-# first: a JLLW walk decrypts each child ciphertext soon after its parent's
-# expand step encrypted it
-_SEALED: dict[tuple[bytes, bytes], bytes] = {}
+# (master, ciphertext) -> (plaintext, value) of the last _SEALED_CAP fe_enc calls,
+# oldest first: a JLLW walk decrypts each child ciphertext soon after its
+# parent's expand step encrypted it.  value is the JSON value the caller built
+# the plaintext from, or None when it has none (the root, any other caller).
+_SEALED: dict[tuple[bytes, bytes], tuple[bytes, object]] = {}
 _SEALED_CAP = 64
 
 
-def fe_enc(pk: FePk, plaintext: bytes, r: bytes) -> bytes:
+def fe_enc(pk: FePk, plaintext: bytes, r: bytes, value=None) -> bytes:
+    """Encrypt plaintext; value, when given, must be _wire_json(plaintext),
+    and is sealed with it for fe_dec to hand to the function unparsed.  The
+    ciphertext's bytes do not depend on value."""
     ct = toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
     if len(_SEALED) >= _SEALED_CAP:
         del _SEALED[next(iter(_SEALED))]
-    _SEALED[pk.master, ct] = plaintext
+    _SEALED[pk.master, ct] = plaintext, value
     return ct
 
 
@@ -506,11 +538,12 @@ def fe_dec(sk: FeSk, ct: bytes) -> bytes:
     """f of the ciphertext's plaintext.  A ciphertext that fe_enc made under
     the same master in one of its last _SEALED_CAP calls is not opened
     again: its tag checks and it decrypts to the plaintext fe_enc framed,
-    so the memo's entry is the bytes decryption would compute."""
-    plaintext = _SEALED.get((sk.master, ct))
-    if plaintext is None:
-        plaintext = toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct))
-    return sk.function.apply(plaintext)
+    so the memo's entry is the bytes decryption would compute, and f reads
+    the value sealed with them, when there is one, instead of parsing them."""
+    sealed = _SEALED.get((sk.master, ct))
+    if sealed is None:
+        sealed = toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct)), None
+    return sk.function.apply(*sealed)
 
 
 # -- JLLW tree obfuscator ------------------------------------------------------
@@ -522,9 +555,11 @@ class JLLWObfuscation:
     the QPrO handles of each level's B pad keys.
 
     Two memos serve the tree walk, both keyed by a node's label chi, so
-    each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is the last
+    each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is a
     ciphertext decrypted at node chi with its ``fe_dec`` output (or _FAILED):
-    decryption is a pure function of the ciphertext, so a walk with any
+    the first one any walk decrypted there, or the last a QPrOSim's walk did,
+    since a proxy's differing (tampered) ciphertext does not evict it.
+    Decryption is a pure function of the ciphertext, so a walk with any
     oracle reuses the entry when its ciphertext is equal.  ``_nodes[qpro][chi]``
     is node chi's unpadded (child 0, child 1) ciphertext pair, its leaf byte,
     or _FAILED, for one QPrOSim, whose answers are a pure function of its
@@ -650,11 +685,13 @@ def jllw_eval_table(
     repeated decryption and pad query, and any oracle's walk the decryption
     of an equal ciphertext; a proxy oracle (tampering or logging) gets a pad
     memo for this walk only, so it sees every pad query of every walk in the
-    uncached order.  The walk keeps its own stack rather than recursing
+    uncached order, and its decryption of a ciphertext that differs from the
+    stored one serves this walk only.  The walk keeps its own stack rather than recursing
     through a closure, so a call leaves no reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
-    memo = o._nodes.setdefault(qpro, {}) if type(qpro) is QPrOSim else {}
+    trusted = type(qpro) is QPrOSim
+    memo = o._nodes.setdefault(qpro, {}) if trusted else {}
     decs = o._decs
     ct_len = o.ptlen + toycrypto.CIPHERTEXT_OVERHEAD
     out = np.full(2**suffix_arity, _FAILED, dtype=np.int16)
@@ -665,12 +702,17 @@ def jllw_eval_table(
         node = memo.get(chi)
         if node is None:
             dec = decs.get(chi)
-            if dec is None or dec[0] != ct:
+            if dec is not None and dec[0] == ct:
+                v = dec[1]
+            else:
                 try:
-                    dec = decs[chi] = (ct, fe_dec(o.sks[d], ct))
+                    v = fe_dec(o.sks[d], ct)
                 except IntegrityError:
-                    dec = decs[chi] = (ct, _FAILED)
-            v = dec[1]
+                    v = _FAILED
+                # a proxy's ciphertext that differs from the stored one (a tampered
+                # pad's) serves this walk, which visits each node once, and no other
+                if dec is None or trusted:
+                    decs[chi] = ct, v
             if v == _FAILED:
                 node = _FAILED
             elif d == o.D:

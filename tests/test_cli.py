@@ -338,6 +338,18 @@ def test_runs_leave_module_globals_unchanged():
     assert _module_container_sizes() == before
 
 
+def test_a_jllw_run_leaves_module_globals_unchanged_but_the_bounded_seal_memo():
+    before = _module_container_sizes()
+    sealed = ("qmalab.obfstack", "_SEALED")
+    assert sealed in before
+    assert run_scenario(small("jllw-correctness", trials=30))["passed"]
+    after = _module_container_sizes()
+    # fe_enc seals each ciphertext it makes, and the memo drops its oldest entry at the cap
+    assert 0 < after.pop(sealed) <= obfstack._SEALED_CAP
+    before.pop(sealed)
+    assert after == before
+
+
 def _fresh_process(code: str, *args: str) -> subprocess.CompletedProcess:
     """Run code in a new interpreter that imports qmalab from this tree."""
     prelude = f"import sys\nsys.path.insert(0, {str(Path(qmalab.__file__).parents[1])!r})\n"

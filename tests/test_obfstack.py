@@ -834,7 +834,9 @@ def test_a_tamper_at_every_level_is_detected_before_and_after_the_memos_fill():
 def test_the_tamper_probe_detects_with_the_prf_memo_warm():
     """Every PRF a tampered walk needs is answered from the memo, which a
     trusted walk of the same path has just filled; the proxy's flip still
-    fails the walk and never reaches the memo."""
+    fails the walk and never reaches the memo.  An earlier probe's corrupted
+    child does not evict the node's stored decryption, so the walk expands
+    no node again and hashes only its own pads."""
     from qmalab.cli import _TamperedQPrO
 
     rng = np.random.default_rng(31)
@@ -852,9 +854,42 @@ def test_the_tamper_probe_detects_with_the_prf_memo_warm():
             with pytest.raises(IntegrityError):
                 jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
             after = obfstack.qpro_prf.cache_info()
-            # at least the walk's B pads per level, and no PRF computed afresh
-            assert after.hits - before.hits >= o.B * (level + 1) and after.misses == before.misses
+            # the walk's B pads per level, and no PRF computed afresh
+            assert after.hits - before.hits == o.B * (level + 1) and after.misses == before.misses
     assert obfstack.jllw_eval_table(dataclasses.replace(o), qpro, (), 3).tolist() == truth
+
+
+def test_a_tamper_probe_keeps_the_stored_decryption_of_the_node_it_corrupts(monkeypatch):
+    """A level-0 tamper probe corrupts the ciphertext of node probe[0]; that
+    decryption serves the probe's walk only, so a later level-1 probe or
+    trusted walk decrypts nothing at node probe[0]."""
+    from qmalab.cli import _TamperedQPrO
+
+    rng = np.random.default_rng(33)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=8))
+    for x in (2, 5):
+        probe = bits(x, 3)
+        o = jllw_obfuscate(c, qpro, 1, rng)
+        # a logged walk stores the path's decryptions and fills no node memo
+        assert jllw_eval(o, _LoggedQPrO(qpro, []), probe) == c.eval_bits(probe)
+        stored = dict(o._decs)
+        for later, level in ((_TamperedQPrO(qpro, o.B + probe[1]), 1), (qpro, None)):
+            with pytest.raises(IntegrityError):
+                jllw_eval(o, _TamperedQPrO(qpro, probe[0]), probe)
+            assert o._decs == stored
+            log: list = []
+            with monkeypatch.context() as patch:
+                _log_decryptions(patch, o, log)
+                if level is None:
+                    assert jllw_eval(o, later, probe) == c.eval_bits(probe)
+                else:
+                    with pytest.raises(IntegrityError):
+                        jllw_eval(o, later, probe)
+            # the zero-width walk's one level-1 node is probe[0], decrypted by
+            # neither; the level-1 probe decrypts only its corrupted level-2 child
+            assert log == ([("dec", 2)] if level == 1 else [])
+            assert o._decs == stored
 
 
 def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
@@ -933,6 +968,111 @@ def test_a_leaf_table_that_holds_another_json_one_fails_as_it_did_unmemoized(oth
                 with pytest.raises(IntegrityError) as failed:
                     fe_dec(o.sks[1], leaf)
                 assert str(failed.value) == f"malformed node: field 'circuit': {unmemoized.value}"
+
+
+def _sealing_trees(seed: int):
+    """An oracle and trees of random table circuits of arity 1-5 and one combine circuit."""
+    rng = np.random.default_rng(seed)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    circuits = [table_circuit(rng.integers(0, 2, size=2**d)) for d in range(1, 6)]
+    circuits.append(combine_circuits([table_circuit([0, 1, 1, 0]), point_circuit(2, 3), null_circuit(2)], 2))
+    return qpro, [(c, jllw_obfuscate(c, qpro, 1, rng)) for c in circuits]
+
+
+def _labels_at_every_split(o: JLLWObfuscation, qpro: QPrOSim) -> list:
+    """The walk's labels at every split, each from a copy with empty memos, so every node is applied."""
+    return [
+        obfstack.jllw_eval_table(dataclasses.replace(o), qpro, bits(p, o.D - k), k).tolist()
+        for k in range(o.D + 1)
+        for p in range(2 ** (o.D - k))
+    ]
+
+
+def _truth_at_every_split(c: CircuitDesc) -> list:
+    d = c.input_arity
+    return [c.table_for_prefix(bits(p, d - k), k).astype(int).tolist() for k in range(d + 1) for p in range(2 ** (d - k))]
+
+
+def _sealed_values_match_their_texts() -> int:
+    """Check every value the seal memo holds against its text; return how many it holds."""
+    valued = [(text, value) for text, value in obfstack._SEALED.values() if value is not None]
+    for text, value in valued:
+        assert obfstack._dumps(value) == text.decode()
+        assert toycrypto._wire_json(text) == value
+    return len(valued)
+
+
+def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
+    """An expand step seals each child's text with the value it built it
+    from; after a full walk every sealed value still dumps to its text and
+    parses from it, so the walk mutated none.  The root is sealed without
+    one, so a walk parses the root alone and builds the leaf circuit once."""
+    qpro, trees = _sealing_trees(34)
+    last = trees[-1][1]
+    assert obfstack._SEALED[last.sks[0].master, last.ct_root][1] is None
+    calls: list = []
+    for name in ("_wire_json", "_circuit_of_text"):
+        real = getattr(obfstack, name)
+        monkeypatch.setattr(obfstack, name, lambda arg, _r=real, _n=name: calls.append(_n) or _r(arg))
+    for c, o in trees:
+        obfstack._SEALED.clear()
+        calls.clear()
+        truth = c.table_for_prefix((), o.D).astype(int).tolist()
+        assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
+        assert calls == ["_wire_json", "_circuit_of_text"]
+        assert [jllw_eval(o, qpro, bits(x, o.D)) for x in range(2**o.D)] == truth
+        assert _sealed_values_match_their_texts() == 2 ** (o.D + 1) - 2
+    # an outside caller's text is sealed without a value
+    ct = fe_enc(obfstack.FePk(o.sks[0].master, o.ptlen), b'{"flag":"sim"}', bytes(16))
+    assert obfstack._SEALED[o.sks[0].master, ct] == (b'{"flag":"sim"}', None)
+
+
+def test_walks_with_every_value_withheld_give_the_same_labels_and_nodes(monkeypatch):
+    """Every node parsed from its text (fe_enc sealing no value, or the seal
+    memo cleared before each walk) labels every split and unpads every
+    child pair as the walk over sealed values does."""
+    qpro, trees = _sealing_trees(35)
+    sealed = [(_labels_at_every_split(o, qpro), obfstack.jllw_eval_table(o, qpro, (), o.D)) for _, o in trees]
+    real = obfstack.fe_enc
+    with monkeypatch.context() as patch:
+        patch.setattr(obfstack, "fe_enc", lambda pk, plaintext, r, value=None: real(pk, plaintext, r))
+        obfstack._SEALED.clear()
+        withheld = [(_labels_at_every_split(o, qpro), dataclasses.replace(o)) for _, o in trees]
+        for _, o in withheld:
+            obfstack.jllw_eval_table(o, qpro, (), o.D)
+        assert all(value is None for _, value in obfstack._SEALED.values())
+    for (c, o), (labels, table), (parsed_labels, parsed) in zip(trees, sealed, withheld):
+        assert labels == parsed_labels == _truth_at_every_split(c)
+        assert table.tolist() == c.table_for_prefix((), o.D).astype(int).tolist()
+        assert parsed._nodes[qpro] == o._nodes[qpro]
+        cleared = dataclasses.replace(o)
+        for k in range(o.D + 1):
+            obfstack._SEALED.clear()
+            assert obfstack.jllw_eval_table(cleared, qpro, bits(0, o.D - k), k).tolist() == labels[
+                sum(2 ** (o.D - j) for j in range(k))
+            ]
+
+
+def test_trees_walked_after_replace_or_deserialize_evaluate_their_own_circuit():
+    """A copy shares its FE keys' level entries (replace) or starts its own
+    (deserialize); either way it evaluates its own root's circuit, also when
+    the copy's root carries another circuit than the one the entries hold."""
+    qpro, trees = _sealing_trees(36)
+    for c, o in trees:
+        truth = _truth_at_every_split(c)
+        assert _labels_at_every_split(o, qpro) == truth
+        assert _labels_at_every_split(JLLWObfuscation.deserialize(o.serialize()), qpro) == truth
+        other = table_circuit(1 - c.table_for_prefix((), o.D))
+        root = _node_plaintext(o.sks[0], o.ct_root)
+        root["info"]["circuit"] = other.canonical
+        text = obfstack._dumps(root).encode()
+        swapped = dataclasses.replace(o, ct_root=fe_enc(obfstack.FePk(o.sks[0].master, o.ptlen), text, bytes(16)))
+        assert swapped.sks is o.sks
+        obfstack._SEALED.clear()
+        assert _labels_at_every_split(swapped, qpro) == _truth_at_every_split(other)
+        assert _sealed_values_match_their_texts() > 0
+        assert _labels_at_every_split(o, qpro) == truth
+        assert _sealed_values_match_their_texts() > 0
 
 
 def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):
