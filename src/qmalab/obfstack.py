@@ -383,10 +383,10 @@ class FeFunction:
     ``_shared`` is the key's one entry of what its level's nodes share: at
     the leaves the circuit object and its built CircuitDesc; above them the
     circuit and keys objects, the deeper levels' keys, the text both children
-    share and the level's pad keys.  The values a tree's expand steps seal
-    share one circuit object and, per level, one keys object, so the entry
-    is compared with ``is`` and holds the objects it compares; a node with
-    other objects, such as a parsed one, computes it afresh.  Nothing
+    share and the level's pad keys.  The child values a tree's expand steps
+    return share one circuit object and, per level, one keys object, so the
+    entry is compared with ``is`` and holds the objects it compares; a node
+    with other objects, such as a parsed one, computes it afresh.  Nothing
     mutates a node's value.
     """
 
@@ -405,9 +405,11 @@ class FeFunction:
     def canonical(self) -> dict:
         return {"kind": self.kind, "params": self.params}
 
-    def apply(self, plaintext: bytes, value=None) -> bytes:
-        """f of a node plaintext; value, when fe_enc sealed one with it, is
-        _wire_json(plaintext), and only a plaintext without one is parsed.
+    def apply(self, plaintext: bytes | None, value=None) -> tuple[bytes, tuple]:
+        """(f of a node plaintext, the node's children).  value, when given,
+        is _wire_json(plaintext), which is then not read.  At an expand node
+        the children are (master, ciphertext, value) for each child, value
+        being the JSON value the child's text is the _dumps of; at a leaf ().
         This is the one place where a reader's ValueError (or a child's
         frame overflow) becomes IntegrityError, so a malformed node that
         authenticates fails like a bad tag."""
@@ -415,28 +417,27 @@ class FeFunction:
             body = _wire_json(plaintext) if value is None else value
             flag = _wire_field(body, "flag", str)
             if flag == "sim" and self.kind == "jllw-eval":
-                return bytes([_wire_field(body, "info", _wire_field, "y", _wire_int, 8)])
+                return bytes([_wire_field(body, "info", _wire_field, "y", _wire_int, 8)]), ()
             if flag != "normal":
                 raise ValueError(f"{self.kind} got unsupported flag {flag!r}")
             chi = _wire_field(body, "chi", _wire_bits)
             info = _wire_field(body, "info", dict)
             if self.kind == "jllw-eval":
                 circuit = _wire_field(info, "circuit", self._leaf_circuit)
-                return bytes([circuit.eval_bits(tuple(map(int, chi)))])
+                return bytes([circuit.eval_bits(tuple(map(int, chi)))]), ()
             return self._expand_normal(chi, info)
         except ValueError as exc:
             raise IntegrityError(f"malformed node: {exc}") from None
 
     def _leaf_circuit(self, canonical) -> CircuitDesc:
-        """CircuitDesc.from_canonical(canonical), built once per circuit
-        object; a miss reads the text-keyed _circuit_of_text."""
+        """CircuitDesc.from_canonical(canonical), built once per circuit object."""
         entry = self._shared
         if entry is None or entry[0] is not canonical:
-            entry = canonical, _circuit_of_text(_dumps(canonical))
+            entry = canonical, CircuitDesc.from_canonical(canonical)
             object.__setattr__(self, "_shared", entry)
         return entry[1]
 
-    def _expand_normal(self, chi: str, info: dict) -> bytes:
+    def _expand_normal(self, chi: str, info: dict) -> tuple[bytes, tuple]:
         p = self.params
         d, big_d, seg = p["level"], p["D"], p["L"]
         keys = _wire_field(info, "keys", dict)
@@ -453,29 +454,24 @@ class FeFunction:
         else:
             deeper, shared, pads = entry[2:]
         grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", seed), 4 * 16)
-        cts = []
+        children = []
         for eta in (0, 1):
             child_seed, r_child = grow[32 * eta : 32 * eta + 16].hex(), grow[32 * eta + 16 : 32 * eta + 32]
             value = {"chi": f"{chi}{eta}", "flag": "normal",
                      "info": {"circuit": circuit, "keys": deeper, "seed": child_seed}}
-            cts.append(fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{child_seed}"}}}}'.encode(), r_child, value))
+            ct = fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{child_seed}"}}}}'.encode(), r_child)
+            children.append((self._pk_next.master, ct, value))
         if pads is None:  # read after the children, whose frame overflow fails the node first
             pads = _wire_field(info, "keys", _pad_keys, d, p["B"])
             object.__setattr__(self, "_shared", (circuit, keys, deeper, shared, pads))
         pad_input = (chi + "0" * (big_d - d)).encode()
         otp = b"".join(qpro_prf(p["instance"], key, pad_input, seg) for key in pads)
-        return toycrypto.xor_bytes(b"".join(cts), otp)
+        return toycrypto.xor_bytes(children[0][1] + children[1][1], otp), tuple(children)
 
 
 def _pad_keys(keys: dict, level: int, blocks: int) -> tuple[int, ...]:
     """The oracle keys of one level's B pads, read from a node's keys."""
     return tuple(_wire_field(keys, f"{level},{j}", _wire_key) for j in range(1, blocks + 1))
-
-
-@functools.lru_cache(maxsize=16)
-def _circuit_of_text(text: str) -> CircuitDesc:
-    # keyed by the exact text, so the JSON values 1, true and 1.0 never share an entry
-    return CircuitDesc.from_canonical(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -515,35 +511,22 @@ def fe_gen(f: FeFunction, ptlen: int, rng: np.random.Generator) -> tuple[FePk, F
     return FePk(master, ptlen), FeSk(master, ptlen, f)
 
 
-# (master, ciphertext) -> (plaintext, value) of the last _SEALED_CAP fe_enc calls,
-# oldest first: a JLLW walk decrypts each child ciphertext soon after its
-# parent's expand step encrypted it.  value is the JSON value the caller built
-# the plaintext from, or None when it has none (the root, any other caller).
-_SEALED: dict[tuple[bytes, bytes], tuple[bytes, object]] = {}
-_SEALED_CAP = 64
+def fe_enc(pk: FePk, plaintext: bytes, r: bytes) -> bytes:
+    """plaintext framed to pk.ptlen, encrypted under pk's master with nonce r."""
+    return toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
 
 
-def fe_enc(pk: FePk, plaintext: bytes, r: bytes, value=None) -> bytes:
-    """Encrypt plaintext; value, when given, must be _wire_json(plaintext),
-    and is sealed with it for fe_dec to hand to the function unparsed.  The
-    ciphertext's bytes do not depend on value."""
-    ct = toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
-    if len(_SEALED) >= _SEALED_CAP:
-        del _SEALED[next(iter(_SEALED))]
-    _SEALED[pk.master, ct] = plaintext, value
-    return ct
-
-
-def fe_dec(sk: FeSk, ct: bytes) -> bytes:
-    """f of the ciphertext's plaintext.  A ciphertext that fe_enc made under
-    the same master in one of its last _SEALED_CAP calls is not opened
-    again: its tag checks and it decrypts to the plaintext fe_enc framed,
-    so the memo's entry is the bytes decryption would compute, and f reads
-    the value sealed with them, when there is one, instead of parsing them."""
-    sealed = _SEALED.get((sk.master, ct))
-    if sealed is None:
-        sealed = toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct)), None
-    return sk.function.apply(*sealed)
+def fe_dec(sk: FeSk, ct: bytes, sealed=()) -> tuple[bytes, tuple]:
+    """(f of the ciphertext's plaintext, its children), as FeFunction.apply
+    returns them.  sealed holds children an expand step returned: a
+    ciphertext equal to one of them that was made under sk's master is not
+    opened, since its tag checks and it decrypts to the _dumps of the
+    child's value, so f reads that value.  Any other ciphertext is
+    authenticated, decrypted and parsed."""
+    for master, child, value in sealed:
+        if child == ct and master == sk.master:
+            return sk.function.apply(None, value)
+    return sk.function.apply(toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct)))
 
 
 # -- JLLW tree obfuscator ------------------------------------------------------
@@ -555,12 +538,13 @@ class JLLWObfuscation:
     the QPrO handles of each level's B pad keys.
 
     Two memos serve the tree walk, both keyed by a node's label chi, so
-    each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is a
-    ciphertext decrypted at node chi with its ``fe_dec`` output (or _FAILED):
-    the first one any walk decrypted there, or the last a QPrOSim's walk did,
-    since a proxy's differing (tampered) ciphertext does not evict it.
-    Decryption is a pure function of the ciphertext, so a walk with any
-    oracle reuses the entry when its ciphertext is equal.  ``_nodes[qpro][chi]``
+    each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is the last
+    ciphertext opened at node chi with the (output, children) fe_dec
+    returned for it, or (_FAILED, ()) when a QPrOSim's walk failed there;
+    a proxy's failed (tampered) opening is not stored.  Decryption is a pure
+    function of the ciphertext, so a walk with any oracle reuses the entry
+    when its ciphertext is equal, and fe_dec of a child of chi reads the
+    value sealed in the entry's children.  ``_nodes[qpro][chi]``
     is node chi's unpadded (child 0, child 1) ciphertext pair, its leaf byte,
     or _FAILED, for one QPrOSim, whose answers are a pure function of its
     compared fields; an oracle of any other type walks without this memo
@@ -681,13 +665,15 @@ def jllw_eval_table(
     subtree depth first, child 0 before child 1.  Each node decrypts, then
     strips its B oracle pads; a node whose decryption or pad check fails
     labels every leaf below it _FAILED, which is exactly the set of pointwise
-    walks through it.  The obfuscation's memos spare a QPrOSim's walks every
-    repeated decryption and pad query, and any oracle's walk the decryption
-    of an equal ciphertext; a proxy oracle (tampering or logging) gets a pad
-    memo for this walk only, so it sees every pad query of every walk in the
-    uncached order, and its decryption of a ciphertext that differs from the
-    stored one serves this walk only.  The walk keeps its own stack rather than recursing
-    through a closure, so a call leaves no reference cycle behind."""
+    walks through it.  Each node is decrypted with the children its parent's
+    opening returned, so fe_dec parses only the root of an honest tree.  The
+    obfuscation's memos spare a QPrOSim's walks every repeated decryption and
+    pad query, and any oracle's walk the decryption of an equal ciphertext;
+    a proxy oracle (tampering or logging) gets a pad memo for this walk only,
+    so it sees every pad query of every walk in the uncached order, and its
+    failed opening serves this walk only.  The walk keeps its own stack
+    rather than recursing through a closure, so a call leaves no reference
+    cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
     trusted = type(qpro) is QPrOSim
@@ -702,17 +688,16 @@ def jllw_eval_table(
         node = memo.get(chi)
         if node is None:
             dec = decs.get(chi)
-            if dec is not None and dec[0] == ct:
-                v = dec[1]
-            else:
+            if dec is None or dec[0] != ct:
                 try:
-                    v = fe_dec(o.sks[d], ct)
+                    dec = ct, *fe_dec(o.sks[d], ct, decs[chi[:-1]][2] if d else ())
                 except IntegrityError:
-                    v = _FAILED
-                # a proxy's ciphertext that differs from the stored one (a tampered
-                # pad's) serves this walk, which visits each node once, and no other
-                if dec is None or trusted:
-                    decs[chi] = ct, v
+                    dec = ct, _FAILED, ()
+                # a proxy's failed opening (a tampered pad's) serves this walk,
+                # which visits each node once, and no other
+                if trusted or dec[1] != _FAILED:
+                    decs[chi] = dec
+            v = dec[1]
             if v == _FAILED:
                 node = _FAILED
             elif d == o.D:

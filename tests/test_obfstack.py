@@ -339,12 +339,12 @@ def test_fe_circuit_function_examples():
     pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng)
     parity = table_circuit([0, 1, 1, 0, 1, 0, 0, 1])
     ct = fe_enc(pk, _leaf_text("101", parity), rng.bytes(16))
-    assert fe_dec(sk, ct) == bytes([0])
+    assert fe_dec(sk, ct)[0] == bytes([0])
 
     const = table_circuit([1, 1, 1, 1])
     for x in ("00", "11"):
         ct2 = fe_enc(pk, _leaf_text(x, const), rng.bytes(16))
-        assert fe_dec(sk, ct2) == bytes([1])
+        assert fe_dec(sk, ct2)[0] == bytes([1])
 
 
 def test_fe_wrong_key_and_tamper_fail():
@@ -353,7 +353,7 @@ def test_fe_wrong_key_and_tamper_fail():
     pk, sk = fe_gen(FeFunction("jllw-eval", {}), 128, rng)
     _, sk_other = fe_gen(FeFunction("jllw-eval", {}), 128, rng)
     ct = fe_enc(pk, _leaf_text("1", ident), rng.bytes(16))
-    assert fe_dec(sk, ct) == bytes([1])
+    assert fe_dec(sk, ct)[0] == bytes([1])
     with pytest.raises(IntegrityError):
         fe_dec(sk_other, ct)
     broken = ct[:-1] + bytes([ct[-1] ^ 1])
@@ -407,7 +407,7 @@ def test_jllw_sim_mode_leaf():
     pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng)
     pt = json.dumps({"flag": "sim", "chi": "01", "info": {"y": 1}}).encode()
     ct = fe_enc(pk, pt, rng.bytes(16))
-    assert fe_dec(sk, ct) == bytes([1])
+    assert fe_dec(sk, ct)[0] == bytes([1])
 
 
 def test_jllw_hybrid_mode_rejected():
@@ -441,12 +441,17 @@ class _LoggedQPrO:
         return self.inner.eval(instance, handle, x, out_len)
 
 
-def _log_decryptions(monkeypatch, o: JLLWObfuscation, log: list) -> None:
-    """Record the tree level of every fe_dec the walk makes."""
+def _log_fe_dec(monkeypatch, o: JLLWObfuscation | None = None, log: list | None = None) -> list:
+    """Record ("dec", level) for every fe_dec call and return the log: the
+    level is the key's index in o.sks, or None without o.  A count of the
+    calls is the log's length."""
+    log = [] if log is None else log
     real = obfstack.fe_dec
     monkeypatch.setattr(
-        obfstack, "fe_dec", lambda sk, ct: log.append(("dec", o.sks.index(sk))) or real(sk, ct)
+        obfstack, "fe_dec",
+        lambda sk, ct, sealed=(): log.append(("dec", o and o.sks.index(sk))) or real(sk, ct, sealed),
     )
+    return log
 
 
 def test_jllw_eval_table_matches_circuit_at_every_split():
@@ -500,7 +505,7 @@ def test_jllw_full_table_decrypts_each_node_once(monkeypatch):
         truth = c.table_for_prefix((), d).astype(int).tolist()
         log: list = []
         with monkeypatch.context() as patch:
-            _log_decryptions(patch, o, log)
+            _log_fe_dec(patch, o, log)
             assert obfstack.jllw_eval_table(o, _LoggedQPrO(qpro, log), (), d).tolist() == truth
         # 2**d - 1 expand nodes and 2**d leaves; B pad queries per expand node
         assert sum(e[0] == "dec" for e in log) == 2 ** (d + 1) - 1
@@ -534,7 +539,7 @@ def test_jllw_zero_width_walk_query_order(monkeypatch):
         expected += [("eval", o.instance, o.handles[f"{d},{j}"], pad_input) for j in range(1, o.B + 1)]
     expected.append(("dec", o.D))
     log: list = []
-    _log_decryptions(monkeypatch, o, log)
+    _log_fe_dec(monkeypatch, o, log)
     assert jllw_eval(o, _LoggedQPrO(qpro, log), x) == c.eval_bits(x)
     assert log == expected
 
@@ -554,7 +559,7 @@ def test_jllw_pointwise_walks_decrypt_each_node_once_per_oracle(monkeypatch):
     o = jllw_obfuscate(c, qpro, 1, rng)
     blob = o.serialize()
     log: list = []
-    _log_decryptions(monkeypatch, o, log)
+    _log_fe_dec(monkeypatch, o, log)
     _count_qpro_evals(monkeypatch, log)
     assert [jllw_eval(o, qpro, bits(x, 4)) for x in range(16)] == c.table_for_prefix((), 4).tolist()
     # the 16 walks cost one full table walk: 15 expand nodes and 16 leaves,
@@ -600,7 +605,7 @@ def test_a_logged_oracle_sees_every_query_of_every_walk(monkeypatch):
     o = jllw_obfuscate(c, qpro, 1, rng)
     x = (0, 1, 1)
     log: list = []
-    _log_decryptions(monkeypatch, o, log)
+    _log_fe_dec(monkeypatch, o, log)
     logged = _LoggedQPrO(qpro, log)
     assert jllw_eval(o, logged, x) == c.eval_bits(x)
     first = list(log)
@@ -796,7 +801,7 @@ def test_a_proxy_walk_before_any_trusted_walk_shares_its_decryptions(monkeypatch
     o = jllw_obfuscate(c, qpro, 1, rng)
     x = (1, 1, 0, 1)
     log: list = []
-    _log_decryptions(monkeypatch, o, log)
+    _log_fe_dec(monkeypatch, o, log)
     assert jllw_eval(o, _LoggedQPrO(qpro, log), x) == c.eval_bits(x)
     assert not o._nodes and len(o._decs) == o.D + 1
     log.clear()
@@ -880,7 +885,7 @@ def test_a_tamper_probe_keeps_the_stored_decryption_of_the_node_it_corrupts(monk
             assert o._decs == stored
             log: list = []
             with monkeypatch.context() as patch:
-                _log_decryptions(patch, o, log)
+                _log_fe_dec(patch, o, log)
                 if level is None:
                     assert jllw_eval(o, later, probe) == c.eval_bits(probe)
                 else:
@@ -892,10 +897,49 @@ def test_a_tamper_probe_keeps_the_stored_decryption_of_the_node_it_corrupts(monk
             assert o._decs == stored
 
 
+def test_a_tree_whose_expand_key_seals_under_another_master_fails_every_leaf():
+    """A blob whose root key names a forged next-level master: the root's
+    children are made under it, so the level-1 key opens them and fails,
+    and no leaf takes the value its forged seal carries."""
+    rng = np.random.default_rng(3)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    o = jllw_obfuscate(table_circuit([0, 1, 1, 0]), qpro, 1, rng)
+    blob = json.loads(o.serialize())
+    blob["sks"][0]["function"]["params"]["pk_next"]["master"] = rng.bytes(32).hex()
+    forged = JLLWObfuscation.deserialize(obfstack._dumps(blob).encode())
+    assert obfstack.jllw_eval_table(forged, qpro, (), 2).tolist() == [obfstack._FAILED] * 4
+    assert [jllw_eval(o, qpro, bits(x, 2)) for x in range(4)] == [0, 1, 1, 0]
+
+
+def test_a_tamper_probe_before_any_walk_stores_no_failed_opening(monkeypatch):
+    """A level-0 tamper probe that walks a fresh tree first fails at the
+    child it corrupts and stores nothing there, so the first pass-through
+    proxy walk after it opens the rest of the path and the later ones
+    open nothing."""
+    from qmalab.cli import _TamperedQPrO
+
+    rng = np.random.default_rng(5)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    c = table_circuit(rng.integers(0, 2, size=8))
+    o = jllw_obfuscate(c, qpro, 1, rng)
+    probe = (1, 0, 1)
+    log = _log_fe_dec(monkeypatch, o)
+    with pytest.raises(IntegrityError):
+        jllw_eval(o, _TamperedQPrO(qpro, probe[0]), probe)
+    assert log == [("dec", 0), ("dec", 1)] and "1" not in o._decs
+    opened = []
+    for _ in range(3):
+        log.clear()
+        assert jllw_eval(o, _LoggedQPrO(qpro, []), probe) == c.eval_bits(probe)
+        opened.append([level for _, level in log])
+    assert opened == [[1, 2, 3], [], []]
+
+
 def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
-    """fe_dec reads a ciphertext that fe_enc has just made from the seal
-    memo: the result equals opening it in full, a changed byte or another
-    master still fails, and the memo keeps at most _SEALED_CAP entries."""
+    """fe_dec reads a ciphertext that is one of the sealed children it is
+    handed, made under its key's master, from the child's value: the result
+    equals opening it in full.  A changed byte, another key, or a child
+    sealed under another master is opened, and fails or reads its own text."""
     rng = np.random.default_rng(32)
     pk, sk = fe_gen(FeFunction("jllw-eval", {}), 200, rng)
     _, other = fe_gen(FeFunction("jllw-eval", {}), 200, rng)
@@ -904,19 +948,18 @@ def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
         for x in range(8)
     ]
     cts = [fe_enc(pk, text, rng.bytes(16)) for text in texts]
-    from_memo = [fe_dec(sk, ct) for ct in cts]
-    obfstack._SEALED.clear()
-    assert [fe_dec(sk, ct) for ct in cts] == from_memo == [bytes([x == 5]) for x in range(8)]
-    ct = fe_enc(pk, texts[5], rng.bytes(16))
+    sealed = tuple((pk.master, ct, json.loads(text)) for ct, text in zip(cts, texts))
+    from_seal = [fe_dec(sk, ct, sealed) for ct in cts]
+    assert [fe_dec(sk, ct) for ct in cts] == from_seal == [(bytes([x == 5]), ()) for x in range(8)]
+    ct = cts[5]
     for i in (0, 20, len(ct) - 1):
         with pytest.raises(IntegrityError):
-            fe_dec(sk, ct[:i] + bytes([ct[i] ^ 1]) + ct[i + 1 :])
+            fe_dec(sk, ct[:i] + bytes([ct[i] ^ 1]) + ct[i + 1 :], sealed)
     with pytest.raises(IntegrityError):
-        fe_dec(other, ct)
-    for _ in range(2 * obfstack._SEALED_CAP):
-        fe_enc(pk, texts[0], rng.bytes(16))
-    assert len(obfstack._SEALED) == obfstack._SEALED_CAP and (sk.master, ct) not in obfstack._SEALED
-    assert fe_dec(sk, ct) == b"\x01"
+        fe_dec(other, ct, sealed)
+    # a seal is read, not checked against the text, so only its own master's counts
+    assert fe_dec(sk, ct, ((pk.master, ct, sealed[4][2]),)) == (b"\x00", ())
+    assert fe_dec(sk, ct, ((other.master, ct, sealed[4][2]),)) == (b"\x01", ())
 
 
 def _leaf_ciphertext(o: JLLWObfuscation, circuit_text: str, chi: str, rng) -> bytes:
@@ -942,7 +985,7 @@ def test_leaves_that_carry_different_circuits_each_evaluate_their_own():
         chi = "".join(map(str, bits(x, d)))
         for c in circuits:
             leaf = _leaf_ciphertext(trees[0], obfstack._dumps(c.canonical), chi, rng)
-            assert fe_dec(trees[0].sks[d], leaf) == bytes([c.eval_bits(bits(x, d))])
+            assert fe_dec(trees[0].sks[d], leaf)[0] == bytes([c.eval_bits(bits(x, d))])
         for c, o in zip(circuits, trees):
             assert jllw_eval(o, qpro, bits(x, d)) == c.eval_bits(bits(x, d))
 
@@ -951,7 +994,7 @@ def test_leaves_that_carry_different_circuits_each_evaluate_their_own():
 def test_a_leaf_table_that_holds_another_json_one_fails_as_it_did_unmemoized(other):
     """JSON's 1, true and 1.0 are equal Python values but different leaf
     circuits: a table holding true or 1.0 fails with from_canonical's error,
-    whether or not the table holding 1 was built first."""
+    whether or not the leaf key built the table holding 1 just before."""
     rng = np.random.default_rng(30)
     qpro = QPrOSim.from_seed(rng, instance_count=2)
     o = jllw_obfuscate(table_circuit([0, 1]), qpro, 1, rng)
@@ -959,11 +1002,10 @@ def test_a_leaf_table_that_holds_another_json_one_fails_as_it_did_unmemoized(oth
     with pytest.raises(ValueError) as unmemoized:
         CircuitDesc.from_canonical(json.loads(bad))
     for first, second in ((good, bad), (bad, good)):
-        obfstack._circuit_of_text.cache_clear()
         for text in (first, second, first, second):
             leaf = _leaf_ciphertext(o, text, "1", rng)
             if text == good:
-                assert fe_dec(o.sks[1], leaf) == b"\x01"
+                assert fe_dec(o.sks[1], leaf)[0] == b"\x01"
             else:
                 with pytest.raises(IntegrityError) as failed:
                     fe_dec(o.sks[1], leaf)
@@ -993,61 +1035,61 @@ def _truth_at_every_split(c: CircuitDesc) -> list:
     return [c.table_for_prefix(bits(p, d - k), k).astype(int).tolist() for k in range(d + 1) for p in range(2 ** (d - k))]
 
 
-def _sealed_values_match_their_texts() -> int:
-    """Check every value the seal memo holds against its text; return how many it holds."""
-    valued = [(text, value) for text, value in obfstack._SEALED.values() if value is not None]
-    for text, value in valued:
+def _sealed_values_match_their_texts(o: JLLWObfuscation) -> int:
+    """Check every child value o's stored openings hold against the child's
+    text, opened under the child's master; return how many they hold."""
+    children = [child for _, _, kids in o._decs.values() for child in kids]
+    for master, ct, value in children:
+        text = toycrypto.unframe(toycrypto.auth_decrypt(master, ct))
         assert obfstack._dumps(value) == text.decode()
         assert toycrypto._wire_json(text) == value
-    return len(valued)
+    return len(children)
 
 
 def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
-    """An expand step seals each child's text with the value it built it
-    from; after a full walk every sealed value still dumps to its text and
-    parses from it, so the walk mutated none.  The root is sealed without
-    one, so a walk parses the root alone and builds the leaf circuit once."""
+    """An expand step returns each child's ciphertext with the value it
+    built the child's text from; after a full walk every value the tree's
+    openings keep still dumps to its text and parses from it, so the walk
+    mutated none.  The root has no parent to seal it, so a walk parses the
+    root alone and builds the leaf circuit once."""
     qpro, trees = _sealing_trees(34)
-    last = trees[-1][1]
-    assert obfstack._SEALED[last.sks[0].master, last.ct_root][1] is None
     calls: list = []
-    for name in ("_wire_json", "_circuit_of_text"):
-        real = getattr(obfstack, name)
-        monkeypatch.setattr(obfstack, name, lambda arg, _r=real, _n=name: calls.append(_n) or _r(arg))
+    real_parse = obfstack._wire_json
+    monkeypatch.setattr(obfstack, "_wire_json", lambda data: calls.append("parse") or real_parse(data))
+    real_build = CircuitDesc.from_canonical.__func__
+    monkeypatch.setattr(
+        CircuitDesc, "from_canonical",
+        classmethod(lambda cls, canon: calls.append(obfstack._dumps(canon)) or real_build(cls, canon)),
+    )
     for c, o in trees:
-        obfstack._SEALED.clear()
         calls.clear()
         truth = c.table_for_prefix((), o.D).astype(int).tolist()
         assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
-        assert calls == ["_wire_json", "_circuit_of_text"]
+        assert calls[:2] == ["parse", c.canonical_bytes().decode()]
+        assert calls.count("parse") == calls.count(c.canonical_bytes().decode()) == 1
         assert [jllw_eval(o, qpro, bits(x, o.D)) for x in range(2**o.D)] == truth
-        assert _sealed_values_match_their_texts() == 2 ** (o.D + 1) - 2
-    # an outside caller's text is sealed without a value
-    ct = fe_enc(obfstack.FePk(o.sks[0].master, o.ptlen), b'{"flag":"sim"}', bytes(16))
-    assert obfstack._SEALED[o.sks[0].master, ct] == (b'{"flag":"sim"}', None)
+        assert _sealed_values_match_their_texts(o) == 2 ** (o.D + 1) - 2
 
 
 def test_walks_with_every_value_withheld_give_the_same_labels_and_nodes(monkeypatch):
-    """Every node parsed from its text (fe_enc sealing no value, or the seal
-    memo cleared before each walk) labels every split and unpads every
-    child pair as the walk over sealed values does."""
+    """Every node parsed from its text (fe_dec handed no sealed children,
+    so it opens every ciphertext) labels every split and unpads every child
+    pair as the walk over sealed values does, and so does a walk whose
+    later splits find their parents' openings stored by earlier ones."""
     qpro, trees = _sealing_trees(35)
     sealed = [(_labels_at_every_split(o, qpro), obfstack.jllw_eval_table(o, qpro, (), o.D)) for _, o in trees]
-    real = obfstack.fe_enc
+    real = obfstack.fe_dec
     with monkeypatch.context() as patch:
-        patch.setattr(obfstack, "fe_enc", lambda pk, plaintext, r, value=None: real(pk, plaintext, r))
-        obfstack._SEALED.clear()
+        patch.setattr(obfstack, "fe_dec", lambda sk, ct, sealed=(): real(sk, ct))
         withheld = [(_labels_at_every_split(o, qpro), dataclasses.replace(o)) for _, o in trees]
         for _, o in withheld:
             obfstack.jllw_eval_table(o, qpro, (), o.D)
-        assert all(value is None for _, value in obfstack._SEALED.values())
     for (c, o), (labels, table), (parsed_labels, parsed) in zip(trees, sealed, withheld):
         assert labels == parsed_labels == _truth_at_every_split(c)
         assert table.tolist() == c.table_for_prefix((), o.D).astype(int).tolist()
         assert parsed._nodes[qpro] == o._nodes[qpro]
         cleared = dataclasses.replace(o)
         for k in range(o.D + 1):
-            obfstack._SEALED.clear()
             assert obfstack.jllw_eval_table(cleared, qpro, bits(0, o.D - k), k).tolist() == labels[
                 sum(2 ** (o.D - j) for j in range(k))
             ]
@@ -1068,11 +1110,12 @@ def test_trees_walked_after_replace_or_deserialize_evaluate_their_own_circuit():
         text = obfstack._dumps(root).encode()
         swapped = dataclasses.replace(o, ct_root=fe_enc(obfstack.FePk(o.sks[0].master, o.ptlen), text, bytes(16)))
         assert swapped.sks is o.sks
-        obfstack._SEALED.clear()
         assert _labels_at_every_split(swapped, qpro) == _truth_at_every_split(other)
-        assert _sealed_values_match_their_texts() > 0
         assert _labels_at_every_split(o, qpro) == truth
-        assert _sealed_values_match_their_texts() > 0
+        for tree, circuit in ((swapped, other), (o, c)):
+            labels = obfstack.jllw_eval_table(tree, qpro, (), o.D).tolist()
+            assert labels == circuit.table_for_prefix((), o.D).astype(int).tolist()
+            assert _sealed_values_match_their_texts(tree) == 2 ** (o.D + 1) - 2
 
 
 def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):
@@ -1083,7 +1126,7 @@ def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):
     obfstack.jllw_eval_table(o, qpro, (), 3)
     copy = dataclasses.replace(o)
     assert "_decs" not in vars(copy) and "_nodes" not in vars(copy)
-    calls = _count_fe_dec(monkeypatch)
+    calls = _log_fe_dec(monkeypatch)
     assert obfstack.jllw_eval_table(copy, qpro, (), 3).tolist() == c.table_for_prefix((), 3).tolist()
     assert len(calls) == 2 ** (o.D + 1) - 1
 
@@ -1506,13 +1549,6 @@ def test_pc_eval_table_matches_pointwise_on_jllw(monkeypatch):
     assert len(calls) == len(o.unopened)
 
 
-def _count_fe_dec(monkeypatch) -> list:
-    calls: list = []
-    real = obfstack.fe_dec
-    monkeypatch.setattr(obfstack, "fe_dec", lambda sk, ct: calls.append(1) or real(sk, ct))
-    return calls
-
-
 def _seed41_jllw_transcript():
     rng = np.random.default_rng(41)
     qpro = QPrOSim.from_seed(rng)
@@ -1525,7 +1561,7 @@ def test_pointwise_pc_evals_share_each_parsed_jllw_tree(monkeypatch):
     # two unopened trees of 7 nodes each: four pointwise evaluations decrypt
     # each node once, as one table walk does (a parse per call made it 24)
     qpro, o = _seed41_jllw_transcript()
-    calls = _count_fe_dec(monkeypatch)
+    calls = _log_fe_dec(monkeypatch)
     assert [pc_eval(o, qpro, bits(x, 2)) for x in range(4)] == [0, 1, 1, 0]
     assert len(calls) == 14
     calls.clear()
@@ -1566,7 +1602,7 @@ def test_replaced_transcript_starts_with_no_parsed_trees(monkeypatch):
     assert "_trees" in vars(o)
     copy = dataclasses.replace(o)
     assert "_trees" not in vars(copy)
-    calls = _count_fe_dec(monkeypatch)
+    calls = _log_fe_dec(monkeypatch)
     pc_eval_table(copy, qpro, (), 2)
     assert len(calls) == 14
 
