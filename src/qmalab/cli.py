@@ -23,6 +23,7 @@ import numpy as np
 from . import ati, csa, obfstack, permver, protocol, simstate, zxham
 from .gf2 import BitVector
 from .obfstack import QPrOSim
+from .toycrypto import _wire_field, _wire_int, _wire_json, _wire_number
 
 REFERENCE_YES = {
     "qubits": 2,
@@ -69,26 +70,11 @@ class RunConfig:
         unknown = set(data) - set(declared)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if not _has_declared_type(value, declared[name]):
-                raise ValueError(f"config field {name!r} must be {declared[name]}, not {value!r}")
-        data = dict(data)  # instance paths are loaded into a copy
-        for key in ("instance", "instance_b"):
-            ref = data.get(key)
-            if isinstance(ref, str):
-                path = Path(ref)
-                if not path.exists():
-                    raise ValueError(f"instance file {ref} does not exist")
-                try:
-                    data[key] = ref = json.loads(path.read_text())
-                except RecursionError:  # a JSONDecodeError is a ValueError already
-                    raise ValueError(f"instance file {ref} nests too deep") from None
-            if ref is not None:
-                zxham.HamiltonianInstance.from_json(ref)  # shape check; the dict is echoed
-        cfg = cls(**data)
-        for name in ("seed", "trials", "k", "prg_bits", "budget"):
-            if getattr(cfg, name) < 0:
-                raise ValueError(f"config field {name!r} must be nonnegative")
+        cfg = cls(**{
+            name: None if value is None and declared[name].endswith(" | None")
+            else _wire_field(data, name, _CONFIG_READERS[declared[name].removesuffix(" | None")])
+            for name, value in data.items()
+        })
         for name in ("lambda_code", "lambda_cc"):
             if getattr(cfg, name) < 1:
                 raise ValueError(f"config field {name!r} must be at least 1")
@@ -112,15 +98,21 @@ class RunConfig:
         return zxham.HamiltonianInstance.from_json(self.instance or default)
 
 
-def _has_declared_type(value, declared: str) -> bool:
-    """Whether a JSON value fits a RunConfig annotation: bools are not
-    numbers, ints pass as floats, and instance fields also take a path."""
-    if value is None:
-        return declared.endswith(" | None")
-    if isinstance(value, bool):
-        return False
-    kinds = {"int": int, "float": (int, float), "str": str, "dict": (dict, str)}
-    return isinstance(value, kinds[declared.removesuffix(" | None")])
+def _instance(ref) -> dict:
+    """An instance field's object, given inline or as the path of a JSON file:
+    shape-checked and returned as read, so the report's config echoes it."""
+    if type(ref) is str:
+        try:
+            ref = _wire_json(Path(ref).read_bytes())
+        except OSError as exc:
+            why = "does not exist" if isinstance(exc, FileNotFoundError) else f"is unreadable: {exc.strerror}"
+            raise ValueError(f"instance file {ref} {why}") from None
+    zxham.HamiltonianInstance.from_json(ref)
+    return ref
+
+
+# the reader of each RunConfig annotation, less its " | None"
+_CONFIG_READERS = {"int": _wire_int, "float": _wire_number, "str": str, "dict": _instance}
 
 
 def metric(value, tolerance: str, ok: bool | None = None) -> dict:
@@ -131,8 +123,6 @@ def metric(value, tolerance: str, ok: bool | None = None) -> dict:
 
 
 def wilson_interval(hits: int, n: int) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
     z = 1.96  # 95% two-sided
     p = hits / n
     denom = 1 + z**2 / n
@@ -253,6 +243,7 @@ def _e2e_run(cfg: RunConfig, h: zxham.HamiltonianInstance, i: int, g, pcfg):
 def scenario_e2e_complete(cfg: RunConfig) -> dict:
     h = cfg.load_instance(REFERENCE_YES)
     g, pcfg = cfg.gamma_params(), cfg.protocol_config()
+    protocol.witness_registers(h, pcfg)  # refuses a run above the qubit cap before its first trial
     trials = cfg.trials_or(200)
     hits = sum(_e2e_run(cfg, h, i, g, pcfg)[0] for i in range(trials))
     rate = hits / trials
@@ -269,7 +260,7 @@ def scenario_e2e_extract(cfg: RunConfig) -> dict:
     accepted = 0
     violations = 0
     min_quality = 1.0
-    pv = permver.build(h, pcfg.k)
+    pv = protocol.witness_registers(h, pcfg)[0]
     for i in range(trials):
         accept, residual, _, crs, td, qpro = _e2e_run(cfg, h, i, g, pcfg)
         if not accept:
@@ -303,6 +294,8 @@ def scenario_e2e_simulate(cfg: RunConfig) -> dict:
     h_a = cfg.load_instance(REFERENCE_YES)
     h_b = zxham.HamiltonianInstance.from_json(cfg.instance_b or ALT_YES)
     g, pcfg = cfg.gamma_params(), cfg.protocol_config()
+    for h in (h_a, h_b):
+        protocol.witness_registers(h, pcfg)  # refuses a run above the qubit cap before its first trial
     trials = cfg.trials_or(200)
     rates = {}
     chal_samples: dict[str, list[int]] = {"a": [], "b": []}
@@ -487,6 +480,8 @@ def distinguish_game(cfg: RunConfig) -> dict:
     play = _GAMES[cfg.game]
     trials = cfg.trials_or(1000)
     per_world = trials // 2
+    if per_world < 1:
+        raise ValueError(f"a game plays trials // 2 per world, so it needs trials >= 2, not {trials}")
     hits = [0, 0]
     for world in (0, 1):
         for i in range(per_world):
@@ -573,8 +568,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        data = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or JSON, or nested too deep
+        data = _wire_json(Path(args.config).read_bytes())
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON text
         print(json.dumps({"error": f"config unreadable: {exc}"}), file=sys.stderr)
         return 2
 

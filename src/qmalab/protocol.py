@@ -15,6 +15,7 @@ and a null decoder branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,13 +80,10 @@ class QmaProof:
     encoded: StateVector
     obf: PCObfuscation
 
-    def to_json(self, debug: bool = False) -> dict:
+    def to_json(self) -> dict:
         """Classical transcript; the quantum register is re-derivable from
-        seeds in honest runs and is dumped only under the debug flag."""
-        out = {"obf": self.obf.to_json(), "encoded_qubits": self.encoded.num_qubits}
-        if debug:
-            out["encoded_amplitudes"] = self.encoded.debug_dump()
-        return out
+        seeds in honest runs."""
+        return {"obf": self.obf.to_json(), "encoded_qubits": self.encoded.num_qubits}
 
 
 def ext0(rng: np.random.Generator, cfg: ProtocolConfig) -> tuple[PcParams, bytes]:
@@ -231,17 +229,17 @@ PROTOCOL_PHI = PhiSpec("csa-ver-mcirc", _phi_check)
 
 def witness_registers(h: HamiltonianInstance, cfg: ProtocolConfig) -> tuple[PermutingVerifier, int, int]:
     """(verifier, logical qubits m, physical qubits); rejects a configuration
-    above PHYSICAL_QUBIT_CAP before any work."""
-    pv = permver.build(h, cfg.k)
-    m = pv.list_len * pv.ell
+    above PHYSICAL_QUBIT_CAP before any work, building the verifier included."""
+    list_len = sum(math.floor(t.p * cfg.k) for t in h.terms)  # permver.build's list length
+    m = list_len * h.num_qubits
     phys = m * (2 * cfg.lambda_code + 1)
     if phys > PHYSICAL_QUBIT_CAP:
         raise ValueError(
             f"configuration needs {phys} physical qubits "
-            f"({pv.list_len} registers x {pv.ell} x {2 * cfg.lambda_code + 1}), "
+            f"({list_len} registers x {h.num_qubits} x {2 * cfg.lambda_code + 1}), "
             f"cap is {PHYSICAL_QUBIT_CAP}"
         )
-    return pv, m, phys
+    return permver.build(h, cfg.k), m, phys
 
 
 def prove(

@@ -52,15 +52,9 @@ class StateVector:
         a[index] = 1.0
         return cls(a, num_qubits)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def fidelity(self, other: StateVector) -> float:
         """|<self|other>|^2 (global-phase insensitive)."""
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-    def debug_dump(self) -> list[list[float]]:
-        return [[float(z.real), float(z.imag)] for z in self.amplitudes]
 
 
 @dataclass(frozen=True, eq=False)

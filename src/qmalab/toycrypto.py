@@ -157,6 +157,13 @@ def _wire_int(v, bits: int | None = None) -> int:
     return v
 
 
+def _wire_number(v) -> int | float:
+    """A JSON number, an integer or a float (a bool is neither)."""
+    if type(v) not in (int, float):
+        raise ValueError(f"expected a number, got {v!r}")
+    return v
+
+
 def _wire_list(v, bits: int | None = None) -> list:
     """A JSON list; with bits, a list of integers in [0, 2**bits) (a negative w has w >> bits == -1)."""
     if type(v) is not list or (bits is not None and not all(type(w) is int and not w >> bits for w in v)):

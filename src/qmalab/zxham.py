@@ -9,7 +9,6 @@ oracles return ground truth for desk-scale instances (dense diagonalization).
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -108,12 +107,6 @@ class HamiltonianInstance:
         )
         return cls(_wire_field(data, "qubits", _wire_int), terms)
 
-    @classmethod
-    def loads(cls, text: str) -> HamiltonianInstance:
-        return cls.from_json(json.loads(text))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 def samp(h: HamiltonianInstance, rng: np.random.Generator) -> tuple[int, int, str]:
     """Draw a term (i, j, basis) in proportion to its listed weight."""

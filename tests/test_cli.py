@@ -129,6 +129,34 @@ def test_prg_bits_above_the_cap_exit_2_before_the_first_trial(scenario, tmp_path
     assert "prg_bits" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("scenario", ["e2e-complete", "e2e-extract", "e2e-simulate"])
+def test_runs_above_the_qubit_cap_exit_2_before_the_first_trial(scenario, tmp_path, capsys, monkeypatch):
+    # every trial starts by seeding its oracle; at k = 10**7 the verifier's
+    # measurement list alone would hold ten million entries
+    def never(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli.QPrOSim, "from_seed", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "k": 10**7}))
+    start = time.monotonic()
+    assert cli.main(["run", "--scenario", scenario, "--config", str(cfg_path)]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "physical qubits" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_a_game_of_one_trial_exits_2_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    # trials // 2 is the trial count of each world, so one trial leaves none
+    def never(cfg, world, rng):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(cli._GAMES, "key-swap", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "trials": 1, "game": "key-swap"}))
+    assert cli.main(["run", "--scenario", "distinguish-game", "--config", str(cfg_path)]) == 2
+    assert "trials >= 2" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_config_types_accept_every_declared_form():
     cfg = RunConfig.from_json(
         {
@@ -149,6 +177,19 @@ def test_config_rejects_missing_instance_file():
         RunConfig.from_json(
             {"scenario": "permver-bench", "seed": 1, "instance": "/nonexistent/h.json"}
         )
+
+
+@pytest.mark.parametrize("ref", [".", "cfg.json/h.json"], ids=["directory", "under-a-file"])
+def test_an_instance_path_that_cannot_be_read_exits_2(ref, tmp_path, capsys, monkeypatch):
+    # a config error exits 2, never 1, which is the code of a failed tolerance
+    def never(cfg):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(cli.SCENARIOS, "e2e-complete", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 1, "instance": ref}))
+    assert cli.main(["run", "--scenario", "e2e-complete", "--config", "cfg.json"]) == 2
+    assert f"instance file {ref}" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_unknown_scenario_errors():
@@ -277,7 +318,7 @@ def test_main_refuses_a_config_nested_deeper_than_the_decoder_recurses(tmp_path,
     (tmp_path / "h.json").write_text(deep)
     cfg_path.write_text(json.dumps({"seed": 1, "instance": str(tmp_path / "h.json")}))
     assert cli.main(["run", "--scenario", "e2e-complete", "--config", str(cfg_path)]) == 2
-    assert "nests too deep" in capsys.readouterr().err
+    assert "field 'instance': not JSON text" in capsys.readouterr().err
 
 
 def test_main_unknown_scenario_exit(tmp_path, capsys):

@@ -3,6 +3,7 @@ run that verify_product is checked against lives here."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_per_instance_constants_are_computed_once_and_read_only():
     as_float, as_int = (
         HamiltonianInstance(3, (HamTerm(0, 1, "Z", 0, 0.5), HamTerm(1, 2, "X", 1, p))) for p in (0.0, 0)
     )
-    assert as_float == as_int and as_float.dumps() != as_int.dumps()
+    assert as_float == as_int and json.dumps(as_float.to_json()) != json.dumps(as_int.to_json())
     for h in (as_float, as_int):
         v = build(h, 4, 1.0, 0.5)
         assert v.base is h and v.specs is build(as_float, 4, 1.0, 0.5).specs

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -627,6 +628,17 @@ def test_prove_classical_components_deterministic_under_seed():
     assert np.allclose(a.encoded.amplitudes, b.encoded.amplitudes)
 
 
+def test_qubit_cap_is_checked_before_the_verifier_is_built():
+    before = permver._measurement_list.cache_info().currsize
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="physical qubits"):
+        protocol.witness_registers(REFERENCE, ProtocolConfig(k=10**7))
+    assert time.monotonic() - start < 0.5
+    assert permver._measurement_list.cache_info().currsize == before
+    pv, m, phys = protocol.witness_registers(REFERENCE, CFG)  # 2 registers x 2 qubits x 3
+    assert (pv.list_len, m, phys) == (2, 4, 12)
+
+
 def test_enc_cap_guard():
     rng, _ = fresh(11)
     key = csa.keygen(5, 2, rng)  # 2 blocks x 11 qubits = 22, logical ok
@@ -644,6 +656,4 @@ def test_proof_transcript_serialization():
     classical = proof.to_json()
     assert "encoded_amplitudes" not in classical
     json.dumps(classical)  # transcript is plain JSON
-    debug = proof.to_json(debug=True)
-    assert len(debug["encoded_amplitudes"]) == 2**12
     assert obfstack.PCObfuscation.from_json(classical["obf"]).chal == proof.obf.chal

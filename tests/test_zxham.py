@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def test_malformed_instance_json_raises_value_error(data):
 
 
 def test_json_round_trip():
-    again = HamiltonianInstance.loads(TWO_PAIRS.dumps())
+    again = HamiltonianInstance.from_json(json.loads(json.dumps(TWO_PAIRS.to_json())))
     assert again == TWO_PAIRS
 
 
