@@ -160,17 +160,28 @@ def scenario_csa_correctness(cfg: RunConfig) -> dict:
     }
 
 
+# sub-measurements per witness (trials x list length) permver-bench runs at most;
+# each takes about 30 us, so the cap is about a minute, and criterion 03 runs 3 * 10**4
+PERMVER_BENCH_WORK_CAP = 10**6
+
+
 def scenario_permver_bench(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     h = cfg.load_instance(SINGLE_Z)
-    v = permver.build(h, cfg.k or 6)
+    k, trials = cfg.k or 6, cfg.trials_or(10_000)
+    work = trials * permver.list_length(h, k)  # refused before permver.build
+    if work > PERMVER_BENCH_WORK_CAP:
+        raise ValueError(
+            f"configuration needs {work} sub-measurements per witness ({trials} trials x "
+            f"{work // trials} list entries), cap is {PERMVER_BENCH_WORK_CAP}"
+        )
+    v = permver.build(h, k)
     _, gs = zxham.ground_state(h)
     e = zxham.acceptance_operator(h)
     diag = np.real(np.diag(e))
     no_idx = int(np.argmin(diag))
     no_state = simstate.StateVector.basis(h.num_qubits, no_idx)
 
-    trials = cfg.trials_or(10_000)
     yes_hits = sum(permver.verify_product(v, gs, rng) for _ in range(trials))
     no_hits = sum(permver.verify_product(v, no_state, rng) for _ in range(trials))
     yes_rate, no_rate = yes_hits / trials, no_hits / trials

@@ -25,7 +25,8 @@ import functools
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -261,6 +262,14 @@ def qpro_prf(instance: int, key: int, x: bytes, out_len: int) -> bytes:
     return toycrypto.stream(toycrypto.absorb(h, (key.to_bytes(8, "big"), x)).digest(), out_len)
 
 
+@functools.lru_cache(maxsize=32)  # one entry per oracle instance; runs use lambda_cc + 1 of them
+def _round_prefixes(instance: int) -> tuple[bytes, ...]:
+    """What each of instance's 4 round states absorbs after the tag and
+    master: the instance and the round number, and the half's length prefix,
+    in digest's framing, so one update() gives the state absorb would."""
+    return tuple(toycrypto.framed((instance.to_bytes(4, "big"), bytes([rnd])), next_len=4) for rnd in range(4))
+
+
 @dataclass(frozen=True)
 class QPrOSim:
     """Lazy classical simulation of the (p+1)-instance pseudorandom oracle.
@@ -275,7 +284,8 @@ class QPrOSim:
     ``rounds`` maps an instance to its 4 round tables, built on its first
     query and read by gen_many and inv: each pairs a {half: value} memo with
     the round's BLAKE2b state, a copy of the per-oracle state that has
-    absorbed the tag and master.  The tables hold at most instance_count * 4
+    absorbed the tag and master, updated once with the round's pre-framed
+    prefix (_round_prefixes).  The tables hold at most instance_count * 4
     states and instance_count * 4 * 2**(lam_bits / 2) halves, and
     dataclasses.replace gives the new oracle empty tables of its own.
 
@@ -308,10 +318,12 @@ class QPrOSim:
         if tables is None:
             if not 0 <= instance < self.instance_count:
                 raise ValueError("oracle instance out of range")
-            parts = [(instance.to_bytes(4, "big"), bytes([rnd])) for rnd in range(4)]
-            tables = self.rounds[instance] = tuple(
-                (toycrypto.absorb(self._perm_state.copy(), p, next_len=4), {}) for p in parts
-            )
+            states = []
+            for prefix in _round_prefixes(instance):
+                h = self._perm_state.copy()
+                h.update(prefix)
+                states.append((h, {}))
+            tables = self.rounds[instance] = tuple(states)
         return tables
 
     def _in_key_space(self, keys: tuple[int, ...]) -> bool:  # the keys gen_many accepts
@@ -761,10 +773,15 @@ class PcParams:
 
 @dataclass(frozen=True)
 class PCObfuscation:
-    """A cut-and-choose transcript.  ``_trees`` parses each unopened JLLW
-    blob once, so every evaluation of the transcript shares the trees' node
-    memos; like ``JLLWObfuscation._nodes`` it is a cached property, so
-    dataclasses.replace starts the new transcript with an empty one."""
+    """A cut-and-choose transcript.  Building one stores ``unopened`` and
+    ``opened`` as read-only copies of the mappings it is given, so no field
+    changes after construction.  Two cached properties read the fields
+    once: ``_statement_instance``, the NP statement's instance bytes, which
+    the prover, the verifier and the extractor all use, and ``_trees``, each
+    unopened JLLW blob parsed once, so every evaluation of the transcript
+    shares the trees' node memos.  Like ``JLLWObfuscation._nodes`` they start
+    empty after dataclasses.replace; only ``_proven`` carries the statement
+    over, since the proof is not part of it."""
 
     backend: str
     arity: int
@@ -772,10 +789,14 @@ class PCObfuscation:
     commitments: tuple[bytes, ...]
     handle_bundles: tuple[tuple[int, ...], ...]
     chal: int
-    unopened: dict  # t -> ObfHandle (ideal) or serialized JLLW blob bytes
-    opened: dict  # t -> (keys tuple, commitment randomness)
+    unopened: Mapping  # t -> ObfHandle (ideal) or serialized JLLW blob bytes
+    opened: Mapping  # t -> (keys tuple, commitment randomness)
     proof: NpProof
     phi_id: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "unopened", MappingProxyType(dict(self.unopened)))
+        object.__setattr__(self, "opened", MappingProxyType(dict(self.opened)))
 
     def open_set(self) -> set[int]:
         return _open_set(self.chal, self.lam_cc)
@@ -793,6 +814,29 @@ class PCObfuscation:
                 tree = None
             trees[t] = tree if tree is not None and (tree.instance, tree.D) == (t, self.arity) else _FAILED
         return trees
+
+    @functools.cached_property
+    def _statement_instance(self) -> bytes:
+        """The instance of the NP statement the transcript claims, serialized."""
+        instance = {
+            "phi": self.phi_id,
+            "chal": self.chal,
+            "lam_cc": self.lam_cc,
+            "commitments": [c.hex() for c in self.commitments],
+            "handles": [list(b) for b in self.handle_bundles],
+            "unopened": {
+                str(t): (blob.to_json() if self.backend == "ideal" else toycrypto.digest(b"blob", blob).hex())
+                for t, blob in self.unopened.items()
+            },
+            "backend": self.backend,
+        }
+        return _dumps(instance).encode()
+
+    def _proven(self, proof: NpProof) -> PCObfuscation:
+        """This transcript with proof, and with the statement instance already serialized."""
+        proven = dataclasses.replace(self, proof=proof)
+        proven.__dict__["_statement_instance"] = self._statement_instance  # where cached_property keeps it
+        return proven
 
     def to_json(self) -> dict:
         return {
@@ -933,20 +977,8 @@ def _pc_relation(qpro: QPrOSim, backend: str, phi: PhiSpec) -> Callable[[bytes, 
 
 def _pc_statement(qpro: QPrOSim, phi: PhiSpec, o: PCObfuscation) -> NpStatement:
     """The NP statement a transcript claims; the prover, the verifier and the
-    extractor all build it here."""
-    instance = {
-        "phi": o.phi_id,
-        "chal": o.chal,
-        "lam_cc": o.lam_cc,
-        "commitments": [c.hex() for c in o.commitments],
-        "handles": [list(b) for b in o.handle_bundles],
-        "unopened": {
-            str(t): (blob.to_json() if o.backend == "ideal" else toycrypto.digest(b"blob", blob).hex())
-            for t, blob in o.unopened.items()
-        },
-        "backend": o.backend,
-    }
-    return NpStatement("pc-obfuscation", _dumps(instance).encode(), _pc_relation(qpro, o.backend, phi))
+    extractor all build it here, from the transcript's one serialization."""
+    return NpStatement("pc-obfuscation", o._statement_instance, _pc_relation(qpro, o.backend, phi))
 
 
 def _pc_build(
@@ -1034,8 +1066,7 @@ def pc_obfuscate(
     if not phi.check(c.canonical):
         raise ValueError("circuit violates the predicate phi")
     transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, backend, corrupt_bundles)
-    proof = nizknp.np_prove(pp.crs, stmt, witness, rng)
-    return dataclasses.replace(transcript, proof=proof)
+    return transcript._proven(nizknp.np_prove(pp.crs, stmt, witness, rng))
 
 
 def pc_sim_obfuscate(
@@ -1054,8 +1085,7 @@ def pc_sim_obfuscate(
     extractor functional on simulated transcripts.
     """
     transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, "ideal", ())
-    proof = nizknp.np_prove_simulated(pp.crs, stmt, witness, rng)
-    return dataclasses.replace(transcript, proof=proof)
+    return transcript._proven(nizknp.np_prove_simulated(pp.crs, stmt, witness, rng))
 
 
 def pc_verify(

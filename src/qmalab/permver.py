@@ -140,6 +140,12 @@ def build(
     return PermutingVerifier(h, k, a, b, _measurement_list(h, k))
 
 
+def list_length(h: HamiltonianInstance, k: int) -> int:
+    """The length of build(h, k)'s measurement list, sum of floor(p*k) over
+    the terms, counted without building the list."""
+    return sum(math.floor(t.p * k) for t in h.terms)
+
+
 @lru_cache(maxsize=32)
 def _measurement_list(h: HamiltonianInstance, k: int) -> tuple[ZXMeasurementSpec, ...]:
     """Each term's spec repeated floor(p*k) times, built once per (instance,

@@ -15,7 +15,6 @@ and a null decoder branch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -230,7 +229,7 @@ PROTOCOL_PHI = PhiSpec("csa-ver-mcirc", _phi_check)
 def witness_registers(h: HamiltonianInstance, cfg: ProtocolConfig) -> tuple[PermutingVerifier, int, int]:
     """(verifier, logical qubits m, physical qubits); rejects a configuration
     above PHYSICAL_QUBIT_CAP before any work, building the verifier included."""
-    list_len = sum(math.floor(t.p * cfg.k) for t in h.terms)  # permver.build's list length
+    list_len = permver.list_length(h, cfg.k)
     m = list_len * h.num_qubits
     phys = m * (2 * cfg.lambda_code + 1)
     if phys > PHYSICAL_QUBIT_CAP:

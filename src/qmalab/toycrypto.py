@@ -11,6 +11,7 @@ ValueError naming it, and nothing else.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import json
@@ -28,19 +29,40 @@ def digest_state(
     part framed by its 4-byte big-endian length.  With next_len, the state
     has also absorbed the length prefix of one more part of next_len bytes,
     so copy(), update(part) and digest() give digest(tag, *parts, part) for
-    out_len <= 64.  This and absorb are the one definition of the framing."""
-    h = hashlib.blake2b(digest_size=min(out_len, 64), person=tag[:16].ljust(16, b"\0"))
-    return absorb(h, parts, next_len)
+    out_len <= 64.  The state starts as a copy of the prepared empty state of
+    (tag, digest size), so no digest builds a personalized BLAKE2b of its own.
+    absorb is the one definition of the framing, and framed its bytes joined."""
+    return absorb(_empty_state(tag, out_len if out_len < 64 else 64).copy(), parts, next_len)
+
+
+@functools.lru_cache(maxsize=32)  # one entry per (tag, digest size); the package uses about ten
+def _empty_state(tag: bytes, digest_size: int) -> hashlib.blake2b:
+    """The personalized BLAKE2b state of tag before any input; callers copy it and never update it."""
+    return hashlib.blake2b(digest_size=digest_size, person=tag[:16].ljust(16, b"\0"))
 
 
 def absorb(h: hashlib.blake2b, parts: tuple[bytes, ...], next_len: int | None = None) -> hashlib.blake2b:
-    """h after it has absorbed parts, and next_len's prefix, in digest_state's framing."""
+    """h after it has absorbed parts, and next_len's prefix, in digest_state's
+    framing: one update per length prefix and per part."""
     for p in parts:
         h.update(len(p).to_bytes(4, "big"))
         h.update(p)
     if next_len is not None:
         h.update(next_len.to_bytes(4, "big"))
     return h
+
+
+class _Pieces(list):
+    """What absorb feeds a hash, in order."""
+
+    update = list.append
+
+
+def framed(parts: tuple[bytes, ...], next_len: int | None = None) -> bytes:
+    """The bytes absorb(h, parts, next_len) feeds h, joined: one update() of
+    them leaves any state as absorb does.  For a prefix that many states
+    share, where one update is cheaper than absorb's per-part updates."""
+    return b"".join(absorb(_Pieces(), parts, next_len))
 
 
 def digest(tag: bytes, *parts: bytes, out_len: int = 32) -> bytes:

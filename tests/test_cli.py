@@ -145,6 +145,31 @@ def test_runs_above_the_qubit_cap_exit_2_before_the_first_trial(scenario, tmp_pa
     assert "physical qubits" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("data", [{"trials": 1, "k": 10**7}, {"trials": 333_334, "k": 6}])
+def test_permver_bench_above_its_work_cap_exits_2_before_building_the_verifier(data, tmp_path, capsys, monkeypatch):
+    # one trial at k = 10**7 would build and measure five million list entries;
+    # 333_334 trials of criterion 03's three entries are just above the cap
+    def never(*args, **kwargs):
+        raise AssertionError("the verifier was built")
+
+    permver = cli.permver
+    before = permver._measurement_list.cache_info().currsize
+    monkeypatch.setattr(permver, "build", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, **data}))
+    start = time.monotonic()
+    assert cli.main(["permver", "bench", "--config", str(cfg_path)]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "sub-measurements" in json.loads(capsys.readouterr().err)["error"]
+    assert permver._measurement_list.cache_info().currsize == before
+
+
+def test_permver_list_length_is_the_built_list_length():
+    h = cli.zxham.HamiltonianInstance.from_json(cli.REFERENCE_YES)
+    for k in (1, 2, 6, 7):
+        assert cli.permver.list_length(h, k) == len(cli.permver._measurement_list(h, k))
+
+
 def test_a_game_of_one_trial_exits_2_before_the_first_trial(tmp_path, capsys, monkeypatch):
     # trials // 2 is the trial count of each world, so one trial leaves none
     def never(cfg, world, rng):

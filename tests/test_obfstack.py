@@ -4,6 +4,7 @@ provably-correct obfuscator."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
@@ -1366,6 +1367,154 @@ def test_pc_extract_gated_on_verification():
     bad = dataclasses.replace(o, chal=o.chal ^ 1)
     with pytest.raises(ValueError, match="rejecting"):
         pc_extract(pp, td, PHI_ANY, bad, qpro)
+
+
+def _statement_dumps(monkeypatch) -> list[str]:
+    """Every NP statement instance obfstack serializes from now on, recorded
+    by a wrapper on its serializer."""
+    dumped, dumps = [], obfstack._dumps
+
+    def recorded(obj) -> str:
+        text = dumps(obj)
+        if isinstance(obj, dict) and {"phi", "chal", "handles"} <= obj.keys():  # the statement's keys
+            dumped.append(text)
+        return text
+
+    monkeypatch.setattr(obfstack, "_dumps", recorded)
+    return dumped
+
+
+@pytest.mark.parametrize("backend", [*obfstack.BACKENDS, "simulated"])
+def test_prove_verify_extract_serialize_the_statement_instance_once(backend, monkeypatch):
+    rng = np.random.default_rng(31)
+    qpro = QPrOSim.from_seed(rng)
+    pp, td = pc_ext_setup(rng)
+    c = table_circuit([0, 1, 1, 0])
+    dumped = _statement_dumps(monkeypatch)
+    if backend == "simulated":
+        o = pc_sim_obfuscate(pp, td, PHI_ANY, c, qpro, rng)
+    else:
+        o = pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend=backend)
+    assert pc_verify(pp, PHI_ANY, o, qpro) == (True, [])
+    assert pc_extract(pp, td, PHI_ANY, o, qpro) == c.canonical
+    assert len(dumped) == 1
+    assert dumped[0].encode() == o._statement_instance
+
+
+@pytest.mark.parametrize("backend", obfstack.BACKENDS)
+def test_a_parsed_transcript_serializes_the_instance_of_its_own_fields(backend):
+    rng = np.random.default_rng(32)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    o = pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng, backend=backend)
+    again = PCObfuscation.from_json(json.loads(json.dumps(o.to_json())))
+    blob_entry = (lambda b: b.to_json()) if backend == "ideal" else (lambda b: toycrypto.digest(b"blob", b).hex())
+    instance = {
+        "phi": again.phi_id,
+        "chal": again.chal,
+        "lam_cc": again.lam_cc,
+        "commitments": [c.hex() for c in again.commitments],
+        "handles": [list(b) for b in again.handle_bundles],
+        "unopened": {str(t): blob_entry(b) for t, b in again.unopened.items()},
+        "backend": again.backend,
+    }
+    assert again._statement_instance == obfstack._dumps(instance).encode() == o._statement_instance
+    assert pc_verify(pp, PHI_ANY, again, qpro) == (True, [])
+
+
+def _split_transcript(seed: int):
+    """An honest ideal transcript with bundles on both sides of the challenge."""
+    rng = np.random.default_rng(seed)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)
+    c = table_circuit([0, 1, 1, 0])
+    o = pc_obfuscate(pp, PHI_ANY, c, qpro, rng)
+    assert o.opened and o.unopened
+    return rng, qpro, pp, c, o
+
+
+def test_a_transcript_refuses_writes_to_its_mappings():
+    _, qpro, pp, _, o = _split_transcript(33)
+    t, u = min(o.unopened), min(o.opened)
+    with pytest.raises(TypeError):
+        o.unopened[t] = o.unopened[t]
+    with pytest.raises(TypeError):
+        o.opened[u] = o.opened[u]
+    with pytest.raises(TypeError):
+        del o.unopened[t]
+    # the mappings a transcript is built from are copied, so a later edit of them does not reach it
+    given = dict(o.unopened)
+    built = dataclasses.replace(o, unopened=given)
+    given.clear()
+    assert built.unopened == o.unopened
+    assert pc_verify(pp, PHI_ANY, built, qpro) == (True, [])
+
+
+def test_a_replaced_unopened_handle_is_serialized_again_and_rejected(monkeypatch):
+    rng, qpro, pp, c, o = _split_transcript(34)
+    assert pc_verify(pp, PHI_ANY, o, qpro) == (True, [])
+    t = min(o.unopened)
+    other = ideal_obf(qpro, c, rng)  # the same circuit, under a handle the proven statement does not name
+    dumped = _statement_dumps(monkeypatch)
+    swapped = dataclasses.replace(o, unopened={**o.unopened, t: other})
+    assert pc_verify(pp, PHI_ANY, swapped, qpro) == (False, ["nizk_invalid"])
+    assert len(dumped) == 1
+    assert dumped[0].encode() == swapped._statement_instance
+    assert swapped._statement_instance != o._statement_instance
+
+
+def _cutchoose_trial(seed: int) -> None:
+    from qmalab import cli
+
+    cfg = cli.RunConfig.from_json({"scenario": "cutchoose-detect", "seed": seed, "trials": 1})
+    assert cli.run_scenario(cfg)["metrics"]["trials"]["value"] == 1
+
+
+def test_a_warm_cutchoose_trial_builds_no_personalized_blake2b(monkeypatch):
+    _cutchoose_trial(1)  # prepares the empty state of every (tag, size) a trial digests under
+    built, blake2b = [], hashlib.blake2b
+
+    def counted(*args, **kwargs):
+        if "person" in kwargs:
+            built.append(kwargs["person"])
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counted)
+    _cutchoose_trial(2)
+    assert built == []
+    toycrypto.digest(b"qmalab-unseen", b"")  # the wrapper does see a state being prepared
+    assert built == [b"qmalab-unseen".ljust(16, b"\0")]
+
+
+def test_a_cutchoose_trial_builds_each_round_state_with_one_update(monkeypatch):
+    built = []
+
+    class Counted:  # a round state that counts what it absorbs
+        def __init__(self, h):
+            self.h, self.updates = h, 0
+
+        def update(self, data: bytes) -> None:
+            self.updates += 1
+            self.h.update(data)
+
+        def copy(self):
+            return self.h.copy()
+
+    class Prepared:  # the per-oracle state every round state copies
+        def __init__(self, h):
+            self.h = h
+
+        def copy(self) -> Counted:
+            built.append(Counted(self.h.copy()))
+            return built[-1]
+
+    perm_state = QPrOSim._perm_state.func
+    prepared = functools.cached_property(lambda self: Prepared(perm_state(self)))
+    prepared.__set_name__(QPrOSim, "_perm_state")
+    monkeypatch.setattr(QPrOSim, "_perm_state", prepared)
+    _cutchoose_trial(3)
+    # lambda_cc + 1 = 9 oracle instances, 4 rounds each
+    assert [state.updates for state in built] == [1] * (9 * 4)
 
 
 def test_pc_transcript_replay():

@@ -168,6 +168,56 @@ def test_digest_state_with_the_next_length_absorbed_finishes_digest(out_len):
     )
 
 
+class _Recorder:
+    """A hash stand-in that records every update it is fed."""
+
+    def __init__(self):
+        self.fed = []
+
+    def update(self, data: bytes) -> None:
+        self.fed.append(bytes(data))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("next_len", [None, 0, 4, 300])
+def test_framed_bytes_are_what_absorb_feeds_in(count, next_len):
+    rng = np.random.default_rng(count)
+    parts = tuple(rng.bytes(n) for n in (0, 5, 70)[:count])
+    recorder = toycrypto.absorb(_Recorder(), parts, next_len)
+    assert toycrypto.framed(parts, next_len) == b"".join(recorder.fed)
+    # the framing spelled out: each part after its 4-byte big-endian length
+    spelled = b"".join(len(p).to_bytes(4, "big") + p for p in parts)
+    spelled += b"" if next_len is None else next_len.to_bytes(4, "big")
+    assert toycrypto.framed(parts, next_len) == spelled
+    # one update of the framed bytes leaves a state as absorb does
+    for tag in (b"qmalab-qpro-perm", b"t"):
+        h = hashlib.blake2b(digest_size=4, person=tag.ljust(16, b"\0"))
+        h.update(toycrypto.framed(parts, next_len))
+        assert h.digest() == toycrypto.digest_state(tag, parts, 4, next_len).digest()
+
+
+def test_digest_states_copy_one_prepared_state_per_tag_and_size(monkeypatch):
+    built = []
+    blake2b = hashlib.blake2b
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("person"))
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counted)
+    toycrypto._empty_state.cache_clear()  # later digests prepare their states again
+    tag = b"qmalab-fresh-tag-of-this-test"
+    first = toycrypto.digest(tag, b"a", out_len=16)
+    assert built == [tag[:16]]  # the first digest of a (tag, size) prepares its state
+    for _ in range(3):
+        assert toycrypto.digest(tag, b"a", out_len=16) == first
+        toycrypto.digest(tag, b"b", out_len=16)
+    assert len(built) == 1  # later ones copy it, so the prepared state never absorbs input
+    toycrypto.digest(tag, b"a", out_len=32)
+    assert len(built) == 2  # another digest size is another personalized state
+    assert first == blake2b(b"\0\0\0\x01a", digest_size=16, person=tag[:16]).digest()
+
+
 def _handled(node: ast.expr | None) -> list[str]:
     """The exception names an except clause lists; a bare except lists none."""
     if node is None:
