@@ -386,7 +386,10 @@ def scenario_jllw_correctness(cfg: RunConfig) -> dict:
 
 def scenario_cutchoose_detect(cfg: RunConfig) -> dict:
     trials = cfg.trials_or(1000)
-    corrupted = 3
+    corrupt = (1, 2, 3)
+    corrupted = len(corrupt)
+    if cfg.lambda_cc < corrupted:  # model_rate and the floor assume every index is a bundle
+        raise ValueError(f"cutchoose-detect corrupts bundles {corrupt}, so it needs lambda_cc >= {corrupted}")
     rejected = 0
     c = obfstack.table_circuit([0, 1, 1, 0])
     for i in range(trials):
@@ -394,7 +397,7 @@ def scenario_cutchoose_detect(cfg: RunConfig) -> dict:
         qpro = QPrOSim.from_seed(rng, instance_count=cfg.lambda_cc + 1)
         pp = obfstack.pc_setup(rng, cfg.lambda_cc)
         o = obfstack.pc_obfuscate(
-            pp, obfstack.PHI_ANY, c, qpro, rng, corrupt_bundles=(1, 2, 3)
+            pp, obfstack.PHI_ANY, c, qpro, rng, corrupt_bundles=corrupt
         )
         ok, _ = obfstack.pc_verify(pp, obfstack.PHI_ANY, o, qpro)
         rejected += not ok

@@ -371,8 +371,33 @@ class QPrOSim:
 
     def sample_keys(self, rng: np.random.Generator, n: int) -> tuple[int, ...]:
         """n uniform keys from one generator call; the same values and the
-        same generator state as n scalar draws."""
+        same generator state as n scalar draws.  A key of at most 32 bits
+        takes one 32-bit word, which sample_draws relies on."""
         return tuple(rng.integers(0, 1 << self.lam_bits, size=n).tolist())
+
+    def sample_draws(self, rng: np.random.Generator, plan) -> list:
+        """sample_keys(rng, n) for each ("keys", n) of plan and rng.bytes(n)
+        for each ("bytes", n), in order: the same values and the same
+        generator state as those calls made one after another.
+
+        With lam_bits <= 32 every value comes from one call of 32-bit words:
+        numpy's Generator.bytes(n) is the next ceil(n / 4) words (at least
+        one), little-endian, and integers(0, 2**lam_bits) is Lemire's method
+        on a power-of-two range, which takes one word per key, never rejects
+        and returns word >> (32 - lam_bits).  A wider key is a 64-bit draw,
+        so wider oracles keep one call per entry.
+        test_sample_draws_equal_sequential_draws guards the identity against
+        numpy changes."""
+        if self.lam_bits > 32:
+            return [self.sample_keys(rng, n) if kind == "keys" else rng.bytes(n) for kind, n in plan]
+        sizes = [n if kind == "keys" else (n + 3) // 4 or 1 for kind, n in plan]
+        words = rng.integers(0, 1 << 32, size=sum(sizes), dtype=np.uint32)
+        keys, raw = (words >> (32 - self.lam_bits)).tolist(), words.astype("<u4").tobytes()
+        out, at = [], 0
+        for (kind, n), size in zip(plan, sizes):
+            out.append(tuple(keys[at:at + n]) if kind == "keys" else raw[4 * at:4 * at + n])
+            at += size
+        return out
 
 
 # -- toy 1-key functional encryption ------------------------------------------
@@ -908,6 +933,8 @@ def pc_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> PcPar
 
 def pc_ext_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> tuple[PcParams, bytes]:
     """The one setup: public parameters and the NIZK trapdoor the extractor uses."""
+    if lam_cc < 1:  # a transcript of no bundles would verify and evaluate nothing
+        raise ValueError(f"lam_cc must be at least 1, not {lam_cc}")
     crs, td = nizknp.np_ext0(rng)
     h_star = int(rng.integers(0, 1 << 16))
     return PcParams(crs, h_star, lam_cc), td
@@ -990,19 +1017,29 @@ def _pc_build(
     backend: str,
     corrupt_bundles: tuple[int, ...],
 ) -> tuple[PCObfuscation, NpStatement, bytes]:
-    """Everything of the cut-and-choose transcript except the NP proof."""
+    """Everything of the cut-and-choose transcript except the NP proof.
+
+    Every value drawn before the challenge comes from one sample_draws call,
+    bundle by bundle: its keys, then for a corrupted bundle the unrelated
+    keys whose handles it posts, then its 16 bytes of commitment randomness.  For
+    keys of at most 32 bits that is one generator call, with the values and
+    generator state of one call per draw
+    (test_sample_draws_equal_sequential_draws)."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}")
     lam_cc = pp.lam_cc
-    shape = _bundle_shape(c.input_arity)
+    width = len(_bundle_shape(c.input_arity))
+    plan = []
+    for t in range(1, lam_cc + 1):
+        plan += [("keys", width)] * (1 + (t in corrupt_bundles)) + [("bytes", 16)]
+    draws = iter(qpro.sample_draws(rng, plan))
     key_bundles, handle_bundles, commitments, rands = [], [], [], []
     for t in range(1, lam_cc + 1):
-        keys = qpro.sample_keys(rng, len(shape))
-        # a corrupted bundle posts the handles of unrelated keys, drawn next
-        posted = qpro.sample_keys(rng, len(shape)) if t in corrupt_bundles else keys
+        keys = next(draws)
+        posted = next(draws) if t in corrupt_bundles else keys
         key_bundles.append(keys)
         handle_bundles.append(qpro.gen_many(t, posted))
-        rands.append(rng.bytes(16))
+        rands.append(next(draws))
         commitments.append(toycrypto.commit(_bundle_bytes(keys), rands[-1]))
 
     chal = _derive_chal(qpro, pp, commitments, handle_bundles)
@@ -1061,8 +1098,11 @@ def pc_obfuscate(
     corrupt_bundles lists bundle indices whose posted handles are replaced by
     handles of unrelated keys (a cheating prover for detection experiments);
     commitments still cover the original keys, so dishonesty surfaces only
-    when a corrupted bundle is opened.
+    when a corrupted bundle is opened.  An index outside 1..pp.lam_cc is
+    refused with ValueError before any draw.
     """
+    if not all(1 <= t <= pp.lam_cc for t in corrupt_bundles):
+        raise ValueError(f"corrupt_bundles must lie in 1..{pp.lam_cc}, not {tuple(corrupt_bundles)}")
     if not phi.check(c.canonical):
         raise ValueError("circuit violates the predicate phi")
     transcript, stmt, witness = _pc_build(pp, phi, c, qpro, rng, backend, corrupt_bundles)

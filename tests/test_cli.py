@@ -182,6 +182,27 @@ def test_a_game_of_one_trial_exits_2_before_the_first_trial(tmp_path, capsys, mo
     assert "trials >= 2" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("lambda_cc", [1, 2])
+def test_cutchoose_with_fewer_bundles_than_it_corrupts_exits_2_before_the_first_trial(
+    lambda_cc, tmp_path, capsys, monkeypatch
+):
+    # bundles 1-3 are corrupted; with fewer bundles the report's model_rate would not hold
+    def never(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(obfstack.QPrOSim, "from_seed", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "trials": 400, "lambda_cc": lambda_cc}))
+    assert cli.main(["run", "--scenario", "cutchoose-detect", "--config", str(cfg_path)]) == 2
+    assert "lambda_cc >= 3" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cutchoose_with_three_bundles_corrupts_all_three():
+    metrics = run_scenario(small("cutchoose-detect", lambda_cc=3, trials=40))["metrics"]
+    assert metrics["reject_rate"]["value"] >= metrics["model_rate"]["value"] - 0.2
+    assert metrics["model_rate"]["value"] == 0.875
+
+
 def test_config_types_accept_every_declared_form():
     cfg = RunConfig.from_json(
         {

@@ -3,6 +3,7 @@ provably-correct obfuscator."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import gc
@@ -268,6 +269,31 @@ def test_sample_keys_equal_scalar_draws(lam_bits, n):
     assert all(type(k) is int for k in keys)
     assert bundle.bit_generator.state == scalar.bit_generator.state
     assert qpro.sample_keys(bundle, 1)[0] == int(scalar.integers(0, 1 << lam_bits))
+
+
+@pytest.mark.parametrize("lam_bits", [8, 16, 32, 62])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_sample_draws_equal_sequential_draws(lam_bits, half_word):
+    # the word identity of sample_draws: a numpy change to Generator.bytes or to
+    # bounded integers shows up here rather than as drift in seeded bytes
+    qpro = QPrOSim(b"\x0b" * 32, lam_bits=lam_bits)
+    plans = np.random.default_rng([lam_bits, half_word])
+    for _ in range(40):
+        plan = [
+            (("keys", "bytes")[int(plans.integers(0, 2))], int(plans.integers(0, 20)))
+            for _ in range(int(plans.integers(0, 8)))
+        ]
+        seed = int(plans.integers(0, 1 << 32))
+        batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:  # a scalar 16-bit draw leaves half of a 64-bit word buffered
+            batched.integers(0, 1 << 16), sequential.integers(0, 1 << 16)
+            assert batched.bit_generator.state["has_uint32"] == 1
+        expected = [qpro.sample_keys(sequential, n) if kind == "keys" else sequential.bytes(n) for kind, n in plan]
+        got = qpro.sample_draws(batched, plan)
+        assert got == expected
+        assert [type(v) for v in got] == [tuple if kind == "keys" else bytes for kind, _ in plan]
+        assert all(type(k) is int for v in got if type(v) is tuple for k in v)
+        assert batched.bit_generator.state == sequential.bit_generator.state
 
 
 def test_qpro_refuses_parameters_it_cannot_run():
@@ -1559,6 +1585,108 @@ def test_pc_sim_obfuscate_verifies_without_phi():
     assert ok, diags
 
 
+# sha256 over three seeded builds of to_json() and the generator state after each,
+# taken before the pre-challenge draws were batched
+_BUILD_PINS = {
+    ("ideal", 16, 8, ()): "137b0c7dbc80608b8c56ea534a93a7f7bd01397b67d08a49a62ad7c10ed545f0",
+    ("ideal", 16, 8, (1, 2, 3)): "156040a9a2c3f6f8dfdb0bbac76926da8b72f01d5a58898f19dd210d94d75b09",
+    ("ideal", 16, 3, ()): "c0e9b924771cba73d8a49cfbab07cbd9a48a518c5c64a8fb01c2ae5911465473",
+    ("ideal", 16, 3, (1, 2, 3)): "c8ede21f64e8bf3c302f9d3df690a7b4f4a079a3091d90557f4e992a1a15afcd",
+    ("ideal", 62, 8, ()): "140306bcacc3d3a4fcd680648fd7feecdafb17a0cfb132c4efeb4af428c5edac",
+    ("ideal", 62, 8, (1, 2, 3)): "f34750a316816fb5f0c09c496a6a275d8efd6ea21dd79ec2c052ccb05db178e3",
+    ("ideal", 62, 3, ()): "463b443ad9f5cf56356e598c815f7eb81d7652475b9537dfd84182a29370a712",
+    ("ideal", 62, 3, (1, 2, 3)): "072635a121092cb73fa90a9d57c7bd562b92cf945e75a8b8544cb6eb5e506037",
+    ("jllw", 16, 8, ()): "2ec0b716bb481e0fb4bb3dd3527c275cecc1c7f1b074fd8aca394eda9e0eda42",
+    ("jllw", 16, 8, (1, 2, 3)): "42632b678dadc231cfc77f3012633c92ec189aaa4de8ab3107d5548c146edcd6",
+    ("jllw", 16, 3, ()): "f23f80ad6a11bac059f22b172e8169e214075a3b078dfc7573be2e53b09197e2",
+    ("jllw", 16, 3, (1, 2, 3)): "c5cca30ed0240ed0304e367a62d82de8a7bc780f4a583b9911f3ed69df8a4915",
+    ("jllw", 62, 8, ()): "2fa0424b14cf01c1e62a229a44cab45e7d7920425f9a3c6ccfa52cf9a8bebc87",
+    ("jllw", 62, 8, (1, 2, 3)): "468c9b26d7667f8064fafbe2f7c8418c45f72a323980923f73610648d7fb5c59",
+    ("jllw", 62, 3, ()): "31a9ebad7f570bfacb3ddd35a5f5f83067140425923c18a73d6fc865a247f57a",
+    ("jllw", 62, 3, (1, 2, 3)): "46ba2fd296f7757666b57117b3edeee837020f432949fa128b771bd0f11f7b13",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUILD_PINS), ids=lambda case: "-".join(map(str, case)))
+def test_transcript_bytes_and_draw_order_pinned(case):
+    backend, lam_bits, lam_cc, corrupt = case
+    h = hashlib.sha256()
+    for seed in range(3):
+        rng = np.random.default_rng([seed, lam_bits, lam_cc])
+        qpro = QPrOSim.from_seed(rng, lam_bits=lam_bits, instance_count=lam_cc + 1)
+        pp = pc_setup(rng, lam_cc)
+        c = table_circuit([0, 1, 1, 0])
+        o = pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend=backend, corrupt_bundles=corrupt)
+        h.update(json.dumps(o.to_json(), sort_keys=True).encode())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert h.hexdigest() == _BUILD_PINS[case]
+
+
+class _CountingGenerator:
+    """A generator that records the name of every method called on it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name: str):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("backend", obfstack.BACKENDS)
+@pytest.mark.parametrize("lam_cc, corrupt", [(1, ()), (1, (1,)), (3, (1, 2, 3)), (8, ()), (8, (1, 2, 3)), (8, (2, 8))])
+def test_a_build_draws_its_pre_challenge_values_in_one_call(backend, lam_cc, corrupt, monkeypatch):
+    rng = np.random.default_rng([lam_cc, len(corrupt)])
+    qpro = QPrOSim.from_seed(rng, instance_count=lam_cc + 1)
+    pp = pc_setup(rng, lam_cc)
+    plain = copy.deepcopy(rng)
+    counting = _CountingGenerator(rng)
+    before_chal, derive_chal = [], obfstack._derive_chal
+
+    def recorded(*args):
+        before_chal.append(list(counting.calls))
+        return derive_chal(*args)
+
+    monkeypatch.setattr(obfstack, "_derive_chal", recorded)
+    c = table_circuit([0, 1, 1, 0])
+    o = pc_obfuscate(pp, PHI_ANY, c, qpro, counting, backend=backend, corrupt_bundles=corrupt)
+    assert before_chal == [["integers"]]  # the parent made 2 * lam_cc + len(corrupt) calls
+    monkeypatch.setattr(obfstack, "_derive_chal", derive_chal)
+    fresh = dataclasses.replace(qpro)
+    assert pc_obfuscate(pp, PHI_ANY, c, fresh, plain, backend=backend, corrupt_bundles=corrupt).to_json() == o.to_json()
+    assert plain.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("corrupt", [(0,), (9,), (-1,), (1, 2, 9)])
+def test_pc_obfuscate_refuses_a_corrupt_index_outside_the_bundles_before_any_draw(corrupt):
+    rng = np.random.default_rng(31)
+    qpro = QPrOSim.from_seed(rng)
+    pp = pc_setup(rng)  # lam_cc 8
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="corrupt_bundles"):
+        pc_obfuscate(pp, PHI_ANY, table_circuit([0, 1, 1, 0]), qpro, rng, corrupt_bundles=corrupt)
+    assert rng.bit_generator.state == state
+    assert qpro.circuits == {} and qpro.rounds == {}
+
+
+@pytest.mark.parametrize("setup", [pc_setup, pc_ext_setup])
+@pytest.mark.parametrize("lam_cc", [0, -1])
+def test_setup_refuses_fewer_than_one_bundle_before_any_draw(setup, lam_cc):
+    rng = np.random.default_rng(32)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="lam_cc"):
+        setup(rng, lam_cc)
+    assert rng.bit_generator.state == state
+    assert pc_ext_setup(rng, 1)[0].lam_cc == 1
+
+
 def test_cut_and_choose_detection_rate():
     trials = 300
     rejected = 0
@@ -1956,15 +2084,16 @@ def test_prover_opening_keys_outside_the_key_space_is_refused(backend, monkeypat
     pp = pc_setup(rng)
     c = table_circuit([0, 1, 1, 0])
     shift = 1 << qpro.lam_bits
-    sample_keys, gen_many = QPrOSim.sample_keys, QPrOSim.gen_many
+    sample_draws, gen_many = QPrOSim.sample_draws, QPrOSim.gen_many
 
-    def shifted_keys(self, r, n):
-        return tuple(k + shift for k in sample_keys(self, r, n))
+    def shifted_keys(self, r, plan):  # the build draws its bundles' keys here
+        drawn = sample_draws(self, r, plan)
+        return [tuple(k + shift for k in v) if kind == "keys" else v for (kind, _), v in zip(plan, drawn)]
 
     def masking_gen_many(self, t, keys):
         return gen_many(self, t, [k % shift for k in keys])
 
-    monkeypatch.setattr(QPrOSim, "sample_keys", shifted_keys)
+    monkeypatch.setattr(QPrOSim, "sample_draws", shifted_keys)
     with pytest.raises(ValueError, match="key space"):
         pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend=backend)
     # the same prover against a masking oracle, with a tag the relation did
