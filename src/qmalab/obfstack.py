@@ -540,11 +540,14 @@ class FeSk:
         return cls(_wire_field(data, "master", _wire_hex), _wire_field(data, "ptlen", _wire_int, 16), function)
 
 
-def fe_gen(f: FeFunction, ptlen: int, rng: np.random.Generator) -> tuple[FePk, FeSk]:
-    """Toy 1-key FE: authenticated symmetric encryption under a master secret
-    shared by pk and sk_f; decryption applies f to the recovered plaintext.
-    Perfect correctness only; no security properties are claimed."""
-    master = rng.bytes(32)
+def fe_gen(f: FeFunction, ptlen: int, master: bytes) -> tuple[FePk, FeSk]:
+    """Toy 1-key FE: authenticated symmetric encryption under the caller's
+    32-byte master secret, shared by pk and sk_f; decryption applies f to the
+    recovered plaintext.  A master of any other length raises ValueError
+    before a key is built.  Perfect correctness only; no security properties
+    are claimed."""
+    if type(master) is not bytes or len(master) != 32:
+        raise ValueError("an FE master must be 32 bytes")
     return FePk(master, ptlen), FeSk(master, ptlen, f)
 
 
@@ -574,6 +577,12 @@ class JLLWObfuscation:
     """The tree obfuscation: the root ciphertext, one FE key per level, and
     the QPrO handles of each level's B pad keys.
 
+    ``_root_seal`` is what jllw_obfuscate sealed at the root, in fe_dec's
+    sealed form: ((level 0's master, ct_root, the root's JSON value),), so a
+    walk of a tree built in this process opens no node's text.  Like the
+    memos below it is not a field and is not serialized; a parsed or
+    replaced tree has none and opens its root.
+
     Two memos serve the tree walk, both keyed by a node's label chi, so
     each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is the last
     ciphertext opened at node chi with the (output, children) fe_dec
@@ -598,6 +607,10 @@ class JLLWObfuscation:
     ct_root: bytes
     sks: tuple[FeSk, ...]
     handles: dict
+
+    @functools.cached_property
+    def _root_seal(self) -> tuple:  # jllw_obfuscate sets it through __dict__
+        return ()
 
     @functools.cached_property
     def _decs(self) -> dict:
@@ -642,6 +655,13 @@ def jllw_obfuscate(
     bundle, when given, is a cut-and-choose bundle (keys, handles), a key and
     its handle for each pad in _bundle_shape order, and the QPrO's Gen is not
     queried; otherwise the keys are sampled and their handles fetched.
+
+    Every value is drawn by one sample_draws call, in this order: the pad
+    keys when no bundle is given, one 32-byte FE master per level from the
+    leaf level D up to the root, then the root's seed and nonce.  For keys of
+    at most 32 bits that is one generator call, with the values and
+    generator state of one call per draw.  The tree keeps the root's value
+    as its _root_seal.
     """
     big_d = c.input_arity
     if big_d > JLLW_ARITY_CAP:
@@ -650,11 +670,14 @@ def jllw_obfuscate(
         raise ValueError("need at least one input bit")
     blocks = JLLW_BLOCKS
     names = [f"{i},{j}" for i, j in _bundle_shape(big_d)]
-    if bundle is None:
-        drawn = qpro.sample_keys(rng, len(names))
-        bundle = drawn, qpro.gen_many(instance, drawn)
-    if any(len(part) != len(names) for part in bundle):
+    if bundle is not None and any(len(part) != len(names) for part in bundle):
         raise ValueError("a bundle holds one key and one handle for each pad")
+    plan = [("keys", len(names))] * (bundle is None) + [("bytes", 32)] * (big_d + 1) + [("bytes", 16)] * 2
+    draws = qpro.sample_draws(rng, plan)
+    if bundle is None:
+        drawn = draws.pop(0)
+        bundle = drawn, qpro.gen_many(instance, drawn)
+    *masters, s_eps, r_eps = draws  # masters[0] is the leaf level's
     keys, handles = (dict(zip(names, part)) for part in bundle)
 
     # The seed's hex width is fixed, so the zero-seed root sizes the plaintext.
@@ -673,16 +696,14 @@ def jllw_obfuscate(
 
     pks: list[FePk | None] = [None] * (big_d + 1)
     sks: list[FeSk | None] = [None] * (big_d + 1)
-    pks[big_d], sks[big_d] = fe_gen(FeFunction("jllw-eval", {}), ptlen, rng)
+    pks[big_d], sks[big_d] = fe_gen(FeFunction("jllw-eval", {}), ptlen, masters[0])
     for d in range(big_d - 1, -1, -1):
         params = {"level": d, "D": big_d, "B": blocks, "L": seg, "instance": instance, "pk_next": pks[d + 1].to_json()}
-        pks[d], sks[d] = fe_gen(FeFunction("jllw-expand", params), ptlen, rng)
+        pks[d], sks[d] = fe_gen(FeFunction("jllw-expand", params), ptlen, masters[big_d - d])
 
-    s_eps = rng.bytes(16)
-    r_eps = rng.bytes(16)
     root["info"]["seed"] = s_eps.hex()
     ct_root = fe_enc(pks[0], _dumps(root).encode(), r_eps)
-    return JLLWObfuscation(
+    o = JLLWObfuscation(
         instance=instance,
         D=big_d,
         B=blocks,
@@ -692,6 +713,8 @@ def jllw_obfuscate(
         sks=tuple(sks),
         handles=handles,
     )
+    o.__dict__["_root_seal"] = ((pks[0].master, ct_root, root),)  # where cached_property keeps it
+    return o
 
 
 def jllw_eval_table(
@@ -703,7 +726,9 @@ def jllw_eval_table(
     strips its B oracle pads; a node whose decryption or pad check fails
     labels every leaf below it _FAILED, which is exactly the set of pointwise
     walks through it.  Each node is decrypted with the children its parent's
-    opening returned, so fe_dec parses only the root of an honest tree.  The
+    opening returned, and the root with the tree's _root_seal, so fe_dec
+    parses no node of an honest tree that jllw_obfuscate built in this
+    process, and only the root of a parsed or replaced one.  The
     obfuscation's memos spare a QPrOSim's walks every repeated decryption and
     pad query, and any oracle's walk the decryption of an equal ciphertext;
     a proxy oracle (tampering or logging) gets a pad memo for this walk only,
@@ -727,7 +752,7 @@ def jllw_eval_table(
             dec = decs.get(chi)
             if dec is None or dec[0] != ct:
                 try:
-                    dec = ct, *fe_dec(o.sks[d], ct, decs[chi[:-1]][2] if d else ())
+                    dec = ct, *fe_dec(o.sks[d], ct, decs[chi[:-1]][2] if d else o._root_seal)
                 except IntegrityError:
                     dec = ct, _FAILED, ()
                 # a proxy's failed opening (a tampered pad's) serves this walk,

@@ -363,7 +363,7 @@ def _leaf_text(chi: str, c: CircuitDesc) -> bytes:
 
 def test_fe_circuit_function_examples():
     rng = np.random.default_rng(4)
-    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng)
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng.bytes(32))
     parity = table_circuit([0, 1, 1, 0, 1, 0, 0, 1])
     ct = fe_enc(pk, _leaf_text("101", parity), rng.bytes(16))
     assert fe_dec(sk, ct)[0] == bytes([0])
@@ -377,8 +377,8 @@ def test_fe_circuit_function_examples():
 def test_fe_wrong_key_and_tamper_fail():
     rng = np.random.default_rng(5)
     ident = table_circuit([0, 1])
-    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 128, rng)
-    _, sk_other = fe_gen(FeFunction("jllw-eval", {}), 128, rng)
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 128, rng.bytes(32))
+    _, sk_other = fe_gen(FeFunction("jllw-eval", {}), 128, rng.bytes(32))
     ct = fe_enc(pk, _leaf_text("1", ident), rng.bytes(16))
     assert fe_dec(sk, ct)[0] == bytes([1])
     with pytest.raises(IntegrityError):
@@ -386,6 +386,18 @@ def test_fe_wrong_key_and_tamper_fail():
     broken = ct[:-1] + bytes([ct[-1] ^ 1])
     with pytest.raises(IntegrityError):
         fe_dec(sk, broken)
+
+
+@pytest.mark.parametrize("master", [b"", b"\x01" * 16, b"\x01" * 31, b"\x01" * 33, bytearray(32), "\x01" * 32])
+def test_fe_gen_refuses_a_master_that_is_not_32_bytes(master, monkeypatch):
+    built: list = []
+    for cls in (obfstack.FePk, obfstack.FeSk):
+        monkeypatch.setattr(obfstack, cls.__name__, lambda *args, cls=cls: built.append(cls) or cls(*args))
+    with pytest.raises(ValueError, match="32 bytes"):
+        fe_gen(FeFunction("jllw-eval", {}), 128, master)
+    assert built == []
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 128, b"\x01" * 32)
+    assert len(built) == 2 and pk.master == sk.master == b"\x01" * 32
 
 
 # -- JLLW -----------------------------------------------------------------------
@@ -431,7 +443,7 @@ def test_jllw_arity_cap():
 
 def test_jllw_sim_mode_leaf():
     rng = np.random.default_rng(11)
-    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng)
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 256, rng.bytes(32))
     pt = json.dumps({"flag": "sim", "chi": "01", "info": {"y": 1}}).encode()
     ct = fe_enc(pk, pt, rng.bytes(16))
     assert fe_dec(sk, ct)[0] == bytes([1])
@@ -440,7 +452,7 @@ def test_jllw_sim_mode_leaf():
 def test_jllw_hybrid_mode_rejected():
     rng = np.random.default_rng(12)
     fn = FeFunction("jllw-expand", {"level": 0, "D": 1, "B": 2, "L": 8, "instance": 1, "pk_next": {"master": "00" * 32, "ptlen": 64}})
-    pk, sk = fe_gen(fn, 256, rng)
+    pk, sk = fe_gen(fn, 256, rng.bytes(32))
     pt = json.dumps({"flag": "hyb", "chi": "", "info": {}}).encode()
     ct = fe_enc(pk, pt, rng.bytes(16))
     with pytest.raises(IntegrityError, match="unsupported flag"):
@@ -688,6 +700,35 @@ def test_jllw_tree_bytes_pinned(seed, digest):
         h.update(o.serialize())
         for chi, node in sorted(o._nodes[qpro].items()):
             h.update(chi.encode() + b":" + _node_bytes(node))
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "with_bundle, digest",
+    [
+        (False, "c78388474716a9f42e02b91321d7c9361a688669c4c4f1753677e7b92b9105a8"),
+        (True, "2859cc2e429d9b842b828379077a6f5fc3a2c2d438404456fc07a3ba8a23bc72"),
+    ],
+    ids=["sampled-keys", "bundle"],
+)
+def test_wide_key_jllw_tree_bytes_and_draws_pinned(with_bundle, digest):
+    """At lam_bits 62, where sample_draws makes one generator call per draw,
+    the serialized obfuscations of arities 1-5, with their keys sampled or
+    handed in as a bundle, and the generator state after each build are
+    byte-identical to the reference digest."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng([62, with_bundle])
+    qpro = QPrOSim.from_seed(rng, lam_bits=62, instance_count=2)
+    for d in range(1, 6):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        bundle = None
+        if with_bundle:
+            keys = qpro.sample_keys(rng, len(obfstack._bundle_shape(d)))
+            bundle = keys, qpro.gen_many(1, keys)
+        o = jllw_obfuscate(c, qpro, 1, rng, bundle=bundle)
+        h.update(o.serialize())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        assert obfstack.jllw_eval_table(o, qpro, (), d).tolist() == c.table_for_prefix((), d).astype(int).tolist()
     assert h.hexdigest() == digest
 
 
@@ -968,8 +1009,8 @@ def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
     equals opening it in full.  A changed byte, another key, or a child
     sealed under another master is opened, and fails or reads its own text."""
     rng = np.random.default_rng(32)
-    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 200, rng)
-    _, other = fe_gen(FeFunction("jllw-eval", {}), 200, rng)
+    pk, sk = fe_gen(FeFunction("jllw-eval", {}), 200, rng.bytes(32))
+    _, other = fe_gen(FeFunction("jllw-eval", {}), 200, rng.bytes(32))
     texts = [
         f'{{"chi":"{x:03b}","flag":"normal","info":{{"circuit":{{"arity":3,"kind":"point","x":5}}}}}}'.encode()
         for x in range(8)
@@ -1075,10 +1116,14 @@ def _sealed_values_match_their_texts(o: JLLWObfuscation) -> int:
 
 def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
     """An expand step returns each child's ciphertext with the value it
-    built the child's text from; after a full walk every value the tree's
-    openings keep still dumps to its text and parses from it, so the walk
-    mutated none.  The root has no parent to seal it, so a walk parses the
-    root alone and builds the leaf circuit once."""
+    built the child's text from, and jllw_obfuscate keeps the root's value
+    as the tree's root seal.  A walk of a tree built in this process parses
+    no node, the root included, and builds the leaf circuit once; after it
+    the root's value and every child value the openings keep still dump to
+    their texts and parse from them, so the walk mutated none.  A parsed
+    tree has no seal, parses its root once and labels the same.  A replaced
+    tree whose root ciphertext is other bytes, or has a flipped byte, opens
+    its root and fails on the tag, also when handed the original seal."""
     qpro, trees = _sealing_trees(34)
     calls: list = []
     real_parse = obfstack._wire_json
@@ -1088,14 +1133,50 @@ def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
         CircuitDesc, "from_canonical",
         classmethod(lambda cls, canon: calls.append(obfstack._dumps(canon)) or real_build(cls, canon)),
     )
+    real_decrypt = toycrypto.auth_decrypt
+
+    def decrypt(key: bytes, ct: bytes) -> bytes:
+        try:
+            return real_decrypt(key, ct)
+        except IntegrityError as exc:
+            calls.append(str(exc))
+            raise
+
+    monkeypatch.setattr(toycrypto, "auth_decrypt", decrypt)
     for c, o in trees:
-        calls.clear()
+        canon = c.canonical_bytes().decode()
         truth = c.table_for_prefix((), o.D).astype(int).tolist()
+        calls.clear()
         assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
-        assert calls[:2] == ["parse", c.canonical_bytes().decode()]
-        assert calls.count("parse") == calls.count(c.canonical_bytes().decode()) == 1
+        assert "parse" not in calls and calls[:1] == [canon] and calls.count(canon) == 1
         assert [jllw_eval(o, qpro, bits(x, o.D)) for x in range(2**o.D)] == truth
+        ((master, ct, root),) = o._root_seal
+        assert (master, ct) == (o.sks[0].master, o.ct_root)
+        text = toycrypto.unframe(real_decrypt(master, ct))
+        assert obfstack._dumps(root) == text.decode() and toycrypto._wire_json(text) == root
         assert _sealed_values_match_their_texts(o) == 2 ** (o.D + 1) - 2
+
+        parsed = JLLWObfuscation.deserialize(o.serialize())
+        calls.clear()
+        assert parsed._root_seal == ()
+        assert obfstack.jllw_eval_table(parsed, qpro, (), o.D).tolist() == truth
+        assert calls[:1] == ["parse"] and calls.count("parse") == 1
+        assert _sealed_values_match_their_texts(parsed) == 2 ** (o.D + 1) - 2
+
+        flipped = bytearray(o.ct_root)
+        flipped[len(flipped) // 2] ^= 1
+        for ct_root in (bytes(len(o.ct_root)), bytes(flipped)):
+            for seal in ((), o._root_seal):
+                bad = dataclasses.replace(o, ct_root=ct_root)
+                assert bad._root_seal == ()
+                if seal:
+                    bad.__dict__["_root_seal"] = seal
+                calls.clear()
+                assert obfstack.jllw_eval_table(bad, qpro, (), o.D).tolist() == [obfstack._FAILED] * 2**o.D
+                assert calls == ["authentication tag mismatch"]
+                with pytest.raises(IntegrityError):
+                    jllw_eval(bad, qpro, bits(0, o.D))
+        assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
 
 
 def test_walks_with_every_value_withheld_give_the_same_labels_and_nodes(monkeypatch):
@@ -1662,6 +1743,33 @@ def test_a_build_draws_its_pre_challenge_values_in_one_call(backend, lam_cc, cor
     fresh = dataclasses.replace(qpro)
     assert pc_obfuscate(pp, PHI_ANY, c, fresh, plain, backend=backend, corrupt_bundles=corrupt).to_json() == o.to_json()
     assert plain.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("with_bundle", [False, True], ids=["sampled-keys", "bundle"])
+def test_a_jllw_build_draws_all_its_values_in_one_call(with_bundle):
+    """A 16-bit tree build makes one generator call (the parent made D + 4,
+    or D + 3 with a bundle), and it gives the values, in the order, and the
+    generator state of one call per draw: the keys, the masters from the
+    leaf level up, then the root's seed and nonce."""
+    rng = np.random.default_rng([28, with_bundle])
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    for d in range(1, obfstack.JLLW_ARITY_CAP + 1):
+        c = table_circuit(rng.integers(0, 2, size=2**d))
+        width = len(obfstack._bundle_shape(d))
+        bundle = None
+        if with_bundle:
+            keys = qpro.sample_keys(rng, width)
+            bundle = keys, qpro.gen_many(1, keys)
+        plain = copy.deepcopy(rng)
+        counting = _CountingGenerator(rng)
+        o = jllw_obfuscate(c, qpro, 1, counting, bundle=bundle)
+        assert counting.calls == ["integers"]
+        keys = bundle[0] if with_bundle else qpro.sample_keys(plain, width)
+        assert tuple(o.handles.values()) == qpro.gen_many(1, keys)
+        assert [sk.master for sk in o.sks] == [plain.bytes(32) for _ in range(d + 1)][::-1]
+        seed, nonce = plain.bytes(16), plain.bytes(16)
+        assert o._root_seal[0][2]["info"]["seed"] == seed.hex() and o.ct_root[:16] == nonce
+        assert plain.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("corrupt", [(0,), (9,), (-1,), (1, 2, 9)])

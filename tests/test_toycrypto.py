@@ -19,7 +19,7 @@ def test_xor_bytes_matches_per_byte_definition(n):
     rng = np.random.default_rng(n)
     a, b = bytearray(rng.bytes(n)), bytearray(rng.bytes(n))
     for lead in range(min(n, 3)):
-        a[lead] = 0  # leading zero bytes must survive the int round trip
+        a[lead] = 0  # leading zero bytes must survive
     b[: min(n, 2)] = a[: min(n, 2)]  # and so must leading zero results
     a, b = bytes(a), bytes(b)
     out = toycrypto.xor_bytes(a, b)
