@@ -415,19 +415,14 @@ def scenario_cutchoose_detect(cfg: RunConfig) -> dict:
 
 def _game_key_swap(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
     qpro = QPrOSim.from_seed(rng, instance_count=2)
-    k0, k1 = qpro.sample_keys(rng, 2)
+    (k0, k1), probe, guesses = qpro.sample_draws(rng, [("keys", 2), ("bytes", 8), ("keys", cfg.budget)])
     handle = qpro.gen(1, k0)
-
-    def oracle(x: bytes) -> bytes:
-        if world == 0:
-            return qpro.eval(1, handle, x, 16)
-        return obfstack.qpro_prf(1, k1, x, 16)
-
-    probe = rng.bytes(8)
-    seen = oracle(probe)
-    for guess_key in qpro.sample_keys(rng, cfg.budget):
-        if qpro.gen(1, guess_key) == handle:
-            return int(obfstack.qpro_prf(1, guess_key, probe, 16) != seen)
+    # the tester's probe, answered through k0's handle in world 0 and under k1 in world 1
+    seen = qpro.eval(1, handle, probe, 16) if world == 0 else obfstack.qpro_prf(1, k1, probe, 16)
+    handles = qpro.gen_many(1, guesses)
+    if handle in handles:
+        guess_key = guesses[handles.index(handle)]
+        return int(obfstack.qpro_prf(1, guess_key, probe, 16) != seen)
     return 0
 
 
@@ -474,6 +469,10 @@ def _game_evasive(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
     return 0
 
 
+# guesses or queries (trials x budget) a distinguishing game plays at most: about a minute
+# of key-swap at 0.7 us a guess (a csa-measure query takes 1.5 us, an evasive-comb one 20 us)
+GAME_WORK_CAP = 5 * 10**7
+
 _GAMES = {
     "key-swap": _game_key_swap,
     "csa-hiding": _game_csa_hiding,
@@ -496,6 +495,8 @@ def distinguish_game(cfg: RunConfig) -> dict:
     per_world = trials // 2
     if per_world < 1:
         raise ValueError(f"a game plays trials // 2 per world, so it needs trials >= 2, not {trials}")
+    if trials * cfg.budget > GAME_WORK_CAP:
+        raise ValueError(f"configuration plays {trials} trials x {cfg.budget} budget, cap is {GAME_WORK_CAP}")
     hits = [0, 0]
     for world in (0, 1):
         for i in range(per_world):

@@ -41,6 +41,10 @@ JLLW_ARITY_CAP = 5
 JLLW_BLOCKS = 2
 DEFAULT_LAMBDA_CC = 8
 PLAINTEXT_MARGIN = 64
+# the QPrO's key width: a key is the top bits of one 32-bit generator word, and a
+# Feistel half fits the round digest's 4 bytes
+QPRO_KEY_BITS = 16
+_KEY_SPACE = 1 << QPRO_KEY_BITS
 BACKENDS = ("ideal", "jllw")  # obfuscation backends of a cut-and-choose transcript
 _FAILED = -1  # label of an evaluation that failed its integrity checks
 
@@ -274,9 +278,10 @@ def _round_prefixes(instance: int) -> tuple[bytes, ...]:
 class QPrOSim:
     """Lazy classical simulation of the (p+1)-instance pseudorandom oracle.
 
-    Each instance wraps a keyed Feistel permutation over lam_bits-bit keys;
-    Gen maps a key to its handle and Eval inverts the handle and applies the
-    public PRF.  Every handle inverts to some key, so Eval is total.
+    Each instance wraps a keyed Feistel permutation over QPRO_KEY_BITS-bit
+    keys; Gen maps a key to its handle and Eval inverts the handle and
+    applies the public PRF.  Every handle inverts to some key, so Eval is
+    total.
 
     One object is the whole oracle of a run: ``circuits`` is the ideal
     obfuscator's handle -> circuit table (JLLW builds that obfuscator from
@@ -286,28 +291,22 @@ class QPrOSim:
     the round's BLAKE2b state, a copy of the per-oracle state that has
     absorbed the tag and master, updated once with the round's pre-framed
     prefix (_round_prefixes).  The tables hold at most instance_count * 4
-    states and instance_count * 4 * 2**(lam_bits / 2) halves, and
+    states and instance_count * 4 * 2**(QPRO_KEY_BITS / 2) halves, and
     dataclasses.replace gives the new oracle empty tables of its own.
-
-    lam_bits is even and in 8..62, so that a key is one int64 draw and a
-    half fits the round digest's 4 bytes.
     """
 
     master: bytes
-    lam_bits: int = 16
     instance_count: int = DEFAULT_LAMBDA_CC + 1
     circuits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     rounds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.lam_bits % 2 or not 8 <= self.lam_bits <= 62:
-            raise ValueError("lam_bits must be even and in 8..62")
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
 
     @classmethod
-    def from_seed(cls, rng: np.random.Generator, lam_bits: int = 16, instance_count: int = DEFAULT_LAMBDA_CC + 1) -> QPrOSim:
-        return cls(rng.bytes(32), lam_bits, instance_count)
+    def from_seed(cls, rng: np.random.Generator, instance_count: int = DEFAULT_LAMBDA_CC + 1) -> QPrOSim:
+        return cls(rng.bytes(32), instance_count)
 
     @functools.cached_property
     def _perm_state(self):  # every round digest's state after the tag and master
@@ -327,17 +326,15 @@ class QPrOSim:
         return tables
 
     def _in_key_space(self, keys: tuple[int, ...]) -> bool:  # the keys gen_many accepts
-        return all(0 <= k < 1 << self.lam_bits for k in keys)
+        return all(0 <= k < _KEY_SPACE for k in keys)
 
     def _feistel(self, tables: tuple, words) -> tuple[int, ...]:
-        """The rounds of tables over each word in turn, a word outside [0, 2**lam_bits) raising
-        ValueError; a memo miss copies the round's state and absorbs the half."""
-        half = self.lam_bits // 2
-        mask, space = (1 << half) - 1, 1 << self.lam_bits
+        """The rounds of tables over each word of [0, 2**QPRO_KEY_BITS) in turn; a memo
+        miss copies the round's state and absorbs the half."""
+        half = QPRO_KEY_BITS // 2
+        mask = (1 << half) - 1
         out = []
         for word in words:
-            if not 0 <= word < space:
-                raise ValueError(f"key {word} outside the oracle's {self.lam_bits}-bit key space")
             left, right = word >> half, word & mask
             for state, memo in tables:
                 value = memo.get(right)
@@ -350,16 +347,21 @@ class QPrOSim:
         return tuple(out)
 
     def gen_many(self, instance: int, keys: tuple[int, ...]) -> tuple[int, ...]:
-        """QPrO(Gen, k) -> pi(k) for each key; one instance check and table fetch a batch."""
-        return self._feistel(self._tables(instance), keys)
+        """QPrO(Gen, k) -> pi(k) for each key; one instance check, key-range check and
+        table fetch a batch, a key outside the key space raising ValueError."""
+        tables = self._tables(instance)
+        if not self._in_key_space(keys):
+            raise ValueError(f"a key outside the oracle's {QPRO_KEY_BITS}-bit key space")
+        return self._feistel(tables, keys)
 
+    # pc_verify's audit calls gen, and perfbench's tracer tests pin that lookup site
     def gen(self, instance: int, key: int) -> int:
         """QPrO(Gen, k) -> pi(k), the one-key case of gen_many."""
         return self.gen_many(instance, (key,))[0]
 
     def inv(self, instance: int, handle: int) -> int:
-        """pi^{-1}(h mod 2**lam_bits): the Feistel rounds in reverse order between two half swaps."""
-        half = self.lam_bits // 2
+        """pi^{-1}(h mod 2**QPRO_KEY_BITS): the Feistel rounds in reverse order between two half swaps."""
+        half = QPRO_KEY_BITS // 2
         mask = (1 << half) - 1
         swapped = (handle & mask) << half | (handle >> half) & mask
         word = self._feistel(self._tables(instance)[::-1], (swapped,))[0]
@@ -369,30 +371,21 @@ class QPrOSim:
         """QPrO(Eval, h, x) -> H(pi^{-1}(h), x); total on all handles."""
         return qpro_prf(instance, self.inv(instance, handle), x, out_len)
 
-    def sample_keys(self, rng: np.random.Generator, n: int) -> tuple[int, ...]:
-        """n uniform keys from one generator call; the same values and the
-        same generator state as n scalar draws.  A key of at most 32 bits
-        takes one 32-bit word, which sample_draws relies on."""
-        return tuple(rng.integers(0, 1 << self.lam_bits, size=n).tolist())
-
     def sample_draws(self, rng: np.random.Generator, plan) -> list:
-        """sample_keys(rng, n) for each ("keys", n) of plan and rng.bytes(n)
-        for each ("bytes", n), in order: the same values and the same
-        generator state as those calls made one after another.
+        """For each ("keys", n) of plan n uniform keys, a tuple of ints, and for
+        each ("bytes", n) rng.bytes(n), in order, from one generator call: the
+        same values and the same generator state as n draws
+        rng.integers(0, 2**QPRO_KEY_BITS) and rng.bytes(n) made one after another.
 
-        With lam_bits <= 32 every value comes from one call of 32-bit words:
-        numpy's Generator.bytes(n) is the next ceil(n / 4) words (at least
-        one), little-endian, and integers(0, 2**lam_bits) is Lemire's method
-        on a power-of-two range, which takes one word per key, never rejects
-        and returns word >> (32 - lam_bits).  A wider key is a 64-bit draw,
-        so wider oracles keep one call per entry.
+        numpy's Generator.bytes(n) is the next ceil(n / 4) 32-bit words (at
+        least one), little-endian, and integers(0, 2**QPRO_KEY_BITS) is
+        Lemire's method on a power-of-two range, which takes one word per key,
+        never rejects and returns word >> (32 - QPRO_KEY_BITS).
         test_sample_draws_equal_sequential_draws guards the identity against
         numpy changes."""
-        if self.lam_bits > 32:
-            return [self.sample_keys(rng, n) if kind == "keys" else rng.bytes(n) for kind, n in plan]
         sizes = [n if kind == "keys" else (n + 3) // 4 or 1 for kind, n in plan]
         words = rng.integers(0, 1 << 32, size=sum(sizes), dtype=np.uint32)
-        keys, raw = (words >> (32 - self.lam_bits)).tolist(), words.astype("<u4").tobytes()
+        keys, raw = (words >> (32 - QPRO_KEY_BITS)).tolist(), words.astype("<u4").tobytes()
         out, at = [], 0
         for (kind, n), size in zip(plan, sizes):
             out.append(tuple(keys[at:at + n]) if kind == "keys" else raw[4 * at:4 * at + n])
@@ -658,10 +651,9 @@ def jllw_obfuscate(
 
     Every value is drawn by one sample_draws call, in this order: the pad
     keys when no bundle is given, one 32-byte FE master per level from the
-    leaf level D up to the root, then the root's seed and nonce.  For keys of
-    at most 32 bits that is one generator call, with the values and
-    generator state of one call per draw.  The tree keeps the root's value
-    as its _root_seal.
+    leaf level D up to the root, then the root's seed and nonce: one
+    generator call, with the values and generator state of one call per
+    draw.  The tree keeps the root's value as its _root_seal.
     """
     big_d = c.input_arity
     if big_d > JLLW_ARITY_CAP:
@@ -961,7 +953,7 @@ def pc_ext_setup(rng: np.random.Generator, lam_cc: int = DEFAULT_LAMBDA_CC) -> t
     if lam_cc < 1:  # a transcript of no bundles would verify and evaluate nothing
         raise ValueError(f"lam_cc must be at least 1, not {lam_cc}")
     crs, td = nizknp.np_ext0(rng)
-    h_star = int(rng.integers(0, 1 << 16))
+    h_star = int(rng.integers(0, _KEY_SPACE))
     return PcParams(crs, h_star, lam_cc), td
 
 
@@ -1046,10 +1038,9 @@ def _pc_build(
 
     Every value drawn before the challenge comes from one sample_draws call,
     bundle by bundle: its keys, then for a corrupted bundle the unrelated
-    keys whose handles it posts, then its 16 bytes of commitment randomness.  For
-    keys of at most 32 bits that is one generator call, with the values and
-    generator state of one call per draw
-    (test_sample_draws_equal_sequential_draws)."""
+    keys whose handles it posts, then its 16 bytes of commitment randomness:
+    one generator call, with the values and generator state of one call per
+    draw (test_sample_draws_equal_sequential_draws)."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}")
     lam_cc = pp.lam_cc

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,33 @@ def test_a_game_of_one_trial_exits_2_before_the_first_trial(tmp_path, capsys, mo
     assert "trials >= 2" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("game", sorted(cli._GAMES))
+@pytest.mark.parametrize("trials, budget", [(0, 10**12), (2, cli.GAME_WORK_CAP // 2 + 1), (cli.GAME_WORK_CAP, 2)])
+def test_a_game_above_the_work_cap_exits_2_before_the_first_trial(game, trials, budget, tmp_path, capsys, monkeypatch):
+    # key-swap draws budget keys a trial: at 10**12 numpy would be asked for terabytes
+    def never(cfg, world, rng):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setitem(cli._GAMES, game, never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "trials": trials, "game": game, "budget": budget}))
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", "--scenario", "distinguish-game", "--config", str(cfg_path)]) == 2
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()
+    assert "cap is" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_a_game_at_the_work_cap_runs(monkeypatch):
+    played = []
+    monkeypatch.setitem(cli._GAMES, "key-swap", lambda cfg, world, rng: played.append(world) or 0)
+    cfg = RunConfig.from_json({"scenario": "distinguish-game", "seed": 1, "trials": 2, "budget": cli.GAME_WORK_CAP // 2})
+    assert cli.distinguish_game(cfg)["trials_per_world"]["value"] == 1
+    assert played == [0, 1]
+
+
 @pytest.mark.parametrize("lambda_cc", [1, 2])
 def test_cutchoose_with_fewer_bundles_than_it_corrupts_exits_2_before_the_first_trial(
     lambda_cc, tmp_path, capsys, monkeypatch
@@ -272,8 +300,12 @@ def test_report_schema_and_reproducibility():
          "1fc5666b060716c22b8946ee3e064cf28fa9bb52ec51779f0e5655763e3ce580"),
         ({"scenario": "distinguish-game", "seed": 1, "trials": 200, "game": "key-swap"},
          "0b107fcd3d04e4a133afbd7015fa8340b5de19ac60955ca394caf14332b4dd9e"),
+        # budget 32 never finds the handle; at 4096 world 1 reads 0.05 (digest taken
+        # with one gen call per guess)
+        ({"scenario": "distinguish-game", "seed": 1, "trials": 200, "game": "key-swap", "budget": 4096},
+         "731c6f574a5ddd1c3f306af15ad2649ec554bf1858e3ff11ebeb3b621137765a"),
     ],
-    ids=["jllw-1", "jllw-108", "cutchoose-1", "evasive-comb-1", "key-swap-1"],
+    ids=["jllw-1", "jllw-108", "cutchoose-1", "evasive-comb-1", "key-swap-1", "key-swap-4096"],
 )
 def test_seeded_report_bytes_pinned(config, digest):
     """Seeded reports without wall_clock_s are byte-identical to the

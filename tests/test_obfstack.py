@@ -26,6 +26,7 @@ from qmalab.obfstack import (
     JLLWObfuscation,
     PCObfuscation,
     PHI_ANY,
+    QPRO_KEY_BITS,
     QPrOSim,
     combine_circuits,
     fe_dec,
@@ -101,7 +102,7 @@ def test_qpro_gen_eval_definitional():
     rng = np.random.default_rng(1)
     qpro = QPrOSim.from_seed(rng)
     for _ in range(100):
-        (k,) = qpro.sample_keys(rng, 1)
+        k = int(rng.integers(0, 1 << QPRO_KEY_BITS))
         h = qpro.gen(1, k)
         x = rng.bytes(8)
         assert qpro.eval(1, h, x, 16) == obfstack.qpro_prf(1, k, x, 16)
@@ -132,12 +133,12 @@ def _round_reference(qpro: QPrOSim, instance: int, rnd: int, x: int) -> int:
         x.to_bytes(4, "big"),
         out_len=4,
     )
-    return int.from_bytes(d, "big") & ((1 << (qpro.lam_bits // 2)) - 1)
+    return int.from_bytes(d, "big") & ((1 << (QPRO_KEY_BITS // 2)) - 1)
 
 
 def _feistel_reference(qpro: QPrOSim, instance: int, key: int) -> int:
     """gen recomputed from its definition, with a digest per round."""
-    half = qpro.lam_bits // 2
+    half = QPRO_KEY_BITS // 2
     mask = (1 << half) - 1
     left, right = (key >> half) & mask, key & mask
     for rnd in range(4):
@@ -155,27 +156,38 @@ def _round_states(qpro: QPrOSim) -> list:
     return [state for tables in qpro.rounds.values() for state, _ in tables]
 
 
+_EVERY_KEY = tuple(range(1 << QPRO_KEY_BITS))
+_HALVES = 2 ** (QPRO_KEY_BITS // 2)  # the memo entries of one round table, once every key is seen
+
+
+def _key_sample(rng: np.random.Generator, n: int) -> tuple[int, ...]:
+    """n keys drawn from the key space, and its end points."""
+    return (0, (1 << QPRO_KEY_BITS) - 1) + tuple(int(k) for k in rng.integers(0, 1 << QPRO_KEY_BITS, size=n))
+
+
 def test_qpro_round_memo_matches_definition_and_stays_bounded():
-    qpro = QPrOSim.from_seed(np.random.default_rng(30), lam_bits=8, instance_count=3)
+    rng = np.random.default_rng(30)
+    qpro = QPrOSim.from_seed(rng, instance_count=3)
+    sample = _key_sample(rng, 100)
     for instance in range(qpro.instance_count):
-        handles = [qpro.gen(instance, k) for k in range(256)]
-        assert handles == [_feistel_reference(qpro, instance, k) for k in range(256)]
-        assert [qpro.inv(instance, h) for h in handles] == list(range(256))
+        handles = qpro.gen_many(instance, _EVERY_KEY)
+        assert [handles[k] for k in sample] == [_feistel_reference(qpro, instance, k) for k in sample]
+        assert tuple(qpro.inv(instance, h) for h in handles) == _EVERY_KEY
     # an exhaustive gen reaches every (instance, round, half) exactly once, and
     # builds one state per (instance, round)
-    assert _round_halves(qpro) == qpro.instance_count * 4 * 2**4
+    assert _round_halves(qpro) == qpro.instance_count * 4 * _HALVES
     assert sorted(qpro.rounds) == list(range(qpro.instance_count))
     assert all(len(tables) == 4 for tables in qpro.rounds.values())
     assert len({id(s) for s in _round_states(qpro)}) == qpro.instance_count * 4
     # every memoized value is the round function's
     for instance, tables in qpro.rounds.items():
         for rnd, (_, memo) in enumerate(tables):
-            assert memo == {x: _round_reference(qpro, instance, rnd, x) for x in range(16)}
+            assert memo == {x: _round_reference(qpro, instance, rnd, x) for x in range(_HALVES)}
     # a second pass, one key at a time or in one batch, is served from the
     # memo and agrees with the first
-    assert [qpro.gen(2, k) for k in range(256)] == handles
-    assert qpro.gen_many(2, tuple(range(256))) == tuple(handles)
-    assert _round_halves(qpro) == qpro.instance_count * 4 * 2**4
+    assert [qpro.gen(2, k) for k in _EVERY_KEY] == list(handles)
+    assert qpro.gen_many(2, _EVERY_KEY) == handles
+    assert _round_halves(qpro) == qpro.instance_count * 4 * _HALVES
     assert len(_round_states(qpro)) == qpro.instance_count * 4
 
 
@@ -195,7 +207,7 @@ def test_qpro_oracles_with_one_master_are_equal_but_share_no_memo():
 
 def test_qpro_round_states_give_the_defined_feistel_on_nine_instances():
     rng = np.random.default_rng(33)
-    qpro = QPrOSim.from_seed(rng, lam_bits=16, instance_count=9)
+    qpro = QPrOSim.from_seed(rng, instance_count=9)
     for instance in range(qpro.instance_count):
         keys = [int(k) for k in rng.integers(0, 1 << 16, size=300)]
         handles = [qpro.gen(instance, k) for k in keys]
@@ -204,83 +216,68 @@ def test_qpro_round_states_give_the_defined_feistel_on_nine_instances():
 
 
 def test_qpro_round_states_are_per_oracle_and_bounded():
-    a = QPrOSim.from_seed(np.random.default_rng(34), lam_bits=8, instance_count=3)
-    b = QPrOSim(a.master, lam_bits=8, instance_count=3)
+    a = QPrOSim.from_seed(np.random.default_rng(34), instance_count=3)
+    b = QPrOSim(a.master, instance_count=3)
     h = a.gen(1, 77)
     assert a.rounds and not b.rounds
     assert b.gen(1, 77) == h
     assert a.rounds.keys() == b.rounds.keys() == {1}
     assert not {id(s) for s in _round_states(a)} & {id(s) for s in _round_states(b)}
-    # an exhaustive gen and inv on every instance builds one state per (instance, round)
+    # an exhaustive gen on every instance, and inv on a sample, builds one state per (instance, round)
+    sample = _key_sample(np.random.default_rng(34), 60)
     for instance in range(a.instance_count):
-        assert [a.inv(instance, a.gen(instance, k)) for k in range(256)] == list(range(256))
+        handles = a.gen_many(instance, _EVERY_KEY)
+        assert tuple(a.inv(instance, handles[k]) for k in sample) == sample
     assert sorted(a.rounds) == list(range(a.instance_count))
     assert len({id(s) for s in _round_states(a)}) == a.instance_count * 4
-    assert _round_halves(a) == a.instance_count * 4 * 2**4
+    assert _round_halves(a) == a.instance_count * 4 * _HALVES
     # the tables stay out of equality and repr
     assert a == b and "rounds" not in repr(a) and "_perm_state" not in repr(a)
 
 
 def test_gen_many_agrees_with_the_definition_pointwise():
     rng = np.random.default_rng(37)
-    qpro = QPrOSim.from_seed(rng, lam_bits=8, instance_count=3)
-    every = tuple(range(256))
+    qpro = QPrOSim.from_seed(rng, instance_count=3)
+    sample = _key_sample(rng, 60)
     for instance in range(qpro.instance_count):
-        cold = qpro.gen_many(instance, every)
-        assert cold == tuple(_feistel_reference(qpro, instance, k) for k in every)
-        assert qpro.gen_many(instance, every[::-1]) == cold[::-1]  # warm memo
-        assert tuple(qpro.inv(instance, h) for h in cold) == every
+        cold = qpro.gen_many(instance, _EVERY_KEY)
+        assert [cold[k] for k in sample] == [_feistel_reference(qpro, instance, k) for k in sample]
+        assert qpro.gen_many(instance, _EVERY_KEY[::-1]) == cold[::-1]  # warm memo
+        assert sorted(cold) == list(_EVERY_KEY)  # a permutation of the key space
     # repeated keys in one batch on a cold memo, and the empty batch
-    keys = tuple(int(k) for k in rng.integers(0, 256, size=40)) * 3
-    fresh = QPrOSim(qpro.master, lam_bits=8, instance_count=3)
+    keys = sample * 3
+    fresh = QPrOSim(qpro.master, instance_count=3)
     assert fresh.gen_many(1, keys) == tuple(_feistel_reference(qpro, 1, k) for k in keys)
+    assert fresh.gen_many(1, keys) == tuple(fresh.gen(1, k) for k in keys)
+    assert tuple(fresh.inv(1, h) for h in fresh.gen_many(1, keys)) == keys
     assert fresh.gen_many(2, ()) == ()
     with pytest.raises(ValueError, match="instance"):
         fresh.gen_many(3, ())
-    # the widest key space, its end points included
-    wide = QPrOSim.from_seed(rng, lam_bits=62, instance_count=2)
-    keys = wide.sample_keys(rng, 60) + (0, (1 << 62) - 1)
-    handles = wide.gen_many(1, keys)
-    assert handles == tuple(_feistel_reference(wide, 1, k) for k in keys)
-    assert handles == tuple(wide.gen(1, k) for k in keys)
-    assert tuple(wide.inv(1, h) for h in handles) == keys
 
 
-@pytest.mark.parametrize("lam_bits", [8, 16, 62])
-def test_gen_refuses_keys_outside_the_key_space(lam_bits):
-    qpro = QPrOSim(b"\x09" * 32, lam_bits=lam_bits)
-    # masking a key to lam_bits would give k + 2**lam_bits the handle of k
-    for bad in (-1, 1 << lam_bits, (1 << lam_bits) + 5, 1 << 64):
+def test_gen_refuses_keys_outside_the_key_space():
+    qpro = QPrOSim(b"\x09" * 32)
+    # masking a key to QPRO_KEY_BITS would give k + 2**QPRO_KEY_BITS the handle of k
+    for bad in (-1, 1 << QPRO_KEY_BITS, (1 << QPRO_KEY_BITS) + 5, 1 << 64):
         with pytest.raises(ValueError, match="key space"):
             qpro.gen(1, bad)
         with pytest.raises(ValueError, match="key space"):
             qpro.gen_many(1, (5, bad))
         assert not qpro._in_key_space((5, bad))
-    assert qpro._in_key_space((0, (1 << lam_bits) - 1))
+    assert qpro._in_key_space((0, (1 << QPRO_KEY_BITS) - 1))
+    # the batch is refused before any key is worked: the memo stays empty
+    assert not any(memo for tables in qpro.rounds.values() for _, memo in tables)
 
 
-@pytest.mark.parametrize("lam_bits", [8, 16, 62])
-@pytest.mark.parametrize("n", [1, 4, 51])
-def test_sample_keys_equal_scalar_draws(lam_bits, n):
-    qpro = QPrOSim(b"\x07" * 32, lam_bits=lam_bits)
-    bundle, scalar = np.random.default_rng([lam_bits, n]), np.random.default_rng([lam_bits, n])
-    keys = qpro.sample_keys(bundle, n)
-    assert keys == tuple(int(scalar.integers(0, 1 << lam_bits)) for _ in range(n))
-    assert all(type(k) is int for k in keys)
-    assert bundle.bit_generator.state == scalar.bit_generator.state
-    assert qpro.sample_keys(bundle, 1)[0] == int(scalar.integers(0, 1 << lam_bits))
-
-
-@pytest.mark.parametrize("lam_bits", [8, 16, 32, 62])
 @pytest.mark.parametrize("half_word", [False, True])
-def test_sample_draws_equal_sequential_draws(lam_bits, half_word):
+def test_sample_draws_equal_sequential_draws(half_word):
     # the word identity of sample_draws: a numpy change to Generator.bytes or to
     # bounded integers shows up here rather than as drift in seeded bytes
-    qpro = QPrOSim(b"\x0b" * 32, lam_bits=lam_bits)
-    plans = np.random.default_rng([lam_bits, half_word])
-    for _ in range(40):
+    qpro = QPrOSim(b"\x0b" * 32)
+    plans = np.random.default_rng([QPRO_KEY_BITS, half_word])
+    for _ in range(100):
         plan = [
-            (("keys", "bytes")[int(plans.integers(0, 2))], int(plans.integers(0, 20)))
+            (("keys", "bytes")[int(plans.integers(0, 2))], int(plans.integers(0, 60)))
             for _ in range(int(plans.integers(0, 8)))
         ]
         seed = int(plans.integers(0, 1 << 32))
@@ -288,7 +285,11 @@ def test_sample_draws_equal_sequential_draws(lam_bits, half_word):
         if half_word:  # a scalar 16-bit draw leaves half of a 64-bit word buffered
             batched.integers(0, 1 << 16), sequential.integers(0, 1 << 16)
             assert batched.bit_generator.state["has_uint32"] == 1
-        expected = [qpro.sample_keys(sequential, n) if kind == "keys" else sequential.bytes(n) for kind, n in plan]
+        expected = [
+            tuple(int(sequential.integers(0, 1 << QPRO_KEY_BITS)) for _ in range(n)) if kind == "keys"
+            else sequential.bytes(n)
+            for kind, n in plan
+        ]
         got = qpro.sample_draws(batched, plan)
         assert got == expected
         assert [type(v) for v in got] == [tuple if kind == "keys" else bytes for kind, _ in plan]
@@ -298,24 +299,19 @@ def test_sample_draws_equal_sequential_draws(lam_bits, half_word):
 
 def test_qpro_refuses_parameters_it_cannot_run():
     rng = np.random.default_rng(35)
-    # lam_bits=64 used to construct and then fail in sample_keys ("high is out
-    # of bounds for int64"); 66 failed in gen's 4-byte half; 0 instances
-    # failed every query
-    for lam_bits in (64, 66, 6, 15):
-        with pytest.raises(ValueError, match="lam_bits"):
-            QPrOSim.from_seed(rng, lam_bits=lam_bits)
+    # 0 instances used to fail every query
     with pytest.raises(ValueError, match="instance_count"):
         QPrOSim.from_seed(rng, instance_count=0)
-    widest = QPrOSim.from_seed(rng, lam_bits=62, instance_count=1)
-    (k,) = widest.sample_keys(rng, 1)
-    assert widest.inv(0, widest.gen(0, k)) == k
-    assert widest.gen(0, k) == _feistel_reference(widest, 0, k)
+    single = QPrOSim.from_seed(rng, instance_count=1)
+    k = int(rng.integers(0, 1 << QPRO_KEY_BITS))
+    assert single.inv(0, single.gen(0, k)) == k
+    assert single.gen(0, k) == _feistel_reference(single, 0, k)
 
 
 def test_qpro_replace_gives_the_new_oracle_tables_of_its_own():
     rng = np.random.default_rng(36)
     a = QPrOSim.from_seed(rng, instance_count=3)
-    keys = a.sample_keys(rng, 50)
+    (keys,) = a.sample_draws(rng, [("keys", 50)])
     for k in keys:
         a.gen(1, k)
     ideal_obf(a, table_circuit([0, 1]), rng)
@@ -333,7 +329,7 @@ def test_qpro_replace_gives_the_new_oracle_tables_of_its_own():
 def test_qpro_round_memo_bounded_over_long_jllw_run():
     rng = np.random.default_rng(32)
     qpro = QPrOSim.from_seed(rng, instance_count=2)
-    bound = qpro.instance_count * 4 * 2 ** (qpro.lam_bits // 2)
+    bound = qpro.instance_count * 4 * _HALVES
     for _ in range(300):
         d = int(rng.integers(1, 5))
         c = table_circuit(rng.integers(0, 2, size=2**d))
@@ -700,35 +696,6 @@ def test_jllw_tree_bytes_pinned(seed, digest):
         h.update(o.serialize())
         for chi, node in sorted(o._nodes[qpro].items()):
             h.update(chi.encode() + b":" + _node_bytes(node))
-    assert h.hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "with_bundle, digest",
-    [
-        (False, "c78388474716a9f42e02b91321d7c9361a688669c4c4f1753677e7b92b9105a8"),
-        (True, "2859cc2e429d9b842b828379077a6f5fc3a2c2d438404456fc07a3ba8a23bc72"),
-    ],
-    ids=["sampled-keys", "bundle"],
-)
-def test_wide_key_jllw_tree_bytes_and_draws_pinned(with_bundle, digest):
-    """At lam_bits 62, where sample_draws makes one generator call per draw,
-    the serialized obfuscations of arities 1-5, with their keys sampled or
-    handed in as a bundle, and the generator state after each build are
-    byte-identical to the reference digest."""
-    h = hashlib.sha256()
-    rng = np.random.default_rng([62, with_bundle])
-    qpro = QPrOSim.from_seed(rng, lam_bits=62, instance_count=2)
-    for d in range(1, 6):
-        c = table_circuit(rng.integers(0, 2, size=2**d))
-        bundle = None
-        if with_bundle:
-            keys = qpro.sample_keys(rng, len(obfstack._bundle_shape(d)))
-            bundle = keys, qpro.gen_many(1, keys)
-        o = jllw_obfuscate(c, qpro, 1, rng, bundle=bundle)
-        h.update(o.serialize())
-        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
-        assert obfstack.jllw_eval_table(o, qpro, (), d).tolist() == c.table_for_prefix((), d).astype(int).tolist()
     assert h.hexdigest() == digest
 
 
@@ -1673,28 +1640,21 @@ _BUILD_PINS = {
     ("ideal", 16, 8, (1, 2, 3)): "156040a9a2c3f6f8dfdb0bbac76926da8b72f01d5a58898f19dd210d94d75b09",
     ("ideal", 16, 3, ()): "c0e9b924771cba73d8a49cfbab07cbd9a48a518c5c64a8fb01c2ae5911465473",
     ("ideal", 16, 3, (1, 2, 3)): "c8ede21f64e8bf3c302f9d3df690a7b4f4a079a3091d90557f4e992a1a15afcd",
-    ("ideal", 62, 8, ()): "140306bcacc3d3a4fcd680648fd7feecdafb17a0cfb132c4efeb4af428c5edac",
-    ("ideal", 62, 8, (1, 2, 3)): "f34750a316816fb5f0c09c496a6a275d8efd6ea21dd79ec2c052ccb05db178e3",
-    ("ideal", 62, 3, ()): "463b443ad9f5cf56356e598c815f7eb81d7652475b9537dfd84182a29370a712",
-    ("ideal", 62, 3, (1, 2, 3)): "072635a121092cb73fa90a9d57c7bd562b92cf945e75a8b8544cb6eb5e506037",
     ("jllw", 16, 8, ()): "2ec0b716bb481e0fb4bb3dd3527c275cecc1c7f1b074fd8aca394eda9e0eda42",
     ("jllw", 16, 8, (1, 2, 3)): "42632b678dadc231cfc77f3012633c92ec189aaa4de8ab3107d5548c146edcd6",
     ("jllw", 16, 3, ()): "f23f80ad6a11bac059f22b172e8169e214075a3b078dfc7573be2e53b09197e2",
     ("jllw", 16, 3, (1, 2, 3)): "c5cca30ed0240ed0304e367a62d82de8a7bc780f4a583b9911f3ed69df8a4915",
-    ("jllw", 62, 8, ()): "2fa0424b14cf01c1e62a229a44cab45e7d7920425f9a3c6ccfa52cf9a8bebc87",
-    ("jllw", 62, 8, (1, 2, 3)): "468c9b26d7667f8064fafbe2f7c8418c45f72a323980923f73610648d7fb5c59",
-    ("jllw", 62, 3, ()): "31a9ebad7f570bfacb3ddd35a5f5f83067140425923c18a73d6fc865a247f57a",
-    ("jllw", 62, 3, (1, 2, 3)): "46ba2fd296f7757666b57117b3edeee837020f432949fa128b771bd0f11f7b13",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BUILD_PINS), ids=lambda case: "-".join(map(str, case)))
 def test_transcript_bytes_and_draw_order_pinned(case):
-    backend, lam_bits, lam_cc, corrupt = case
+    backend, key_bits, lam_cc, corrupt = case  # the pins' seeds name the key width
+    assert key_bits == QPRO_KEY_BITS
     h = hashlib.sha256()
     for seed in range(3):
-        rng = np.random.default_rng([seed, lam_bits, lam_cc])
-        qpro = QPrOSim.from_seed(rng, lam_bits=lam_bits, instance_count=lam_cc + 1)
+        rng = np.random.default_rng([seed, key_bits, lam_cc])
+        qpro = QPrOSim.from_seed(rng, instance_count=lam_cc + 1)
         pp = pc_setup(rng, lam_cc)
         c = table_circuit([0, 1, 1, 0])
         o = pc_obfuscate(pp, PHI_ANY, c, qpro, rng, backend=backend, corrupt_bundles=corrupt)
@@ -1758,13 +1718,13 @@ def test_a_jllw_build_draws_all_its_values_in_one_call(with_bundle):
         width = len(obfstack._bundle_shape(d))
         bundle = None
         if with_bundle:
-            keys = qpro.sample_keys(rng, width)
+            (keys,) = qpro.sample_draws(rng, [("keys", width)])
             bundle = keys, qpro.gen_many(1, keys)
         plain = copy.deepcopy(rng)
         counting = _CountingGenerator(rng)
         o = jllw_obfuscate(c, qpro, 1, counting, bundle=bundle)
         assert counting.calls == ["integers"]
-        keys = bundle[0] if with_bundle else qpro.sample_keys(plain, width)
+        keys = bundle[0] if with_bundle else tuple(int(plain.integers(0, 1 << QPRO_KEY_BITS)) for _ in range(width))
         assert tuple(o.handles.values()) == qpro.gen_many(1, keys)
         assert [sk.master for sk in o.sks] == [plain.bytes(32) for _ in range(d + 1)][::-1]
         seed, nonce = plain.bytes(16), plain.bytes(16)
@@ -2113,7 +2073,7 @@ def test_pc_relation_rejects_malformed_witnesses():
         # keys outside the oracle's key space, two of them wider than 8 bytes
         "negative key": with_first_key(-1),
         "key of 2**64": with_first_key(2**64),
-        "key of 2**lam_bits": with_first_key(2**qpro.lam_bits),
+        "key of 2**QPRO_KEY_BITS": with_first_key(2**QPRO_KEY_BITS),
         "openings not an object": json.dumps({**honest, "openings": [honest["openings"][t]]}).encode(),
         "keys not a list": with_opening(keys=5),
         "r not hex": with_opening(r="zz"),
@@ -2183,7 +2143,7 @@ def test_pc_relation_without_unopened_instances_checks_the_protocol_phi():
 
 @pytest.mark.parametrize("backend", obfstack.BACKENDS)
 def test_prover_opening_keys_outside_the_key_space_is_refused(backend, monkeypatch):
-    # A prover that commits to and opens keys k + 2**lam_bits.  An oracle that
+    # A prover that commits to and opens keys k + 2**QPRO_KEY_BITS.  An oracle that
     # masked keys would give them the handles of k, so the opened bundles would
     # pass the audit with no diagnostic and every pc_eval of the JLLW
     # transcript would return None.
@@ -2191,7 +2151,7 @@ def test_prover_opening_keys_outside_the_key_space_is_refused(backend, monkeypat
     qpro = QPrOSim.from_seed(rng)
     pp = pc_setup(rng)
     c = table_circuit([0, 1, 1, 0])
-    shift = 1 << qpro.lam_bits
+    shift = 1 << QPRO_KEY_BITS
     sample_draws, gen_many = QPrOSim.sample_draws, QPrOSim.gen_many
 
     def shifted_keys(self, r, plan):  # the build draws its bundles' keys here
