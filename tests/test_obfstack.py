@@ -255,26 +255,41 @@ def test_gen_many_agrees_with_the_definition_pointwise():
         fresh.gen_many(3, ())
 
 
-def test_gen_refuses_keys_outside_the_key_space():
+@pytest.mark.parametrize("key_bits", [QPRO_KEY_BITS])
+def test_gen_refuses_keys_outside_the_key_space(key_bits):
     qpro = QPrOSim(b"\x09" * 32)
-    # masking a key to QPRO_KEY_BITS would give k + 2**QPRO_KEY_BITS the handle of k
-    for bad in (-1, 1 << QPRO_KEY_BITS, (1 << QPRO_KEY_BITS) + 5, 1 << 64):
+    # masking a key to key_bits would give k + 2**key_bits the handle of k
+    for bad in (-1, 1 << key_bits, (1 << key_bits) + 5, 1 << 64):
         with pytest.raises(ValueError, match="key space"):
             qpro.gen(1, bad)
         with pytest.raises(ValueError, match="key space"):
             qpro.gen_many(1, (5, bad))
         assert not qpro._in_key_space((5, bad))
-    assert qpro._in_key_space((0, (1 << QPRO_KEY_BITS) - 1))
+    assert qpro._in_key_space((0, (1 << key_bits) - 1))
     # the batch is refused before any key is worked: the memo stays empty
     assert not any(memo for tables in qpro.rounds.values() for _, memo in tables)
 
 
+@pytest.mark.parametrize("key_bits", [QPRO_KEY_BITS])
+@pytest.mark.parametrize("n", [1, 4, 51])
+def test_sample_keys_equal_scalar_draws(key_bits, n):
+    # a plan of one key draw gives the keys of n scalar draws from the key space
+    qpro = QPrOSim(b"\x07" * 32)
+    bundle, scalar = np.random.default_rng([key_bits, n]), np.random.default_rng([key_bits, n])
+    (keys,) = qpro.sample_draws(bundle, [("keys", n)])
+    assert keys == tuple(int(scalar.integers(0, 1 << key_bits)) for _ in range(n))
+    assert all(type(k) is int for k in keys)
+    assert bundle.bit_generator.state == scalar.bit_generator.state
+    assert qpro.sample_draws(bundle, [("keys", 1)])[0][0] == int(scalar.integers(0, 1 << key_bits))
+
+
+@pytest.mark.parametrize("key_bits", [QPRO_KEY_BITS])
 @pytest.mark.parametrize("half_word", [False, True])
-def test_sample_draws_equal_sequential_draws(half_word):
+def test_sample_draws_equal_sequential_draws(half_word, key_bits):
     # the word identity of sample_draws: a numpy change to Generator.bytes or to
     # bounded integers shows up here rather than as drift in seeded bytes
     qpro = QPrOSim(b"\x0b" * 32)
-    plans = np.random.default_rng([QPRO_KEY_BITS, half_word])
+    plans = np.random.default_rng([key_bits, half_word])
     for _ in range(100):
         plan = [
             (("keys", "bytes")[int(plans.integers(0, 2))], int(plans.integers(0, 60)))
@@ -286,7 +301,7 @@ def test_sample_draws_equal_sequential_draws(half_word):
             batched.integers(0, 1 << 16), sequential.integers(0, 1 << 16)
             assert batched.bit_generator.state["has_uint32"] == 1
         expected = [
-            tuple(int(sequential.integers(0, 1 << QPRO_KEY_BITS)) for _ in range(n)) if kind == "keys"
+            tuple(int(sequential.integers(0, 1 << key_bits)) for _ in range(n)) if kind == "keys"
             else sequential.bytes(n)
             for kind, n in plan
         ]
