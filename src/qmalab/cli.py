@@ -175,7 +175,7 @@ def scenario_permver_bench(cfg: RunConfig) -> dict:
             f"configuration needs {work} sub-measurements per witness ({trials} trials x "
             f"{work // trials} list entries), cap is {PERMVER_BENCH_WORK_CAP}"
         )
-    v = permver.build(h, k)
+    v = permver.require_passable(permver.build(h, k))
     _, gs = zxham.ground_state(h)
     e = zxham.acceptance_operator(h)
     diag = np.real(np.diag(e))

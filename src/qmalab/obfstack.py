@@ -435,11 +435,12 @@ class FeFunction:
     def canonical(self) -> dict:
         return {"kind": self.kind, "params": self.params}
 
-    def apply(self, plaintext: bytes | None, value=None) -> tuple[bytes, tuple]:
+    def apply(self, plaintext: bytes | None, value=None) -> tuple[bytes | _Lazy, tuple]:
         """(f of a node plaintext, the node's children).  value, when given,
         is _wire_json(plaintext), which is then not read.  At an expand node
-        the children are (master, ciphertext, value) for each child, value
-        being the JSON value the child's text is the _dumps of; at a leaf ().
+        f is _Lazy(_padded, pads, children) and each child is a seal
+        (master, _Lazy ciphertext, value), value being the JSON value the
+        child's text is the _dumps of; at a leaf the children are ().
         This is the one place where a reader's ValueError (or a child's
         frame overflow) becomes IntegrityError, so a malformed node that
         authenticates fails like a bad tag."""
@@ -467,7 +468,7 @@ class FeFunction:
             object.__setattr__(self, "_shared", entry)
         return entry[1]
 
-    def _expand_normal(self, chi: str, info: dict) -> tuple[bytes, tuple]:
+    def _expand_normal(self, chi: str, info: dict) -> tuple[_Lazy, tuple]:
         p = self.params
         d, big_d, seg = p["level"], p["D"], p["L"]
         keys = _wire_field(info, "keys", dict)
@@ -484,19 +485,47 @@ class FeFunction:
         else:
             deeper, shared, pads = entry[2:]
         grow = toycrypto.stream(toycrypto.digest(b"jllw-gsr", seed), 4 * 16)
+        pk = self._pk_next
         children = []
         for eta in (0, 1):
             child_seed, r_child = grow[32 * eta : 32 * eta + 16].hex(), grow[32 * eta + 16 : 32 * eta + 32]
             value = {"chi": f"{chi}{eta}", "flag": "normal",
                      "info": {"circuit": circuit, "keys": deeper, "seed": child_seed}}
-            ct = fe_enc(self._pk_next, f'{{"chi":"{chi}{eta}{shared}{child_seed}"}}}}'.encode(), r_child)
-            children.append((self._pk_next.master, ct, value))
+            framed = toycrypto.frame(f'{{"chi":"{chi}{eta}{shared}{child_seed}"}}}}'.encode(), pk.ptlen)
+            children.append((pk.master, _Lazy(toycrypto.auth_encrypt, pk.master, framed, r_child), value))
         if pads is None:  # read after the children, whose frame overflow fails the node first
             pads = _wire_field(info, "keys", _pad_keys, d, p["B"])
             object.__setattr__(self, "_shared", (circuit, keys, deeper, shared, pads))
         pad_input = (chi + "0" * (big_d - d)).encode()
         otp = b"".join(qpro_prf(p["instance"], key, pad_input, seg) for key in pads)
-        return toycrypto.xor_bytes(children[0][1] + children[1][1], otp), tuple(children)
+        if len(otp) != 2 * (pk.ptlen + toycrypto.CIPHERTEXT_OVERHEAD):
+            raise IntegrityError("pad/ciphertext length mismatch")
+        return _Lazy(_padded, otp, tuple(children)), tuple(children)
+
+
+class _Lazy:
+    """The bytes of make(*args), computed at most once, when bytes() first
+    reads them: an expand step's child ciphertexts and its padded output.
+    It equals the bytes, or another _Lazy, of the same value; fe_dec and
+    the tree walk test identity first, so an honest walk reads none."""
+
+    __slots__ = ("make", "args", "_bytes")
+
+    def __init__(self, make: Callable[..., bytes], *args):
+        self.make, self.args, self._bytes = make, args, None
+
+    def __bytes__(self) -> bytes:
+        if self._bytes is None:
+            self._bytes = self.make(*self.args)
+        return self._bytes
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, (bytes, _Lazy)) and bytes(self) == bytes(other)
+
+
+def _padded(otp: bytes, children: tuple) -> bytes:
+    """An expand step's f: its children's ciphertexts, joined, XOR its pads otp."""
+    return toycrypto.xor_bytes(b"".join(bytes(ct) for _, ct, _ in children), otp)
 
 
 def _pad_keys(keys: dict, level: int, blocks: int) -> tuple[int, ...]:
@@ -549,17 +578,19 @@ def fe_enc(pk: FePk, plaintext: bytes, r: bytes) -> bytes:
     return toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
 
 
-def fe_dec(sk: FeSk, ct: bytes, sealed=()) -> tuple[bytes, tuple]:
+def fe_dec(sk: FeSk, ct: bytes | _Lazy, sealed=()) -> tuple[bytes | _Lazy, tuple]:
     """(f of the ciphertext's plaintext, its children), as FeFunction.apply
-    returns them.  sealed holds children an expand step returned: a
-    ciphertext equal to one of them that was made under sk's master is not
-    opened, since its tag checks and it decrypts to the _dumps of the
-    child's value, so f reads that value.  Any other ciphertext is
-    authenticated, decrypted and parsed."""
+    returns them.  sealed holds seals (master, ciphertext, value), such as
+    the children an expand step returned: a ciphertext that is one of them
+    made under sk's master is not opened, since its tag checks and it
+    decrypts to the _dumps of the seal's value, so f reads that value.  A
+    _Lazy matches by identity, so an honest walk encrypts no child; bytes
+    (a root, or a child a tampered pad garbled) match equal bytes.  Any
+    other ciphertext is authenticated, decrypted and parsed."""
     for master, child, value in sealed:
-        if child == ct and master == sk.master:
+        if master == sk.master and (child is ct or type(ct) is bytes and child == ct):
             return sk.function.apply(None, value)
-    return sk.function.apply(toycrypto.unframe(toycrypto.auth_decrypt(sk.master, ct)))
+    return sk.function.apply(toycrypto.unframe(toycrypto.auth_decrypt(sk.master, bytes(ct))))
 
 
 # -- JLLW tree obfuscator ------------------------------------------------------
@@ -582,13 +613,15 @@ class JLLWObfuscation:
     returned for it, or (_FAILED, ()) when a QPrOSim's walk failed there;
     a proxy's failed (tampered) opening is not stored.  Decryption is a pure
     function of the ciphertext, so a walk with any oracle reuses the entry
-    when its ciphertext is equal, and fe_dec of a child of chi reads the
-    value sealed in the entry's children.  ``_nodes[qpro][chi]``
-    is node chi's unpadded (child 0, child 1) ciphertext pair, its leaf byte,
-    or _FAILED, for one QPrOSim, whose answers are a pure function of its
-    compared fields; an oracle of any other type walks without this memo
-    and is asked every pad query.  Both are cached properties, not fields,
-    freed with the obfuscation, and dataclasses.replace starts the new
+    when its ciphertext is the same object or equal bytes, and fe_dec of a
+    child of chi reads the value sealed in the entry's children, whose
+    _Lazy ciphertexts live and die with the tree.  ``_nodes[qpro][chi]``
+    is node chi's unpadded (child 0, child 1) ciphertext pair (its sealed
+    ones when the pads were the expand step's), its leaf byte, or _FAILED,
+    for one QPrOSim, whose answers are a pure function of its compared
+    fields; an oracle of any other type walks without this memo and is
+    asked every pad query.  Both are cached properties, not fields, freed
+    with the obfuscation, and dataclasses.replace starts the new
     obfuscation with empty memos; an obfuscation is never changed in place.
     """
 
@@ -715,12 +748,16 @@ def jllw_eval_table(
     """Output labels (int16) over the last suffix_arity input bits with the
     leading bits fixed to prefix: walk the prefix once, then expand the
     subtree depth first, child 0 before child 1.  Each node decrypts, then
-    strips its B oracle pads; a node whose decryption or pad check fails
-    labels every leaf below it _FAILED, which is exactly the set of pointwise
-    walks through it.  Each node is decrypted with the children its parent's
-    opening returned, and the root with the tree's _root_seal, so fe_dec
-    parses no node of an honest tree that jllw_obfuscate built in this
-    process, and only the root of a parsed or replaced one.  The
+    unpads by comparing its B oracle pads with the expand step's: equal
+    pads give the sealed children themselves, so no child is encrypted,
+    and other pads are XORed off the padded bytes, so a tampered pad
+    reaches the child as bytes and fails there.  A node whose decryption
+    or pad check fails labels every leaf below it _FAILED, which is exactly
+    the set of pointwise walks through it.  Each node is decrypted with the
+    children its parent's opening returned, and the root with the tree's
+    _root_seal, so fe_dec parses no node of an honest tree that
+    jllw_obfuscate built in this process, and only the root of a parsed or
+    replaced one.  The
     obfuscation's memos spare a QPrOSim's walks every repeated decryption and
     pad query, and any oracle's walk the decryption of an equal ciphertext;
     a proxy oracle (tampering or logging) gets a pad memo for this walk only,
@@ -742,7 +779,7 @@ def jllw_eval_table(
         node = memo.get(chi)
         if node is None:
             dec = decs.get(chi)
-            if dec is None or dec[0] != ct:
+            if dec is None or dec[0] is not ct and dec[0] != ct:
                 try:
                     dec = ct, *fe_dec(o.sks[d], ct, decs[chi[:-1]][2] if d else o._root_seal)
                 except IntegrityError:
@@ -755,7 +792,7 @@ def jllw_eval_table(
             if v == _FAILED:
                 node = _FAILED
             elif d == o.D:
-                node = v[0]
+                node = bytes(v)[0]
             else:
                 pad_input = (chi + "0" * (o.D - d)).encode()
                 try:
@@ -763,8 +800,12 @@ def jllw_eval_table(
                         qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
                         for j in range(1, o.B + 1)
                     )
-                    pair = toycrypto.xor_bytes(v, otp)
-                    node = (pair[:ct_len], pair[ct_len:])
+                    # (c ^ P) ^ P' = c iff P = P', when the split falls between the children
+                    if type(v) is _Lazy and otp == v.args[0] and len(otp) == 2 * ct_len:
+                        node = tuple(child for _, child, _ in dec[2])
+                    else:
+                        pair = toycrypto.xor_bytes(bytes(v), otp)
+                        node = (pair[:ct_len], pair[ct_len:])
                 except IntegrityError:
                     node = _FAILED
             memo[chi] = node
@@ -782,7 +823,8 @@ def jllw_eval_table(
 def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int:
     """The zero-width case of jllw_eval_table; it shares the obfuscation's
     node memo, so 2**D pointwise walks with one QPrOSim cost one full table
-    walk (2**(D+1) - 1 decryptions and (2**D - 1) * B pad queries)."""
+    walk (2**(D+1) - 1 decryptions, (2**D - 1) * B pad queries and no child
+    encryption)."""
     y = int(jllw_eval_table(o, qpro, x_bits, 0)[0])
     if y == _FAILED:
         raise IntegrityError("tree walk failed its integrity checks")

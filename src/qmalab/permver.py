@@ -140,6 +140,18 @@ def build(
     return PermutingVerifier(h, k, a, b, _measurement_list(h, k))
 
 
+def require_passable(v: PermutingVerifier) -> PermutingVerifier:
+    """v, or ValueError when its threshold k*(a+b)/2 exceeds the length of
+    the list it thresholds, so that no state can pass it.  The protocol and
+    permver-bench refuse such a verifier before their first trial."""
+    if v.threshold > v.list_len:
+        raise ValueError(
+            f"no state can pass: the threshold k*(a+b)/2 = {v.threshold} at k={v.k} "
+            f"exceeds the {v.list_len} entries of the measurement list"
+        )
+    return v
+
+
 def list_length(h: HamiltonianInstance, k: int) -> int:
     """The length of build(h, k)'s measurement list, sum of floor(p*k) over
     the terms, counted without building the list."""

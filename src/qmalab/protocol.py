@@ -228,7 +228,8 @@ PROTOCOL_PHI = PhiSpec("csa-ver-mcirc", _phi_check)
 
 def witness_registers(h: HamiltonianInstance, cfg: ProtocolConfig) -> tuple[PermutingVerifier, int, int]:
     """(verifier, logical qubits m, physical qubits); rejects a configuration
-    above PHYSICAL_QUBIT_CAP before any work, building the verifier included."""
+    above PHYSICAL_QUBIT_CAP before any work, building the verifier included,
+    and one whose verifier no state can pass (permver.require_passable)."""
     list_len = permver.list_length(h, cfg.k)
     m = list_len * h.num_qubits
     phys = m * (2 * cfg.lambda_code + 1)
@@ -238,7 +239,7 @@ def witness_registers(h: HamiltonianInstance, cfg: ProtocolConfig) -> tuple[Perm
             f"({list_len} registers x {h.num_qubits} x {2 * cfg.lambda_code + 1}), "
             f"cap is {PHYSICAL_QUBIT_CAP}"
         )
-    return permver.build(h, cfg.k), m, phys
+    return permver.require_passable(permver.build(h, cfg.k)), m, phys
 
 
 def prove(

@@ -171,6 +171,69 @@ def test_permver_list_length_is_the_built_list_length():
         assert cli.permver.list_length(h, k) == len(cli.permver._measurement_list(h, k))
 
 
+_FRUSTRATED = {
+    "qubits": 3,
+    "terms": [
+        {"i": i, "j": i + 1, "basis": basis, "beta": 0, "p": 0.25} for i in (0, 1) for basis in ("Z", "X")
+    ],
+}
+# the k in 1..8 at which each instance's threshold k*(a+b)/2 exceeds its list
+# length sum(floor(p*k)) > 0; an empty list (k = 1, and k = 2, 3 for FRUSTRATED)
+# is refused as it was before
+_UNPASSABLE = {"REFERENCE_YES": {3}, "ALT_YES": {3}, "SINGLE_Z": {3, 5, 7}, "FRUSTRATED": {6, 7}}
+
+
+@pytest.mark.parametrize("name", list(_UNPASSABLE))
+def test_verifiers_that_no_state_can_pass_are_refused_at_every_k_up_to_8(name):
+    instance = _FRUSTRATED if name == "FRUSTRATED" else getattr(cli, name)
+    h = cli.zxham.HamiltonianInstance.from_json(instance)
+    for k in range(1, 9):
+        list_len = cli.permver.list_length(h, k)
+        bench = small("permver-bench", trials=1, k=k, instance=instance)
+        pcfg = cli.protocol.ProtocolConfig(k=k)
+        if list_len == 0:
+            with pytest.raises(ValueError, match="empty measurement list"):
+                run_scenario(bench)
+            continue
+        v = cli.permver.build(h, k)
+        if k not in _UNPASSABLE[name]:
+            assert cli.permver.require_passable(v) is v and v.threshold <= list_len
+            assert run_scenario(bench)["metrics"]["k"]["value"] == k
+            continue
+        assert v.threshold > list_len
+        for refuse in (lambda: cli.permver.require_passable(v), lambda: run_scenario(bench)):
+            with pytest.raises(ValueError, match="no state can pass"):
+                refuse()
+        # the protocol refuses the verifier too, unless its qubit cap refuses the run first
+        fits = 3 * list_len * h.num_qubits <= cli.protocol.PHYSICAL_QUBIT_CAP
+        with pytest.raises(ValueError, match="no state can pass" if fits else "physical qubits"):
+            cli.protocol.witness_registers(h, pcfg)
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        (["run", "--scenario", "e2e-complete"], {"seed": 1, "trials": 20, "k": 3}),
+        (["run", "--scenario", "e2e-extract"], {"seed": 1, "trials": 20, "k": 3}),
+        (["run", "--scenario", "e2e-simulate"], {"seed": 1, "trials": 20, "k": 5, "instance": cli.SINGLE_Z}),
+        (["permver", "bench"], {"seed": 1, "k": 3}),
+    ],
+    ids=["e2e-complete", "e2e-extract", "e2e-simulate", "permver-bench"],
+)
+def test_a_verifier_no_state_can_pass_exits_2_before_the_first_trial(command, data, tmp_path, capsys, monkeypatch):
+    # at k = 3 the reference instance's threshold is 2.25 over 2 list entries;
+    # permver-bench's SINGLE_Z reads 1.5 over 1
+    def never(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli.QPrOSim, "from_seed", never)
+    monkeypatch.setattr(cli.permver, "verify_product", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert cli.main([*command, "--config", str(cfg_path)]) == 2
+    assert "no state can pass" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_a_game_of_one_trial_exits_2_before_the_first_trial(tmp_path, capsys, monkeypatch):
     # trials // 2 is the trial count of each world, so one trial leaves none
     def never(cfg, world, rng):

@@ -686,8 +686,8 @@ def test_jllw_tamper_probe_detects_at_every_level_after_memoized_walks():
 
 
 def _node_bytes(node) -> bytes:
-    """A pad-memo entry as bytes: the child pair joined, or the leaf byte."""
-    return b"".join(node) if isinstance(node, tuple) else bytes([node])
+    """A pad-memo entry as bytes: the child pair's ciphertexts joined, or the leaf byte."""
+    return b"".join(map(bytes, node)) if isinstance(node, tuple) else bytes([node])
 
 
 @pytest.mark.parametrize(
@@ -756,7 +756,7 @@ def test_jllw_child_texts_are_the_canonical_dumps_of_each_child():
         o = jllw_obfuscate(c, qpro, 1, rng)
         obfstack.jllw_eval_table(o, qpro, (), d)
         nodes = o._nodes[qpro]
-        cts = {"": o.ct_root} | {chi + str(b): pair[b] for chi, pair in nodes.items() if len(chi) < d for b in (0, 1)}
+        cts = {"": o.ct_root} | {chi + str(b): bytes(pair[b]) for chi, pair in nodes.items() if len(chi) < d for b in (0, 1)}
         for chi, pair in nodes.items():
             if len(chi) == d:
                 continue
@@ -776,7 +776,7 @@ def test_jllw_child_texts_are_the_canonical_dumps_of_each_child():
                 }
                 text = obfstack._dumps(child).encode()
                 assert pair[b] == fe_enc(pk_next, text, grow[32 * b + 16 : 32 * b + 32]), (d, chi, b)
-                assert toycrypto.unframe(toycrypto.auth_decrypt(pk_next.master, pair[b])) == text
+                assert toycrypto.unframe(toycrypto.auth_decrypt(pk_next.master, bytes(pair[b]))) == text
 
 
 def _overflowing_root() -> bytes:
@@ -961,6 +961,36 @@ def test_a_tree_whose_expand_key_seals_under_another_master_fails_every_leaf():
     assert [jllw_eval(o, qpro, bits(x, 2)) for x in range(4)] == [0, 1, 1, 0]
 
 
+def test_a_blob_whose_keys_swap_roles_labels_as_the_byte_walk_did():
+    """Two blobs whose keys swap roles.  A root key that carries the leaf
+    function, at a root that asks it for a simulated output, opens to one
+    byte where the walk expects an expand step's padded children:
+    unpadding that byte fails the root, and every leaf.  A leaf key that
+    expands, with pad keys of its own in the root's text, labels each leaf
+    with the first byte of its padded children."""
+    rng = np.random.default_rng(3)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    o = jllw_obfuscate(table_circuit([0, 1]), qpro, 1, rng)
+    pk_root = obfstack.FePk(o.sks[0].master, o.ptlen)
+    blob = json.loads(o.serialize())
+    blob["sks"][0]["function"] = blob["sks"][1]["function"]
+    blob["ct_root"] = fe_enc(pk_root, b'{"chi":"","flag":"sim","info":{"y":1}}', rng.bytes(16)).hex()
+    forged = JLLWObfuscation.deserialize(obfstack._dumps(blob).encode())
+    assert fe_dec(forged.sks[0], forged.ct_root) == (b"\x01", ())
+    assert obfstack.jllw_eval_table(forged, qpro, (), 1).tolist() == [obfstack._FAILED] * 2
+
+    blob = json.loads(o.serialize())
+    blob["sks"][1]["function"] = {**blob["sks"][0]["function"]}
+    blob["sks"][1]["function"]["params"] = {**blob["sks"][0]["function"]["params"], "level": 1}
+    root = _node_plaintext(o.sks[0], o.ct_root)
+    root["info"]["keys"] |= {"1,1": "00000005", "1,2": "00000006"}
+    blob["ct_root"] = fe_enc(pk_root, obfstack._dumps(root).encode(), rng.bytes(16)).hex()
+    forged = JLLWObfuscation.deserialize(obfstack._dumps(blob).encode())
+    _, children = fe_dec(forged.sks[0], forged.ct_root)
+    labels = [bytes(fe_dec(forged.sks[1], ct, children)[0])[0] for _, ct, _ in children]
+    assert obfstack.jllw_eval_table(forged, qpro, (), 1).tolist() == labels
+
+
 def test_a_tamper_probe_before_any_walk_stores_no_failed_opening(monkeypatch):
     """A level-0 tamper probe that walks a fresh tree first fails at the
     child it corrupts and stores nothing there, so the first pass-through
@@ -1090,7 +1120,7 @@ def _sealed_values_match_their_texts(o: JLLWObfuscation) -> int:
     text, opened under the child's master; return how many they hold."""
     children = [child for _, _, kids in o._decs.values() for child in kids]
     for master, ct, value in children:
-        text = toycrypto.unframe(toycrypto.auth_decrypt(master, ct))
+        text = toycrypto.unframe(toycrypto.auth_decrypt(master, bytes(ct)))
         assert obfstack._dumps(value) == text.decode()
         assert toycrypto._wire_json(text) == value
     return len(children)
@@ -1159,6 +1189,31 @@ def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
                 with pytest.raises(IntegrityError):
                     jllw_eval(bad, qpro, bits(0, o.D))
         assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
+
+
+def test_an_honest_walk_encrypts_no_child_and_a_tamper_probe_two(monkeypatch):
+    """A full walk of a tree built in this process, or parsed from its blob,
+    finds the oracle's pads equal to each expand step's and takes the sealed
+    children, so it encrypts none.  A tamper probe's flipped pad differs: the
+    walk encrypts the two children of the node whose pad it flipped, XORs
+    the flipped pads off them and fails at the child it takes."""
+    from qmalab.cli import _TamperedQPrO
+
+    qpro, trees = _sealing_trees(37)
+    masters: list = []
+    real = toycrypto.auth_encrypt
+    monkeypatch.setattr(toycrypto, "auth_encrypt", lambda key, *args: masters.append(key) or real(key, *args))
+    for c, o in trees:
+        truth = c.table_for_prefix((), o.D).astype(int).tolist()
+        for tree in (o, JLLWObfuscation.deserialize(o.serialize())):
+            assert obfstack.jllw_eval_table(tree, qpro, (), o.D).tolist() == truth
+            assert masters == []
+        probe = bits(2**o.D - 1, o.D)
+        for level in range(o.D):
+            with pytest.raises(IntegrityError):
+                jllw_eval(dataclasses.replace(o), _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
+            assert masters == [o.sks[level + 1].master] * 2
+            masters.clear()
 
 
 def test_walks_with_every_value_withheld_give_the_same_labels_and_nodes(monkeypatch):
