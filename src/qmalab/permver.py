@@ -147,7 +147,7 @@ def require_passable(v: PermutingVerifier) -> PermutingVerifier:
     if v.threshold > v.list_len:
         raise ValueError(
             f"no state can pass: the threshold k*(a+b)/2 = {v.threshold} at k={v.k} "
-            f"exceeds the {v.list_len} entries of the measurement list"
+            f"exceeds the list length {v.list_len}"
         )
     return v
 
