@@ -415,14 +415,17 @@ def scenario_cutchoose_detect(cfg: RunConfig) -> dict:
 
 def _game_key_swap(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
     qpro = QPrOSim.from_seed(rng, instance_count=2)
-    (k0, k1), probe, guesses = qpro.sample_draws(rng, [("keys", 2), ("bytes", 8), ("keys", cfg.budget)])
+    (k0, k1), probe = qpro.sample_draws(rng, [("keys", 2), ("bytes", 8)])
     handle = qpro.gen(1, k0)
     # the tester's probe, answered through k0's handle in world 0 and under k1 in world 1
     seen = qpro.eval(1, handle, probe, 16) if world == 0 else obfstack.qpro_prf(1, k1, probe, 16)
-    handles = qpro.gen_many(1, guesses)
-    if handle in handles:
-        guess_key = guesses[handles.index(handle)]
-        return int(obfstack.qpro_prf(1, guess_key, probe, 16) != seen)
+    # chunked draws are the draws of one call, so the first hit is the same guess
+    for start in range(0, cfg.budget, _KEY_SWAP_CHUNK):
+        (guesses,) = qpro.sample_draws(rng, [("keys", min(_KEY_SWAP_CHUNK, cfg.budget - start))])
+        handles = qpro.gen_many(1, guesses)
+        if handle in handles:
+            guess_key = guesses[handles.index(handle)]
+            return int(obfstack.qpro_prf(1, guess_key, probe, 16) != seen)
     return 0
 
 
@@ -472,6 +475,7 @@ def _game_evasive(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
 # guesses or queries (trials x budget) a distinguishing game plays at most: about a minute
 # of key-swap at 0.7 us a guess (a csa-measure query takes 1.5 us, an evasive-comb one 20 us)
 GAME_WORK_CAP = 5 * 10**7
+_KEY_SWAP_CHUNK = 4096  # key-swap guesses drawn and handled at a time, so its memory is flat at any budget
 
 _GAMES = {
     "key-swap": _game_key_swap,

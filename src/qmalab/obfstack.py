@@ -438,9 +438,8 @@ class FeFunction:
     def apply(self, plaintext: bytes | None, value=None) -> tuple[bytes | _Lazy, tuple]:
         """(f of a node plaintext, the node's children).  value, when given,
         is _wire_json(plaintext), which is then not read.  At an expand node
-        f is _Lazy(_padded, pads, children) and each child is a seal
-        (master, _Lazy ciphertext, value), value being the JSON value the
-        child's text is the _dumps of; at a leaf the children are ().
+        f is _Lazy(_padded, pads, children) and the children are the two
+        _Built nodes the step made; at a leaf the children are ().
         This is the one place where a reader's ValueError (or a child's
         frame overflow) becomes IntegrityError, so a malformed node that
         authenticates fails like a bad tag."""
@@ -492,7 +491,7 @@ class FeFunction:
             value = {"chi": f"{chi}{eta}", "flag": "normal",
                      "info": {"circuit": circuit, "keys": deeper, "seed": child_seed}}
             framed = toycrypto.frame(f'{{"chi":"{chi}{eta}{shared}{child_seed}"}}}}'.encode(), pk.ptlen)
-            children.append((pk.master, _Lazy(toycrypto.auth_encrypt, pk.master, framed, r_child), value))
+            children.append(_Built(pk.master, value, _Lazy(toycrypto.auth_encrypt, pk.master, framed, r_child)))
         if pads is None:  # read after the children, whose frame overflow fails the node first
             pads = _wire_field(info, "keys", _pad_keys, d, p["B"])
             object.__setattr__(self, "_shared", (circuit, keys, deeper, shared, pads))
@@ -505,9 +504,8 @@ class FeFunction:
 
 class _Lazy:
     """The bytes of make(*args), computed at most once, when bytes() first
-    reads them: an expand step's child ciphertexts and its padded output.
-    It equals the bytes, or another _Lazy, of the same value; fe_dec and
-    the tree walk test identity first, so an honest walk reads none."""
+    reads them: a built child's ciphertext and an expand step's padded
+    output, which an honest walk never reads."""
 
     __slots__ = ("make", "args", "_bytes")
 
@@ -519,13 +517,28 @@ class _Lazy:
             self._bytes = self.make(*self.args)
         return self._bytes
 
-    def __eq__(self, other) -> bool:
-        return self is other or isinstance(other, (bytes, _Lazy)) and bytes(self) == bytes(other)
+
+class _Built:
+    """A node the tree built: a child an expand step made, or the root of a
+    tree jllw_obfuscate built.  It holds the master its text is sealed
+    under, the JSON value its text is the _dumps of, and its ciphertext,
+    ct_root or a _Lazy; bytes() reads the ciphertext.  ``opening`` is what
+    fe_dec returned for it under the tree's key of its level, or
+    (_FAILED, ()), once the walk has opened it; it depends on nothing else,
+    so every later walk, with any oracle, reuses it."""
+
+    __slots__ = ("master", "value", "ct", "opening")
+
+    def __init__(self, master: bytes, value: dict, ct: bytes | _Lazy):
+        self.master, self.value, self.ct, self.opening = master, value, ct, None
+
+    def __bytes__(self) -> bytes:
+        return bytes(self.ct)
 
 
 def _padded(otp: bytes, children: tuple) -> bytes:
     """An expand step's f: its children's ciphertexts, joined, XOR its pads otp."""
-    return toycrypto.xor_bytes(b"".join(bytes(ct) for _, ct, _ in children), otp)
+    return toycrypto.xor_bytes(b"".join(map(bytes, children)), otp)
 
 
 def _pad_keys(keys: dict, level: int, blocks: int) -> tuple[int, ...]:
@@ -578,18 +591,14 @@ def fe_enc(pk: FePk, plaintext: bytes, r: bytes) -> bytes:
     return toycrypto.auth_encrypt(pk.master, toycrypto.frame(plaintext, pk.ptlen), r)
 
 
-def fe_dec(sk: FeSk, ct: bytes | _Lazy, sealed=()) -> tuple[bytes | _Lazy, tuple]:
+def fe_dec(sk: FeSk, ct: bytes | _Built) -> tuple[bytes | _Lazy, tuple]:
     """(f of the ciphertext's plaintext, its children), as FeFunction.apply
-    returns them.  sealed holds seals (master, ciphertext, value), such as
-    the children an expand step returned: a ciphertext that is one of them
-    made under sk's master is not opened, since its tag checks and it
-    decrypts to the _dumps of the seal's value, so f reads that value.  A
-    _Lazy matches by identity, so an honest walk encrypts no child; bytes
-    (a root, or a child a tampered pad garbled) match equal bytes.  Any
+    returns them.  A _Built node sealed under sk's master is not opened,
+    since its tag checks and it decrypts to the _dumps of its value, so f
+    reads that value; an honest walk therefore encrypts no child.  Any
     other ciphertext is authenticated, decrypted and parsed."""
-    for master, child, value in sealed:
-        if master == sk.master and (child is ct or type(ct) is bytes and child == ct):
-            return sk.function.apply(None, value)
+    if type(ct) is _Built and ct.master == sk.master:
+        return sk.function.apply(None, ct.value)
     return sk.function.apply(toycrypto.unframe(toycrypto.auth_decrypt(sk.master, bytes(ct))))
 
 
@@ -601,28 +610,20 @@ class JLLWObfuscation:
     """The tree obfuscation: the root ciphertext, one FE key per level, and
     the QPrO handles of each level's B pad keys.
 
-    ``_root_seal`` is what jllw_obfuscate sealed at the root, in fe_dec's
-    sealed form: ((level 0's master, ct_root, the root's JSON value),), so a
-    walk of a tree built in this process opens no node's text.  Like the
-    memos below it is not a field and is not serialized; a parsed or
-    replaced tree has none and opens its root.
-
-    Two memos serve the tree walk, both keyed by a node's label chi, so
-    each holds at most 2**(D+1) - 1 entries.  ``_decs[chi]`` is the last
-    ciphertext opened at node chi with the (output, children) fe_dec
-    returned for it, or (_FAILED, ()) when a QPrOSim's walk failed there;
-    a proxy's failed (tampered) opening is not stored.  Decryption is a pure
-    function of the ciphertext, so a walk with any oracle reuses the entry
-    when its ciphertext is the same object or equal bytes, and fe_dec of a
-    child of chi reads the value sealed in the entry's children, whose
-    _Lazy ciphertexts live and die with the tree.  ``_nodes[qpro][chi]``
-    is node chi's unpadded (child 0, child 1) ciphertext pair (its sealed
-    ones when the pads were the expand step's), its leaf byte, or _FAILED,
-    for one QPrOSim, whose answers are a pure function of its compared
-    fields; an oracle of any other type walks without this memo and is
-    asked every pad query.  Both are cached properties, not fields, freed
-    with the obfuscation, and dataclasses.replace starts the new
-    obfuscation with empty memos; an obfuscation is never changed in place.
+    ``_root`` is where the tree walk starts: the _Built root over ct_root of
+    a tree jllw_obfuscate built in this process, so a walk of it opens no
+    node's text, and ct_root itself for a parsed or replaced tree.  Each
+    built node keeps its own opening (_Built.opening), so it is opened at
+    most once per tree, whatever oracles walk it.  ``_nodes[qpro][chi]`` is
+    node chi's unpadded (child 0, child 1) pair (its built children when
+    the pads were the expand step's, else ciphertext bytes), its leaf byte,
+    or _FAILED, for one QPrOSim, whose answers are a pure function of its
+    compared fields; keyed by a node's label chi, it holds at most
+    2**(D+1) - 1 entries, and an oracle of any other type walks without it
+    and is asked every pad query.  Both are cached properties, not fields,
+    not serialized and freed with the obfuscation, and dataclasses.replace
+    starts the new obfuscation without them; an obfuscation is never changed
+    in place.
     """
 
     instance: int
@@ -635,12 +636,8 @@ class JLLWObfuscation:
     handles: dict
 
     @functools.cached_property
-    def _root_seal(self) -> tuple:  # jllw_obfuscate sets it through __dict__
-        return ()
-
-    @functools.cached_property
-    def _decs(self) -> dict:
-        return {}
+    def _root(self) -> bytes | _Built:  # jllw_obfuscate sets a built root through __dict__
+        return self.ct_root
 
     @functools.cached_property
     def _nodes(self) -> dict:
@@ -686,7 +683,7 @@ def jllw_obfuscate(
     keys when no bundle is given, one 32-byte FE master per level from the
     leaf level D up to the root, then the root's seed and nonce: one
     generator call, with the values and generator state of one call per
-    draw.  The tree keeps the root's value as its _root_seal.
+    draw.  The tree's walks start from its _Built root.
     """
     big_d = c.input_arity
     if big_d > JLLW_ARITY_CAP:
@@ -738,7 +735,7 @@ def jllw_obfuscate(
         sks=tuple(sks),
         handles=handles,
     )
-    o.__dict__["_root_seal"] = ((pks[0].master, ct_root, root),)  # where cached_property keeps it
+    o.__dict__["_root"] = _Built(pks[0].master, root, ct_root)  # where cached_property keeps it
     return o
 
 
@@ -747,48 +744,41 @@ def jllw_eval_table(
 ) -> np.ndarray:
     """Output labels (int16) over the last suffix_arity input bits with the
     leading bits fixed to prefix: walk the prefix once, then expand the
-    subtree depth first, child 0 before child 1.  Each node decrypts, then
-    unpads by comparing its B oracle pads with the expand step's: equal
-    pads give the sealed children themselves, so no child is encrypted,
-    and other pads are XORed off the padded bytes, so a tampered pad
-    reaches the child as bytes and fails there.  A node whose decryption
-    or pad check fails labels every leaf below it _FAILED, which is exactly
-    the set of pointwise walks through it.  Each node is decrypted with the
-    children its parent's opening returned, and the root with the tree's
-    _root_seal, so fe_dec parses no node of an honest tree that
-    jllw_obfuscate built in this process, and only the root of a parsed or
-    replaced one.  The
-    obfuscation's memos spare a QPrOSim's walks every repeated decryption and
-    pad query, and any oracle's walk the decryption of an equal ciphertext;
-    a proxy oracle (tampering or logging) gets a pad memo for this walk only,
-    so it sees every pad query of every walk in the uncached order, and its
-    failed opening serves this walk only.  The walk keeps its own stack
-    rather than recursing through a closure, so a call leaves no reference
-    cycle behind."""
+    subtree depth first, child 0 before child 1.  Each node is opened with
+    fe_dec, then unpadded by comparing its B oracle pads with the expand
+    step's, child by child: a child whose pads are equal is the step's
+    built child itself, so an honest walk encrypts no child, and other pads
+    are XORed off the padded bytes, so a tampered pad reaches its child as
+    bytes and fails there.  A node whose opening or pad check fails labels
+    every leaf below it _FAILED, which is exactly the set of pointwise walks
+    through it.  A built node keeps its opening for every later walk, so
+    fe_dec parses no node of an honest tree that jllw_obfuscate built in
+    this process, and only the root of a parsed or replaced one.  The
+    _nodes memo spares a QPrOSim's walks every repeated opening and pad
+    query; a proxy oracle (tampering or logging) gets a pad memo for this
+    walk only, so it sees every pad query of every walk in the uncached
+    order.  The walk keeps its own stack rather than recursing through a
+    closure, so a call leaves no reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
-    trusted = type(qpro) is QPrOSim
-    memo = o._nodes.setdefault(qpro, {}) if trusted else {}
-    decs = o._decs
+    memo = o._nodes.setdefault(qpro, {}) if type(qpro) is QPrOSim else {}
     ct_len = o.ptlen + toycrypto.CIPHERTEXT_OVERHEAD
     out = np.full(2**suffix_arity, _FAILED, dtype=np.int16)
-    stack = [(o.ct_root, "")]
+    stack = [(o._root, "")]
     while stack:
         ct, chi = stack.pop()
         d = len(chi)
         node = memo.get(chi)
         if node is None:
-            dec = decs.get(chi)
-            if dec is None or dec[0] is not ct and dec[0] != ct:
+            opening = ct.opening if type(ct) is _Built else None
+            if opening is None:
                 try:
-                    dec = ct, *fe_dec(o.sks[d], ct, decs[chi[:-1]][2] if d else o._root_seal)
+                    opening = fe_dec(o.sks[d], ct)
                 except IntegrityError:
-                    dec = ct, _FAILED, ()
-                # a proxy's failed opening (a tampered pad's) serves this walk,
-                # which visits each node once, and no other
-                if trusted or dec[1] != _FAILED:
-                    decs[chi] = dec
-            v = dec[1]
+                    opening = _FAILED, ()
+                if type(ct) is _Built:
+                    ct.opening = opening
+            v, children = opening
             if v == _FAILED:
                 node = _FAILED
             elif d == o.D:
@@ -800,12 +790,14 @@ def jllw_eval_table(
                         qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
                         for j in range(1, o.B + 1)
                     )
-                    # (c ^ P) ^ P' = c iff P = P', when the split falls between the children
-                    if type(v) is _Lazy and otp == v.args[0] and len(otp) == 2 * ct_len:
-                        node = tuple(child for _, child, _ in dec[2])
-                    else:
-                        pair = toycrypto.xor_bytes(bytes(v), otp)
-                        node = (pair[:ct_len], pair[ct_len:])
+                    # (c ^ P) ^ P' = c iff P = P', so a child whose pads are the step's is
+                    # its built child, when the split falls between the children
+                    own = v.args[0] if type(v) is _Lazy and len(otp) == 2 * ct_len else None
+                    pair = None if otp == own else toycrypto.xor_bytes(bytes(v), otp)
+                    node = tuple(
+                        children[b] if own and otp[part] == own[part] else pair[part]
+                        for b, part in enumerate((slice(None, ct_len), slice(ct_len, None)))
+                    )
                 except IntegrityError:
                     node = _FAILED
             memo[chi] = node
@@ -822,8 +814,8 @@ def jllw_eval_table(
 
 def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int:
     """The zero-width case of jllw_eval_table; it shares the obfuscation's
-    node memo, so 2**D pointwise walks with one QPrOSim cost one full table
-    walk (2**(D+1) - 1 decryptions, (2**D - 1) * B pad queries and no child
+    memos, so 2**D pointwise walks with one QPrOSim cost one full table
+    walk (2**(D+1) - 1 openings, (2**D - 1) * B pad queries and no child
     encryption)."""
     y = int(jllw_eval_table(o, qpro, x_bits, 0)[0])
     if y == _FAILED:

@@ -273,6 +273,22 @@ def test_a_game_at_the_work_cap_runs(monkeypatch):
     assert played == [0, 1]
 
 
+def test_key_swap_at_the_largest_admitted_budget_stays_in_bounded_memory():
+    # the guesses are drawn and handled in chunks up to the first hit: 2 trials at
+    # budget 2.5e7 peak near 1.2 MB, where one batch of every guess held gigabytes
+    cfg = RunConfig.from_json(
+        {"scenario": "distinguish-game", "seed": 1, "trials": 2, "game": "key-swap", "budget": cli.GAME_WORK_CAP // 2}
+    )
+    tracemalloc.start()
+    try:
+        report = cli.distinguish_game(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+    assert (report["world0_rate"]["value"], report["world1_rate"]["value"]) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("lambda_cc", [1, 2])
 def test_cutchoose_with_fewer_bundles_than_it_corrupts_exits_2_before_the_first_trial(
     lambda_cc, tmp_path, capsys, monkeypatch

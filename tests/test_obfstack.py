@@ -499,9 +499,27 @@ def _log_fe_dec(monkeypatch, o: JLLWObfuscation | None = None, log: list | None 
     real = obfstack.fe_dec
     monkeypatch.setattr(
         obfstack, "fe_dec",
-        lambda sk, ct, sealed=(): log.append(("dec", o and o.sks.index(sk))) or real(sk, ct, sealed),
+        lambda sk, ct: log.append(("dec", o and o.sks.index(sk))) or real(sk, ct),
     )
     return log
+
+
+def _built(o: JLLWObfuscation) -> list:
+    """Every built node of o that a walk has reached, each once: its root
+    when built, and the children of every stored opening and node memo entry."""
+    stack = [o._root] + [child for memo in o._nodes.values() for node in memo.values() if type(node) is tuple for child in node]
+    found = {}
+    while stack:
+        node = stack.pop()
+        if type(node) is obfstack._Built and id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node.opening[1] if node.opening else ())
+    return list(found.values())
+
+
+def _openings(o: JLLWObfuscation) -> dict:
+    """id -> the opening of each built node of o that keeps one."""
+    return {id(node): node.opening for node in _built(o) if node.opening is not None}
 
 
 def test_jllw_eval_table_matches_circuit_at_every_split():
@@ -664,7 +682,7 @@ def test_a_logged_oracle_sees_every_query_of_every_walk(monkeypatch):
     # and decrypts nothing: every node's ciphertext is the one already decrypted
     assert jllw_eval(o, logged, x) == c.eval_bits(x)
     assert log == first + [e for e in first if e[0] == "eval"]
-    assert not o._nodes and len(o._decs) == o.D + 1
+    assert not o._nodes and len(_openings(o)) == o.D + 1
 
 
 def test_jllw_tamper_probe_detects_at_every_level_after_memoized_walks():
@@ -775,7 +793,7 @@ def test_jllw_child_texts_are_the_canonical_dumps_of_each_child():
                     },
                 }
                 text = obfstack._dumps(child).encode()
-                assert pair[b] == fe_enc(pk_next, text, grow[32 * b + 16 : 32 * b + 32]), (d, chi, b)
+                assert bytes(pair[b]) == fe_enc(pk_next, text, grow[32 * b + 16 : 32 * b + 32]), (d, chi, b)
                 assert toycrypto.unframe(toycrypto.auth_decrypt(pk_next.master, bytes(pair[b]))) == text
 
 
@@ -841,7 +859,7 @@ def test_a_malformed_node_plaintext_fails_its_node(probe):
         text = obfstack._dumps(root).encode()
         broken = dataclasses.replace(o, ct_root=fe_enc(obfstack.FePk(o.sks[0].master, o.ptlen), text, rng.bytes(16)))
         assert obfstack.jllw_eval_table(broken, qpro, (), 3).tolist() == [obfstack._FAILED] * 8
-        assert len(broken._decs) == 2 ** (o.D + 1) - 1
+        assert len(broken._nodes[qpro]) == 2 ** (o.D + 1) - 1
 
 
 def test_a_proxy_walk_before_any_trusted_walk_shares_its_decryptions(monkeypatch):
@@ -853,13 +871,13 @@ def test_a_proxy_walk_before_any_trusted_walk_shares_its_decryptions(monkeypatch
     log: list = []
     _log_fe_dec(monkeypatch, o, log)
     assert jllw_eval(o, _LoggedQPrO(qpro, log), x) == c.eval_bits(x)
-    assert not o._nodes and len(o._decs) == o.D + 1
+    assert not o._nodes and len(_openings(o)) == o.D + 1
     log.clear()
     # the trusted walk decrypts only the 26 nodes off the proxy's path, and
     # still queries every pad of its own oracle's memo
     assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == c.table_for_prefix((), 4).tolist()
     assert sum(e[0] == "dec" for e in log) == 2 ** (o.D + 1) - 1 - (o.D + 1)
-    assert len(o._nodes[qpro]) == len(o._decs) == 2 ** (o.D + 1) - 1
+    assert len(o._nodes[qpro]) == len(_openings(o)) == 2 ** (o.D + 1) - 1
 
 
 def test_a_tamper_at_every_level_is_detected_before_and_after_the_memos_fill():
@@ -880,7 +898,7 @@ def test_a_tamper_at_every_level_is_detected_before_and_after_the_memos_fill():
                     jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
                 # a flip in the pad of the child the walk does not take is harmless
                 assert jllw_eval(o, _TamperedQPrO(qpro, o.B * level + 1 - probe[level]), probe) == truth[x]
-                assert len(o._decs) <= 2 ** (o.D + 1) - 1
+                assert len(_openings(o)) <= 2 ** (o.D + 1) - 1
         # trusted walks still read the circuit after every tamper
         assert obfstack.jllw_eval_table(o, qpro, (), 4).tolist() == truth
         assert [jllw_eval(o, qpro, bits(x, 4)) for x in range(16)] == truth
@@ -928,11 +946,11 @@ def test_a_tamper_probe_keeps_the_stored_decryption_of_the_node_it_corrupts(monk
         o = jllw_obfuscate(c, qpro, 1, rng)
         # a logged walk stores the path's decryptions and fills no node memo
         assert jllw_eval(o, _LoggedQPrO(qpro, []), probe) == c.eval_bits(probe)
-        stored = dict(o._decs)
+        stored = _openings(o)
         for later, level in ((_TamperedQPrO(qpro, o.B + probe[1]), 1), (qpro, None)):
             with pytest.raises(IntegrityError):
                 jllw_eval(o, _TamperedQPrO(qpro, probe[0]), probe)
-            assert o._decs == stored
+            assert _openings(o) == stored
             log: list = []
             with monkeypatch.context() as patch:
                 _log_fe_dec(patch, o, log)
@@ -944,7 +962,7 @@ def test_a_tamper_probe_keeps_the_stored_decryption_of_the_node_it_corrupts(monk
             # the zero-width walk's one level-1 node is probe[0], decrypted by
             # neither; the level-1 probe decrypts only its corrupted level-2 child
             assert log == ([("dec", 2)] if level == 1 else [])
-            assert o._decs == stored
+            assert _openings(o) == stored
 
 
 def test_a_tree_whose_expand_key_seals_under_another_master_fails_every_leaf():
@@ -987,7 +1005,7 @@ def test_a_blob_whose_keys_swap_roles_labels_as_the_byte_walk_did():
     blob["ct_root"] = fe_enc(pk_root, obfstack._dumps(root).encode(), rng.bytes(16)).hex()
     forged = JLLWObfuscation.deserialize(obfstack._dumps(blob).encode())
     _, children = fe_dec(forged.sks[0], forged.ct_root)
-    labels = [bytes(fe_dec(forged.sks[1], ct, children)[0])[0] for _, ct, _ in children]
+    labels = [bytes(fe_dec(forged.sks[1], child)[0])[0] for child in children]
     assert obfstack.jllw_eval_table(forged, qpro, (), 1).tolist() == labels
 
 
@@ -1006,7 +1024,7 @@ def test_a_tamper_probe_before_any_walk_stores_no_failed_opening(monkeypatch):
     log = _log_fe_dec(monkeypatch, o)
     with pytest.raises(IntegrityError):
         jllw_eval(o, _TamperedQPrO(qpro, probe[0]), probe)
-    assert log == [("dec", 0), ("dec", 1)] and "1" not in o._decs
+    assert log == [("dec", 0), ("dec", 1)] and o._root.opening[1][1].opening is None
     opened = []
     for _ in range(3):
         log.clear()
@@ -1016,10 +1034,10 @@ def test_a_tamper_probe_before_any_walk_stores_no_failed_opening(monkeypatch):
 
 
 def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
-    """fe_dec reads a ciphertext that is one of the sealed children it is
-    handed, made under its key's master, from the child's value: the result
-    equals opening it in full.  A changed byte, another key, or a child
-    sealed under another master is opened, and fails or reads its own text."""
+    """fe_dec reads a built node made under its key's master from the
+    node's value: the result equals opening its ciphertext in full.  A
+    changed byte, another key, or a node built under another master is
+    opened, and fails or reads its own text."""
     rng = np.random.default_rng(32)
     pk, sk = fe_gen(FeFunction("jllw-eval", {}), 200, rng.bytes(32))
     _, other = fe_gen(FeFunction("jllw-eval", {}), 200, rng.bytes(32))
@@ -1028,18 +1046,18 @@ def test_fe_dec_of_a_sealed_ciphertext_is_what_opening_it_computes():
         for x in range(8)
     ]
     cts = [fe_enc(pk, text, rng.bytes(16)) for text in texts]
-    sealed = tuple((pk.master, ct, json.loads(text)) for ct, text in zip(cts, texts))
-    from_seal = [fe_dec(sk, ct, sealed) for ct in cts]
-    assert [fe_dec(sk, ct) for ct in cts] == from_seal == [(bytes([x == 5]), ()) for x in range(8)]
+    built = [obfstack._Built(pk.master, json.loads(text), ct) for ct, text in zip(cts, texts)]
+    from_value = [fe_dec(sk, node) for node in built]
+    assert [fe_dec(sk, ct) for ct in cts] == from_value == [(bytes([x == 5]), ()) for x in range(8)]
     ct = cts[5]
     for i in (0, 20, len(ct) - 1):
         with pytest.raises(IntegrityError):
-            fe_dec(sk, ct[:i] + bytes([ct[i] ^ 1]) + ct[i + 1 :], sealed)
+            fe_dec(sk, ct[:i] + bytes([ct[i] ^ 1]) + ct[i + 1 :])
     with pytest.raises(IntegrityError):
-        fe_dec(other, ct, sealed)
-    # a seal is read, not checked against the text, so only its own master's counts
-    assert fe_dec(sk, ct, ((pk.master, ct, sealed[4][2]),)) == (b"\x00", ())
-    assert fe_dec(sk, ct, ((other.master, ct, sealed[4][2]),)) == (b"\x01", ())
+        fe_dec(other, built[5])
+    # a node's value is read, not checked against its text, so only its own master's counts
+    assert fe_dec(sk, obfstack._Built(pk.master, built[4].value, ct)) == (b"\x00", ())
+    assert fe_dec(sk, obfstack._Built(other.master, built[4].value, ct)) == (b"\x01", ())
 
 
 def _leaf_ciphertext(o: JLLWObfuscation, circuit_text: str, chi: str, rng) -> bytes:
@@ -1116,26 +1134,27 @@ def _truth_at_every_split(c: CircuitDesc) -> list:
 
 
 def _sealed_values_match_their_texts(o: JLLWObfuscation) -> int:
-    """Check every child value o's stored openings hold against the child's
-    text, opened under the child's master; return how many they hold."""
-    children = [child for _, _, kids in o._decs.values() for child in kids]
-    for master, ct, value in children:
-        text = toycrypto.unframe(toycrypto.auth_decrypt(master, bytes(ct)))
-        assert obfstack._dumps(value) == text.decode()
-        assert toycrypto._wire_json(text) == value
-    return len(children)
+    """Check the value of every built node of o that a walk has reached
+    against the node's text, opened under the node's master; return how
+    many nodes there are."""
+    nodes = _built(o)
+    for node in nodes:
+        text = toycrypto.unframe(toycrypto.auth_decrypt(node.master, bytes(node)))
+        assert obfstack._dumps(node.value) == text.decode()
+        assert toycrypto._wire_json(text) == node.value
+    return len(nodes)
 
 
 def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
-    """An expand step returns each child's ciphertext with the value it
-    built the child's text from, and jllw_obfuscate keeps the root's value
-    as the tree's root seal.  A walk of a tree built in this process parses
-    no node, the root included, and builds the leaf circuit once; after it
-    the root's value and every child value the openings keep still dump to
-    their texts and parse from them, so the walk mutated none.  A parsed
-    tree has no seal, parses its root once and labels the same.  A replaced
-    tree whose root ciphertext is other bytes, or has a flipped byte, opens
-    its root and fails on the tag, also when handed the original seal."""
+    """An expand step returns each child as a built node, with the value it
+    built the child's text from, and jllw_obfuscate builds the root over
+    ct_root from the root's value.  A walk of a tree built in this process
+    parses no node, the root included, and builds the leaf circuit once;
+    after it the value of every built node, the root included, still dumps
+    to its text and parses from it, so the walk mutated none.  A parsed
+    tree starts from ct_root, parses its root once and labels the same.  A
+    replaced tree whose root ciphertext is other bytes, or has a flipped
+    byte, opens its root and fails on the tag."""
     qpro, trees = _sealing_trees(34)
     calls: list = []
     real_parse = obfstack._wire_json
@@ -1162,15 +1181,12 @@ def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
         assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
         assert "parse" not in calls and calls[:1] == [canon] and calls.count(canon) == 1
         assert [jllw_eval(o, qpro, bits(x, o.D)) for x in range(2**o.D)] == truth
-        ((master, ct, root),) = o._root_seal
-        assert (master, ct) == (o.sks[0].master, o.ct_root)
-        text = toycrypto.unframe(real_decrypt(master, ct))
-        assert obfstack._dumps(root) == text.decode() and toycrypto._wire_json(text) == root
-        assert _sealed_values_match_their_texts(o) == 2 ** (o.D + 1) - 2
+        assert (o._root.master, o._root.ct) == (o.sks[0].master, o.ct_root)
+        assert _sealed_values_match_their_texts(o) == 2 ** (o.D + 1) - 1
 
         parsed = JLLWObfuscation.deserialize(o.serialize())
         calls.clear()
-        assert parsed._root_seal == ()
+        assert parsed._root is parsed.ct_root
         assert obfstack.jllw_eval_table(parsed, qpro, (), o.D).tolist() == truth
         assert calls[:1] == ["parse"] and calls.count("parse") == 1
         assert _sealed_values_match_their_texts(parsed) == 2 ** (o.D + 1) - 2
@@ -1178,22 +1194,19 @@ def test_every_sealed_value_is_the_json_value_of_its_text(monkeypatch):
         flipped = bytearray(o.ct_root)
         flipped[len(flipped) // 2] ^= 1
         for ct_root in (bytes(len(o.ct_root)), bytes(flipped)):
-            for seal in ((), o._root_seal):
-                bad = dataclasses.replace(o, ct_root=ct_root)
-                assert bad._root_seal == ()
-                if seal:
-                    bad.__dict__["_root_seal"] = seal
-                calls.clear()
-                assert obfstack.jllw_eval_table(bad, qpro, (), o.D).tolist() == [obfstack._FAILED] * 2**o.D
-                assert calls == ["authentication tag mismatch"]
-                with pytest.raises(IntegrityError):
-                    jllw_eval(bad, qpro, bits(0, o.D))
+            bad = dataclasses.replace(o, ct_root=ct_root)
+            assert bad._root is ct_root
+            calls.clear()
+            assert obfstack.jllw_eval_table(bad, qpro, (), o.D).tolist() == [obfstack._FAILED] * 2**o.D
+            assert calls == ["authentication tag mismatch"]
+            with pytest.raises(IntegrityError):
+                jllw_eval(bad, qpro, bits(0, o.D))
         assert obfstack.jllw_eval_table(o, qpro, (), o.D).tolist() == truth
 
 
 def test_an_honest_walk_encrypts_no_child_and_a_tamper_probe_two(monkeypatch):
     """A full walk of a tree built in this process, or parsed from its blob,
-    finds the oracle's pads equal to each expand step's and takes the sealed
+    finds the oracle's pads equal to each expand step's and takes the built
     children, so it encrypts none.  A tamper probe's flipped pad differs: the
     walk encrypts the two children of the node whose pad it flipped, XORs
     the flipped pads off them and fails at the child it takes."""
@@ -1217,22 +1230,24 @@ def test_an_honest_walk_encrypts_no_child_and_a_tamper_probe_two(monkeypatch):
 
 
 def test_walks_with_every_value_withheld_give_the_same_labels_and_nodes(monkeypatch):
-    """Every node parsed from its text (fe_dec handed no sealed children,
-    so it opens every ciphertext) labels every split and unpads every child
-    pair as the walk over sealed values does, and so does a walk whose
+    """Every node parsed from its text (fe_dec handed each node's bytes, so
+    it opens every ciphertext) labels every split and unpads every child
+    pair as the walk over built values does, and so does a walk whose
     later splits find their parents' openings stored by earlier ones."""
     qpro, trees = _sealing_trees(35)
     sealed = [(_labels_at_every_split(o, qpro), obfstack.jllw_eval_table(o, qpro, (), o.D)) for _, o in trees]
     real = obfstack.fe_dec
     with monkeypatch.context() as patch:
-        patch.setattr(obfstack, "fe_dec", lambda sk, ct, sealed=(): real(sk, ct))
+        patch.setattr(obfstack, "fe_dec", lambda sk, ct: real(sk, bytes(ct)))
         withheld = [(_labels_at_every_split(o, qpro), dataclasses.replace(o)) for _, o in trees]
         for _, o in withheld:
             obfstack.jllw_eval_table(o, qpro, (), o.D)
     for (c, o), (labels, table), (parsed_labels, parsed) in zip(trees, sealed, withheld):
         assert labels == parsed_labels == _truth_at_every_split(c)
         assert table.tolist() == c.table_for_prefix((), o.D).astype(int).tolist()
-        assert parsed._nodes[qpro] == o._nodes[qpro]
+        assert {chi: _node_bytes(n) for chi, n in parsed._nodes[qpro].items()} == {
+            chi: _node_bytes(n) for chi, n in o._nodes[qpro].items()
+        }
         cleared = dataclasses.replace(o)
         for k in range(o.D + 1):
             assert obfstack.jllw_eval_table(cleared, qpro, bits(0, o.D - k), k).tolist() == labels[
@@ -1257,10 +1272,11 @@ def test_trees_walked_after_replace_or_deserialize_evaluate_their_own_circuit():
         assert swapped.sks is o.sks
         assert _labels_at_every_split(swapped, qpro) == _truth_at_every_split(other)
         assert _labels_at_every_split(o, qpro) == truth
-        for tree, circuit in ((swapped, other), (o, c)):
+        # the replaced tree starts from its root's bytes, so only its children are built
+        for tree, circuit, built in ((swapped, other, 2 ** (o.D + 1) - 2), (o, c, 2 ** (o.D + 1) - 1)):
             labels = obfstack.jllw_eval_table(tree, qpro, (), o.D).tolist()
             assert labels == circuit.table_for_prefix((), o.D).astype(int).tolist()
-            assert _sealed_values_match_their_texts(tree) == 2 ** (o.D + 1) - 2
+            assert _sealed_values_match_their_texts(tree) == built
 
 
 def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):
@@ -1270,21 +1286,29 @@ def test_replace_starts_the_new_obfuscation_with_empty_memos(monkeypatch):
     o = jllw_obfuscate(c, qpro, 1, rng)
     obfstack.jllw_eval_table(o, qpro, (), 3)
     copy = dataclasses.replace(o)
-    assert "_decs" not in vars(copy) and "_nodes" not in vars(copy)
+    assert "_root" not in vars(copy) and "_nodes" not in vars(copy)
     calls = _log_fe_dec(monkeypatch)
     assert obfstack.jllw_eval_table(copy, qpro, (), 3).tolist() == c.table_for_prefix((), 3).tolist()
     assert len(calls) == 2 ** (o.D + 1) - 1
 
 
-def test_jllw_memos_stay_bounded_whatever_proxies_walk():
+def test_jllw_memos_stay_bounded_whatever_proxies_walk(monkeypatch):
+    """Random trusted, tampered and logged walks by two oracles keep every
+    memo within one entry per node, and open each built node at most once."""
     from qmalab.cli import _TamperedQPrO
 
     rng = np.random.default_rng(29)
     oracles = [QPrOSim.from_seed(rng, instance_count=2) for _ in range(2)]
+    real = obfstack.fe_dec
+    built: list = []
+    monkeypatch.setattr(
+        obfstack, "fe_dec", lambda sk, ct: built.append(type(ct) is obfstack._Built) or real(sk, ct)
+    )
     for d in (1, 3, 5):
         c = table_circuit(rng.integers(0, 2, size=2**d))
         o = jllw_obfuscate(c, oracles[0], 1, rng)
         bound = 2 ** (d + 1) - 1
+        built.clear()
         for _ in range(40):
             inner = oracles[int(rng.integers(0, 2))]
             proxy = [inner, _TamperedQPrO(inner, int(rng.integers(0, 2 * d))), _LoggedQPrO(inner, [])][
@@ -1292,9 +1316,10 @@ def test_jllw_memos_stay_bounded_whatever_proxies_walk():
             ]
             k = int(rng.integers(0, d + 1))
             obfstack.jllw_eval_table(o, proxy, bits(int(rng.integers(0, 2 ** (d - k))), d - k), k)
-            assert len(o._decs) <= bound
+            assert len(_openings(o)) <= bound
             assert all(len(m) <= bound for m in o._nodes.values()) and len(o._nodes) <= 2
         assert obfstack.jllw_eval_table(o, oracles[0], (), d).tolist() == c.table_for_prefix((), d).tolist()
+        assert sum(built) <= bound
 
 
 def test_table_circuit_canonical_form_and_errors():
@@ -1798,7 +1823,7 @@ def test_a_jllw_build_draws_all_its_values_in_one_call(with_bundle):
         assert tuple(o.handles.values()) == qpro.gen_many(1, keys)
         assert [sk.master for sk in o.sks] == [plain.bytes(32) for _ in range(d + 1)][::-1]
         seed, nonce = plain.bytes(16), plain.bytes(16)
-        assert o._root_seal[0][2]["info"]["seed"] == seed.hex() and o.ct_root[:16] == nonce
+        assert o._root.value["info"]["seed"] == seed.hex() and o.ct_root[:16] == nonce
         assert plain.bit_generator.state == rng.bit_generator.state
 
 
