@@ -473,8 +473,12 @@ def _game_evasive(cfg: RunConfig, world: int, rng: np.random.Generator) -> int:
 
 
 # guesses or queries (trials x budget) a distinguishing game plays at most: about a minute
-# of key-swap at 0.7 us a guess (a csa-measure query takes 1.5 us, an evasive-comb one 20 us)
+# of key-swap at about a microsecond a guess
 GAME_WORK_CAP = 5 * 10**7
+# each game's own work, in microseconds on a 2-CPU host: (a trial, each budget query);
+# csa-hiding makes no query, and a key-swap trial stops at its first hit
+_GAME_COST_US = {"key-swap": (40, 1), "csa-hiding": (300, 0), "csa-measure": (300, 2), "evasive-comb": (25, 20)}
+GAME_SECONDS_CAP = 60  # about a minute of any game's own work
 _KEY_SWAP_CHUNK = 4096  # key-swap guesses drawn and handled at a time, so its memory is flat at any budget
 
 _GAMES = {
@@ -501,6 +505,13 @@ def distinguish_game(cfg: RunConfig) -> dict:
         raise ValueError(f"a game plays trials // 2 per world, so it needs trials >= 2, not {trials}")
     if trials * cfg.budget > GAME_WORK_CAP:
         raise ValueError(f"configuration plays {trials} trials x {cfg.budget} budget, cap is {GAME_WORK_CAP}")
+    per_trial, per_query = _GAME_COST_US[cfg.game]
+    seconds = trials * (per_trial + cfg.budget * per_query) / 10**6
+    if seconds > GAME_SECONDS_CAP:
+        raise ValueError(
+            f"configuration plays about {seconds:.0f} s of {cfg.game} ({trials} trials x {cfg.budget} budget), "
+            f"cap is {GAME_SECONDS_CAP} s"
+        )
     hits = [0, 0]
     for world in (0, 1):
         for i in range(per_world):

@@ -258,9 +258,10 @@ def qpro_prf(instance: int, key: int, x: bytes, out_len: int) -> bytes:
     absorbs the three parts in digest's framing, so the bytes are the same.
 
     The result is a pure function of the arguments, so a small memo returns
-    it again: a JLLW node's expand step hashes its B pads and the walk then
-    asks the oracle for the same B pads (QPrOSim.eval is still called, and
-    still inverts the handle, for each of them)."""
+    it again.  It serves a JLLW walk's byte path: a proxy oracle's B pads
+    are hashed through QPrOSim.eval, and the expand step's own pads, read
+    for the per-child comparison and the XOR, then hit the memo.  A trusted
+    honest walk hashes no pad (jllw_eval_table compares PRF inputs)."""
     h = _PRF_STATE.copy()
     h.update(instance.to_bytes(4, "big"))
     return toycrypto.stream(toycrypto.absorb(h, (key.to_bytes(8, "big"), x)).digest(), out_len)
@@ -367,9 +368,15 @@ class QPrOSim:
         word = self._feistel(self._tables(instance)[::-1], (swapped,))[0]
         return (word & mask) << half | word >> half
 
+    def eval_input(self, instance: int, handle: int, x: bytes, out_len: int) -> tuple:
+        """The qpro_prf arguments QPrO(Eval, h, x) resolves to:
+        (instance, pi^{-1}(h), x, out_len), one inv call and no hashing."""
+        return instance, self.inv(instance, handle), x, out_len
+
     def eval(self, instance: int, handle: int, x: bytes, out_len: int) -> bytes:
-        """QPrO(Eval, h, x) -> H(pi^{-1}(h), x); total on all handles."""
-        return qpro_prf(instance, self.inv(instance, handle), x, out_len)
+        """QPrO(Eval, h, x) -> H(pi^{-1}(h), x): qpro_prf of eval_input's
+        arguments; total on all handles."""
+        return qpro_prf(*self.eval_input(instance, handle, x, out_len))
 
     def sample_draws(self, rng: np.random.Generator, plan) -> list:
         """For each ("keys", n) of plan n uniform keys, a tuple of ints, and for
@@ -438,8 +445,10 @@ class FeFunction:
     def apply(self, plaintext: bytes | None, value=None) -> tuple[bytes | _Lazy, tuple]:
         """(f of a node plaintext, the node's children).  value, when given,
         is _wire_json(plaintext), which is then not read.  At an expand node
-        f is _Lazy(_padded, pads, children) and the children are the two
-        _Built nodes the step made; at a leaf the children are ().
+        f is _Lazy(_padded, inputs, children), inputs holding each pad's
+        qpro_prf arguments (instance, key, pad input, L), so the step hashes
+        no pad, and the children are the two _Built nodes the step made; at
+        a leaf the children are ().
         This is the one place where a reader's ValueError (or a child's
         frame overflow) becomes IntegrityError, so a malformed node that
         authenticates fails like a bad tag."""
@@ -495,17 +504,18 @@ class FeFunction:
         if pads is None:  # read after the children, whose frame overflow fails the node first
             pads = _wire_field(info, "keys", _pad_keys, d, p["B"])
             object.__setattr__(self, "_shared", (circuit, keys, deeper, shared, pads))
-        pad_input = (chi + "0" * (big_d - d)).encode()
-        otp = b"".join(qpro_prf(p["instance"], key, pad_input, seg) for key in pads)
-        if len(otp) != 2 * (pk.ptlen + toycrypto.CIPHERTEXT_OVERHEAD):
+        if p["B"] * seg != 2 * (pk.ptlen + toycrypto.CIPHERTEXT_OVERHEAD):
             raise IntegrityError("pad/ciphertext length mismatch")
-        return _Lazy(_padded, otp, tuple(children)), tuple(children)
+        pad_input = (chi + "0" * (big_d - d)).encode()
+        inputs = tuple((p["instance"], key, pad_input, seg) for key in pads)
+        return _Lazy(_padded, inputs, tuple(children)), tuple(children)
 
 
 class _Lazy:
     """The bytes of make(*args), computed at most once, when bytes() first
     reads them: a built child's ciphertext and an expand step's padded
-    output, which an honest walk never reads."""
+    output, which an honest walk never reads; it reads the latter's
+    args[0], the pads' qpro_prf inputs, and hashes none of them."""
 
     __slots__ = ("make", "args", "_bytes")
 
@@ -536,9 +546,14 @@ class _Built:
         return bytes(self.ct)
 
 
-def _padded(otp: bytes, children: tuple) -> bytes:
-    """An expand step's f: its children's ciphertexts, joined, XOR its pads otp."""
-    return toycrypto.xor_bytes(b"".join(map(bytes, children)), otp)
+def _pads(inputs: tuple) -> bytes:
+    """One expand node's pads, joined: qpro_prf of each pad's arguments."""
+    return b"".join(qpro_prf(*args) for args in inputs)
+
+
+def _padded(inputs: tuple, children: tuple) -> bytes:
+    """An expand step's f: its children's ciphertexts, joined, XOR its pads."""
+    return toycrypto.xor_bytes(b"".join(map(bytes, children)), _pads(inputs))
 
 
 def _pad_keys(keys: dict, level: int, blocks: int) -> tuple[int, ...]:
@@ -745,20 +760,24 @@ def jllw_eval_table(
     """Output labels (int16) over the last suffix_arity input bits with the
     leading bits fixed to prefix: walk the prefix once, then expand the
     subtree depth first, child 0 before child 1.  Each node is opened with
-    fe_dec, then unpadded by comparing its B oracle pads with the expand
-    step's, child by child: a child whose pads are equal is the step's
-    built child itself, so an honest walk encrypts no child, and other pads
-    are XORed off the padded bytes, so a tampered pad reaches its child as
-    bytes and fails there.  A node whose opening or pad check fails labels
-    every leaf below it _FAILED, which is exactly the set of pointwise walks
-    through it.  A built node keeps its opening for every later walk, so
-    fe_dec parses no node of an honest tree that jllw_obfuscate built in
-    this process, and only the root of a parsed or replaced one.  The
-    _nodes memo spares a QPrOSim's walks every repeated opening and pad
-    query; a proxy oracle (tampering or logging) gets a pad memo for this
-    walk only, so it sees every pad query of every walk in the uncached
-    order.  The walk keeps its own stack rather than recursing through a
-    closure, so a call leaves no reference cycle behind."""
+    fe_dec, then unpadded.  A QPrOSim is asked, by eval_input, what each of
+    the B pad queries resolves to; when those qpro_prf inputs equal the
+    expand step's and the tree's ptlen splits the padded bytes between the
+    children, the children are the step's built ones, so an honest walk
+    encrypts no child and hashes no pad.  Otherwise, and for any other
+    oracle (asked by eval), the walk compares the pad bytes with the step's,
+    child by child: a child whose pads are equal is the step's built child,
+    and other pads are XORed off the padded bytes, so a tampered pad reaches
+    its child as bytes and fails there.  A node whose opening or pad check
+    fails labels every leaf below it _FAILED, which is exactly the set of
+    pointwise walks through it.  A built node keeps its opening for every
+    later walk, so fe_dec parses no node of an honest tree that
+    jllw_obfuscate built in this process, and only the root of a parsed or
+    replaced one.  The _nodes memo spares a QPrOSim's walks every repeated
+    opening and pad query; a proxy oracle (tampering or logging) gets a pad
+    memo for this walk only, so it sees every pad query of every walk in
+    the uncached order.  The walk keeps its own stack rather than recursing
+    through a closure, so a call leaves no reference cycle behind."""
     if len(prefix) + suffix_arity != o.D:
         raise ValueError("input width mismatch")
     memo = o._nodes.setdefault(qpro, {}) if type(qpro) is QPrOSim else {}
@@ -785,19 +804,27 @@ def jllw_eval_table(
                 node = bytes(v)[0]
             else:
                 pad_input = (chi + "0" * (o.D - d)).encode()
+                handles = [o.handles[f"{d},{j}"] for j in range(1, o.B + 1)]
+                step = v.args[0] if type(v) is _Lazy else None  # the step's qpro_prf inputs
                 try:
-                    otp = b"".join(
-                        qpro.eval(o.instance, o.handles[f"{d},{j}"], pad_input, o.L)
-                        for j in range(1, o.B + 1)
-                    )
-                    # (c ^ P) ^ P' = c iff P = P', so a child whose pads are the step's is
-                    # its built child, when the split falls between the children
-                    own = v.args[0] if type(v) is _Lazy and len(otp) == 2 * ct_len else None
-                    pair = None if otp == own else toycrypto.xor_bytes(bytes(v), otp)
-                    node = tuple(
-                        children[b] if own and otp[part] == own[part] else pair[part]
-                        for b, part in enumerate((slice(None, ct_len), slice(ct_len, None)))
-                    )
+                    if type(qpro) is QPrOSim:
+                        # equal PRF inputs give equal pads: when the oracle's are the step's
+                        # and the split falls between the children, no pad is hashed
+                        asked = tuple(qpro.eval_input(o.instance, h, pad_input, o.L) for h in handles)
+                        otp = None if asked == step and o.B * o.L == 2 * ct_len else _pads(asked)
+                    else:
+                        otp = b"".join(qpro.eval(o.instance, h, pad_input, o.L) for h in handles)
+                    if otp is None:
+                        node = children
+                    else:
+                        # (c ^ P) ^ P' = c iff P = P', so a child whose pads are the step's
+                        # is its built child, when the split falls between the children
+                        own = _pads(step) if step is not None and len(otp) == 2 * ct_len else None
+                        pair = None if otp == own else toycrypto.xor_bytes(bytes(v), otp)
+                        node = tuple(
+                            children[b] if own and otp[part] == own[part] else pair[part]
+                            for b, part in enumerate((slice(None, ct_len), slice(ct_len, None)))
+                        )
                 except IntegrityError:
                     node = _FAILED
             memo[chi] = node
@@ -815,8 +842,8 @@ def jllw_eval_table(
 def jllw_eval(o: JLLWObfuscation, qpro: QPrOSim, x_bits: tuple[int, ...]) -> int:
     """The zero-width case of jllw_eval_table; it shares the obfuscation's
     memos, so 2**D pointwise walks with one QPrOSim cost one full table
-    walk (2**(D+1) - 1 openings, (2**D - 1) * B pad queries and no child
-    encryption)."""
+    walk (2**(D+1) - 1 openings, (2**D - 1) * B pad queries, no child
+    encryption and no pad hashing)."""
     y = int(jllw_eval_table(o, qpro, x_bits, 0)[0])
     if y == _FAILED:
         raise IntegrityError("tree walk failed its integrity checks")

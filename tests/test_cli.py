@@ -265,6 +265,32 @@ def test_a_game_above_the_work_cap_exits_2_before_the_first_trial(game, trials, 
     assert "cap is" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "game, trials, budget",
+    [
+        # each under GAME_WORK_CAP, but past a minute of its own game: 2e6 key-swap trials
+        # at about 40 us, 10**6 CSA trials at about 300 us (csa-hiding ignores budget),
+        # and 10**7 evasive-comb queries at about 20 us
+        ("key-swap", 2 * 10**6, 0),
+        ("csa-hiding", 10**6, 0),
+        ("csa-measure", 10**6, 0),
+        ("evasive-comb", 1000, 10**4),
+    ],
+)
+def test_a_game_above_a_minute_of_its_own_work_exits_2_before_the_first_trial(
+    game, trials, budget, tmp_path, capsys, monkeypatch
+):
+    def never(cfg, world, rng):
+        raise AssertionError("a trial ran")
+
+    assert trials * budget <= cli.GAME_WORK_CAP
+    monkeypatch.setitem(cli._GAMES, game, never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "trials": trials, "game": game, "budget": budget}))
+    assert cli.main(["run", "--scenario", "distinguish-game", "--config", str(cfg_path)]) == 2
+    assert f"cap is {cli.GAME_SECONDS_CAP} s" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_a_game_at_the_work_cap_runs(monkeypatch):
     played = []
     monkeypatch.setitem(cli._GAMES, "key-swap", lambda cfg, world, rng: played.append(world) or 0)

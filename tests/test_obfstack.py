@@ -578,19 +578,20 @@ def test_jllw_full_table_decrypts_each_node_once(monkeypatch):
         # 2**d - 1 expand nodes and 2**d leaves; B pad queries per expand node
         assert sum(e[0] == "dec" for e in log) == 2 ** (d + 1) - 1
         assert sum(e[0] == "eval" for e in log) == (2**d - 1) * o.B
-        # a trusted walk of a fresh copy asks its oracle every pad query, each
-        # inverting its handle, and the PRF memo answers each with the value
-        # the node's expand step has just computed
+        # a trusted walk of a fresh copy asks its oracle what every pad query
+        # resolves to, each inverting its handle, and hashes no pad: the
+        # inputs equal the expand step's, so neither side computes a PRF
         calls: list = []
         with monkeypatch.context() as patch:
-            for name in ("eval", "inv"):
+            for name in ("eval", "eval_input", "inv"):
                 real = getattr(QPrOSim, name)
                 patch.setattr(QPrOSim, name, lambda self, *a, _r=real, _n=name: calls.append(_n) or _r(self, *a))
-            obfstack.qpro_prf.cache_clear()
+            before = obfstack.qpro_prf.cache_info()
             assert obfstack.jllw_eval_table(dataclasses.replace(o), qpro, (), d).tolist() == truth
-        assert (calls.count("eval"), calls.count("inv")) == ((2**d - 1) * o.B,) * 2
-        info = obfstack.qpro_prf.cache_info()
-        assert (info.hits, info.misses) == ((2**d - 1) * o.B,) * 2
+        assert calls.count("eval") == 0
+        assert (calls.count("eval_input"), calls.count("inv")) == ((2**d - 1) * o.B,) * 2
+        after = obfstack.qpro_prf.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_jllw_zero_width_walk_query_order(monkeypatch):
@@ -612,11 +613,11 @@ def test_jllw_zero_width_walk_query_order(monkeypatch):
     assert log == expected
 
 
-def _count_qpro_evals(monkeypatch, log: list) -> None:
-    """Record every QPrOSim.eval call, whoever makes it."""
-    real = QPrOSim.eval
+def _count_qpro_eval_inputs(monkeypatch, log: list) -> None:
+    """Record every QPrOSim.eval_input call, whoever makes it."""
+    real = QPrOSim.eval_input
     monkeypatch.setattr(
-        QPrOSim, "eval", lambda self, *args: log.append(("eval",) + args[:3]) or real(self, *args)
+        QPrOSim, "eval_input", lambda self, *args: log.append(("eval_input",) + args[:3]) or real(self, *args)
     )
 
 
@@ -628,12 +629,12 @@ def test_jllw_pointwise_walks_decrypt_each_node_once_per_oracle(monkeypatch):
     blob = o.serialize()
     log: list = []
     _log_fe_dec(monkeypatch, o, log)
-    _count_qpro_evals(monkeypatch, log)
+    _count_qpro_eval_inputs(monkeypatch, log)
     assert [jllw_eval(o, qpro, bits(x, 4)) for x in range(16)] == c.table_for_prefix((), 4).tolist()
     # the 16 walks cost one full table walk: 15 expand nodes and 16 leaves,
     # two pad queries per expand node (80 and 128 without the memo)
     assert sum(e[0] == "dec" for e in log) == 31
-    assert sum(e[0] == "eval" for e in log) == 30
+    assert sum(e[0] == "eval_input" for e in log) == 30
     # every later walk by an equal oracle is served from the memo
     again = QPrOSim(qpro.master, instance_count=2)
     assert obfstack.jllw_eval_table(o, again, (), 4).tolist() == c.table_for_prefix((), 4).tolist()
@@ -733,14 +734,15 @@ def test_jllw_tree_bytes_pinned(seed, digest):
 
 
 def test_jllw_scenario_oracle_query_log_pinned(monkeypatch):
-    """Every QPrOSim.eval query of the seed-1 jllw-correctness run, the tamper
-    proxy's included, in order, matches the reference digest."""
+    """Every QPrOSim Eval query of the seed-1 jllw-correctness run, the tamper
+    proxy's included, in order, matches the reference digest: a trusted walk
+    asks eval_input, and QPrOSim.eval asks it for the proxy."""
     from qmalab.cli import RunConfig, run_scenario
 
     log: list = []
-    real = QPrOSim.eval
+    real = QPrOSim.eval_input
     monkeypatch.setattr(
-        QPrOSim, "eval",
+        QPrOSim, "eval_input",
         lambda self, instance, handle, x, n: log.append([instance, handle, x.hex(), n]) or real(self, instance, handle, x, n),
     )
     report = run_scenario(RunConfig.from_json({"scenario": "jllw-correctness", "seed": 1, "trials": 50}))
@@ -905,11 +907,13 @@ def test_a_tamper_at_every_level_is_detected_before_and_after_the_memos_fill():
 
 
 def test_the_tamper_probe_detects_with_the_prf_memo_warm():
-    """Every PRF a tampered walk needs is answered from the memo, which a
-    trusted walk of the same path has just filled; the proxy's flip still
-    fails the walk and never reaches the memo.  An earlier probe's corrupted
-    child does not evict the node's stored decryption, so the walk expands
-    no node again and hashes only its own pads."""
+    """A trusted walk of the probe's path hashes no pad, so the memo is warm
+    only within the tampered walk: the proxy hashes each of the walk's pads
+    once, and the expand step's comparison, and the XOR at the node the flip
+    corrupts, read them back from the memo; the flip itself never reaches
+    the memo and still fails the walk.  An earlier probe's corrupted child
+    does not evict the node's stored decryption, so the walk expands no node
+    again and hashes only its own pads."""
     from qmalab.cli import _TamperedQPrO
 
     rng = np.random.default_rng(31)
@@ -922,13 +926,22 @@ def test_the_tamper_probe_detects_with_the_prf_memo_warm():
     for x in range(8):
         probe = bits(x, 3)
         for level in range(o.D):
-            assert jllw_eval(dataclasses.replace(o), qpro, probe) == truth[x]
             before = obfstack.qpro_prf.cache_info()
+            assert jllw_eval(dataclasses.replace(o), qpro, probe) == truth[x]
+            after = obfstack.qpro_prf.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses)
+            node = o._root
+            for b in probe[:level]:
+                node = node.opening[1][b]
+            xored = node.opening[0]._bytes is not None  # by an earlier probe of this node
+            obfstack.qpro_prf.cache_clear()
             with pytest.raises(IntegrityError):
                 jllw_eval(o, _TamperedQPrO(qpro, o.B * level + probe[level]), probe)
-            after = obfstack.qpro_prf.cache_info()
-            # the walk's B pads per level, and no PRF computed afresh
-            assert after.hits - before.hits == o.B * (level + 1) and after.misses == before.misses
+            info = obfstack.qpro_prf.cache_info()
+            # the walk's B pads per level hashed once each, read back by every
+            # level's comparison and, unless already XORed, the corrupted node's XOR
+            assert info.misses == o.B * (level + 1)
+            assert info.hits == o.B * (level + 1) + o.B * (not xored)
     assert obfstack.jllw_eval_table(dataclasses.replace(o), qpro, (), 3).tolist() == truth
 
 
@@ -1007,6 +1020,25 @@ def test_a_blob_whose_keys_swap_roles_labels_as_the_byte_walk_did():
     _, children = fe_dec(forged.sks[0], forged.ct_root)
     labels = [bytes(fe_dec(forged.sks[1], child)[0])[0] for child in children]
     assert obfstack.jllw_eval_table(forged, qpro, (), 1).tolist() == labels
+
+
+def test_a_blob_whose_ptlen_disagrees_with_its_keys_labels_as_the_byte_walk_did():
+    """A blob whose ptlen field is shifted from its FE keys' splits the
+    padded children where they do not meet.  The expand step's pad inputs
+    still equal the oracle's, yet the walk takes no built child: it XORs the
+    pads off, splits at its own ptlen, and every leaf fails, as a proxy's
+    byte walk labels it."""
+    rng = np.random.default_rng(5)
+    qpro = QPrOSim.from_seed(rng, instance_count=2)
+    for d in (1, 2, 3):
+        o = jllw_obfuscate(table_circuit(rng.integers(0, 2, size=2**d)), qpro, 1, rng)
+        for shift in (-3, 5):
+            blob = json.loads(o.serialize())
+            blob["ptlen"] += shift
+            shifted = JLLWObfuscation.deserialize(obfstack._dumps(blob).encode())
+            failed = [obfstack._FAILED] * 2**d
+            assert obfstack.jllw_eval_table(shifted, qpro, (), d).tolist() == failed, (d, shift)
+            assert obfstack.jllw_eval_table(shifted, _LoggedQPrO(qpro, []), (), d).tolist() == failed
 
 
 def test_a_tamper_probe_before_any_walk_stores_no_failed_opening(monkeypatch):
